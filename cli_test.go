@@ -27,6 +27,57 @@ func runGo(t *testing.T, pkg string, args ...string) string {
 	return string(out)
 }
 
+// runGoUsageError executes `go run pkg args...` and requires the command
+// to reject its command line: exit status 2 (which go run reports as
+// "exit status 2") with a one-line message and no Go stack trace. It
+// returns the combined output.
+func runGoUsageError(t *testing.T, pkg string, args ...string) string {
+	t.Helper()
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go tool not on PATH")
+	}
+	cmd := exec.Command(goBin, append([]string{"run", pkg}, args...)...)
+	out, err := cmd.CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "exit status 2") {
+		t.Fatalf("go run %s %v: want exit status 2, got %v\n%s", pkg, args, err, out)
+	}
+	if strings.Contains(string(out), "goroutine ") {
+		t.Errorf("go run %s %v printed a stack trace:\n%s", pkg, args, out)
+	}
+	return string(out)
+}
+
+// TestCLIRejectsUnknownScheme: every scheme-taking CLI validates its
+// scheme list up front instead of panicking inside a point.
+func TestCLIRejectsUnknownScheme(t *testing.T) {
+	for _, tc := range []struct {
+		pkg  string
+		args []string
+	}{
+		{"./cmd/hrwle-serve", []string{"-workload", "hashmap", "-schemes", "FOO"}},
+		{"./cmd/hrwle-serve", []string{"-prof", "-workload", "hashmap", "-schemes", "SGL,FOO"}},
+		{"./cmd/hrwle-trace", []string{"-scheme", "FOO,SGL", "-j", "2"}},
+		{"./cmd/hrwle-shard", []string{"-schemes", "adaptive,FOO"}},
+	} {
+		out := runGoUsageError(t, tc.pkg, tc.args...)
+		if !strings.Contains(out, `unknown scheme "FOO"`) {
+			t.Errorf("%s %v: message does not name the bad scheme:\n%s", tc.pkg, tc.args, out)
+		}
+	}
+}
+
+// TestBenchCLIRejectsBadThreads: -threads is parsed strictly; garbage is
+// a usage error, not an empty or silently repaired sweep.
+func TestBenchCLIRejectsBadThreads(t *testing.T) {
+	for _, threads := range []string{"abc", "2,x8", "0"} {
+		out := runGoUsageError(t, "./cmd/hrwle-bench", "-fig", "fig3", "-scale", "0.01", "-threads", threads, "-q")
+		if !strings.Contains(out, "bad count") {
+			t.Errorf("-threads %s: unexpected message:\n%s", threads, out)
+		}
+	}
+}
+
 // TestBenchCLISmoke regenerates one tiny figure through the real CLI and
 // checks the report carries the expected sections and schemes.
 func TestBenchCLISmoke(t *testing.T) {

@@ -7,7 +7,6 @@
 //	hrwle-bench -fig fig3 [-scale 0.25] [-o fig3.txt]
 //	hrwle-bench -fig all  [-scale 1] [-j 8]
 //	hrwle-bench -fig fig5 -metrics-dir results/metrics   # + RunMetrics JSON
-//	hrwle-bench -bench results/BENCH_PR4.json [-bench-baseline results/BENCH_SEED.json]
 //
 // Each figure prints three panels matching the paper: execution time (or
 // throughput), the abort-cause breakdown, and the commit-path breakdown.
@@ -16,19 +15,17 @@
 // measurement points concurrently (each point is an independent simulated
 // machine; results are deterministic and ordered regardless of -j).
 //
-// -bench skips figure output and instead runs the fixed wall-clock
-// mini-sweep, writing a BenchReport JSON (sim cycles/sec, points/sec,
-// parallel speedup, HTM-path allocs/op) to the given file.
+// The wall-clock benchmark of the simulator itself lives in bench/.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"time"
 
+	"hrwle/internal/cli"
 	"hrwle/internal/harness"
 )
 
@@ -42,36 +39,8 @@ func main() {
 		threads    = flag.String("threads", "", "override thread counts, e.g. 2,8,32")
 		metricsDir = flag.String("metrics-dir", "", "collect obs telemetry and write one RunMetrics JSON per (figure, scheme) into this directory (e.g. results/metrics)")
 		jobs       = flag.Int("j", runtime.GOMAXPROCS(0), "measurement points to run concurrently")
-		bench      = flag.String("bench", "", "run the fixed wall-clock mini-sweep and write a BenchReport JSON to this file")
-		benchBase  = flag.String("bench-baseline", "", "prior BenchReport JSON to compare against in -bench mode")
 	)
 	flag.Parse()
-
-	var progress io.Writer = os.Stderr
-	if *quiet {
-		progress = nil
-	}
-
-	if *bench != "" {
-		rep, err := harness.RunBench(*jobs, *benchBase, progress)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		f, err := os.Create(*bench)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := rep.WriteJSON(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		f.Close()
-		fmt.Println(rep.Summary())
-		fmt.Printf("report written to %s\n", *bench)
-		return
-	}
 
 	figs := harness.Registry()
 	if *list || *fig == "" {
@@ -82,33 +51,32 @@ func main() {
 		return
 	}
 
-	var w io.Writer = os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		w = f
-	}
-
 	var ids []string
 	if *fig == "all" {
 		ids = harness.SortedIDs(figs)
 	} else {
 		if _, ok := figs[*fig]; !ok {
-			fmt.Fprintf(os.Stderr, "unknown figure %q (use -list)\n", *fig)
-			os.Exit(1)
+			cli.Usage(fmt.Errorf("unknown figure %q (use -list)", *fig))
 		}
 		ids = []string{*fig}
 	}
+	var threadList []int
+	if *threads != "" {
+		var err error
+		if threadList, err = cli.ParseInts(*threads); err != nil {
+			cli.Usage(err)
+		}
+	}
+
+	progress := cli.Progress(*quiet)
+	w, closeOut := cli.Output(*out)
+	defer closeOut()
 
 	var totalEvents int64
 	for _, id := range ids {
 		spec := figs[id]
-		if *threads != "" {
-			spec.Threads = parseInts(*threads)
+		if threadList != nil {
+			spec.Threads = threadList
 		}
 		start := time.Now()
 		var results []harness.Result
@@ -117,8 +85,7 @@ func main() {
 			var events int64
 			results, events, err = harness.RunWithMetrics(spec, *scale, progress, *metricsDir, *jobs)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				cli.Fatal(err)
 			}
 			totalEvents += events
 		} else {
@@ -130,22 +97,4 @@ func main() {
 	if *metricsDir != "" {
 		fmt.Fprintf(os.Stderr, "metrics JSON written to %s (%d events traced)\n", *metricsDir, totalEvents)
 	}
-}
-
-func parseInts(s string) []int {
-	var out []int
-	cur := 0
-	have := false
-	for i := 0; i <= len(s); i++ {
-		if i < len(s) && s[i] >= '0' && s[i] <= '9' {
-			cur = cur*10 + int(s[i]-'0')
-			have = true
-			continue
-		}
-		if have {
-			out = append(out, cur)
-		}
-		cur, have = 0, false
-	}
-	return out
 }

@@ -33,6 +33,7 @@ import (
 	"strings"
 
 	"hrwle/internal/check"
+	"hrwle/internal/cli"
 )
 
 func main() {
@@ -60,17 +61,17 @@ func main() {
 	// Validate names up front: buildLock panics on unknown schemes, and a
 	// typo'd -mutation would otherwise silently explore unmutated code.
 	if !*all && !contains(check.Schemes(), *scheme) {
-		fatalf("unknown scheme %q (want one of %s)", *scheme, strings.Join(check.Schemes(), ", "))
+		cli.Usage(fmt.Errorf("unknown scheme %q (want one of %s)", *scheme, strings.Join(check.Schemes(), ", ")))
 	}
 	programs := append(check.Programs(), check.LitmusPrograms()...)
 	if !contains(programs, *program) {
-		fatalf("unknown program %q (want one of %s)", *program, strings.Join(programs, ", "))
+		cli.Usage(fmt.Errorf("unknown program %q (want one of %s)", *program, strings.Join(programs, ", ")))
 	}
 	switch *mutation {
 	case "", check.MutLoseDoomAtResume, check.MutSkipROTQuiesce, check.MutLazySubscription:
 	default:
-		fatalf("unknown mutation %q (want %s, %s or %s)",
-			*mutation, check.MutLoseDoomAtResume, check.MutSkipROTQuiesce, check.MutLazySubscription)
+		cli.Usage(fmt.Errorf("unknown mutation %q (want %s, %s or %s)",
+			*mutation, check.MutLoseDoomAtResume, check.MutSkipROTQuiesce, check.MutLazySubscription))
 	}
 
 	base := check.Config{
@@ -125,11 +126,6 @@ func contains(list []string, s string) bool {
 		}
 	}
 	return false
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "hrwle-check: "+format+"\n", args...)
-	os.Exit(2)
 }
 
 // report prints one exploration summary and returns 1 if it found a

@@ -3,6 +3,15 @@
 // RW-LE-protected structure, sweeping offered load across lock schemes
 // and reporting sojourn-time percentiles per priority class.
 //
+// With -prof it runs the virtual-time profiler instead: one point per
+// scheme at a single offered load (default: the workload's saturation
+// knee, where the schemes' cycle mixes diverge most — see EXPERIMENTS.md),
+// with every simulated cycle attributed to a category (useful committed
+// work, wasted speculation, lock waiting, quiescence, fallback
+// serialization, application work, idle) and the windowed telemetry series
+// rendered as sparklines. Attribution is exact: per point, the categories
+// sum to servers × sim_cycles, and profiling never perturbs the simulation.
+//
 // Usage:
 //
 //	hrwle-serve -list
@@ -12,22 +21,26 @@
 //	hrwle-serve -workload kyoto -arrivals mmpp -seed 7
 //	hrwle-serve -workload hashmap -schemes RW-LE_OPT -rates 3e6 -chrome t.json
 //	hrwle-serve -workload hashmap -schemes RW-LE_OPT -rates 3e6 -sanitize
+//	hrwle-serve -prof -workload hashmap
+//	hrwle-serve -prof -workload tpcc -schemes all -rates 5e5 -window 1e6
 //
 // The default rate grids straddle every default scheme's saturation knee
 // (see EXPERIMENTS.md). Output is deterministic: the same flags produce
-// byte-identical text and JSON at any -j.
+// byte-identical text and JSON at any -j. With -workload all, -json holds
+// one JSON array of the per-workload reports.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
-	"strconv"
 	"strings"
 	"time"
 
+	"hrwle/internal/cli"
 	"hrwle/internal/harness"
 	"hrwle/internal/machine"
 	"hrwle/internal/obs"
@@ -37,69 +50,73 @@ import (
 func main() {
 	var (
 		workload = flag.String("workload", "", "workload to serve (hashmap|kyoto|tpcc|all)")
-		list     = flag.Bool("list", false, "list workloads and their default sweeps")
-		schemes  = flag.String("schemes", "", "comma-separated scheme list (default RW-LE_OPT,HLE,RWL,SGL)")
-		rates    = flag.String("rates", "", "comma-separated offered loads, req/s (default: calibrated per workload)")
+		list     = flag.Bool("list", false, "list workloads, their default sweeps and -prof knee loads")
+		schemes  = flag.String("schemes", "", "comma-separated scheme list, or 'all' (default RW-LE_OPT,HLE,RWL,SGL)")
+		rates    = flag.String("rates", "", "comma-separated offered loads, req/s (default: calibrated per workload; one load with -prof, default the knee)")
 		servers  = flag.Int("servers", 0, "serving CPUs (default 8)")
 		requests = flag.Int("requests", 0, "arrivals per point (default 4000)")
 		queueCap = flag.Int("queue-cap", 0, "dispatch queue bound (default 512)")
 		arrivals = flag.String("arrivals", "poisson", "arrival process (poisson|mmpp)")
 		seed     = flag.Uint64("seed", 0, "schedule and machine seed (default 1)")
 		out      = flag.String("o", "", "write the text report to file (default stdout)")
-		jsonOut  = flag.String("json", "", "write the ServeReport JSON to file")
+		jsonOut  = flag.String("json", "", "write the ServeReport (with -prof, ProfReport) JSON to file")
 		chrome   = flag.String("chrome", "", "write a Chrome trace of the run (single scheme and rate only)")
 		timeline = flag.String("timeline", "", "write the virtual-time profile JSON of the run (single scheme and rate only)")
 		sanitize = flag.Bool("sanitize", false, "run one point under the simsan happens-before race detector (single scheme and rate only; exit 1 on any race)")
-		window   = flag.Int64("window", harness.DefaultProfWindow, "profiling window width in virtual cycles (with -timeline)")
+		profile  = flag.Bool("prof", false, "run the virtual-time profiler on every scheme at one offered load")
+		window   = flag.Float64("window", harness.DefaultProfWindow, "profiling window width in virtual cycles (with -prof or -timeline)")
 		jobs     = flag.Int("j", runtime.GOMAXPROCS(0), "measurement points to run concurrently")
 		quiet    = flag.Bool("q", false, "suppress per-point progress")
 	)
 	flag.Parse()
 
 	if *list || *workload == "" {
-		fmt.Println("available workloads (default offered-load grids, req/s):")
+		fmt.Println("available workloads (default offered-load grids and -prof knee loads, req/s):")
 		for _, wl := range harness.ServeWorkloads() {
-			spec, _ := harness.DefaultServeSpec(wl)
-			fmt.Printf("  %-8s %s\n", wl, formatRates(spec.Rates))
+			serve, _ := harness.DefaultServeSpec(wl)
+			prof, _ := harness.DefaultProfSpec(wl)
+			fmt.Printf("  %-8s %s  knee %s\n", wl, cli.FormatFloats(serve.Rates), cli.FormatFloats([]float64{prof.RatePerSec}))
 		}
 		fmt.Printf("default schemes: %s\n", strings.Join(harness.ServeSchemes(), ","))
+		fmt.Printf("all schemes:     %s\n", strings.Join(harness.AllSchemes(), ","))
 		return
-	}
-
-	var progress io.Writer = os.Stderr
-	if *quiet {
-		progress = nil
 	}
 
 	workloads := []string{*workload}
 	if *workload == "all" {
 		workloads = harness.ServeWorkloads()
 	}
-
-	var w io.Writer = os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
+	schemeList, err := cli.ParseSchemes(*schemes, harness.ServeSchemes())
+	if err != nil {
+		cli.Usage(err)
+	}
+	var rateList []float64
+	if *rates != "" {
+		if rateList, err = cli.ParseRates(*rates); err != nil {
+			cli.Usage(err)
 		}
-		defer f.Close()
-		w = f
+	}
+	process, err := service.ParseProcess(*arrivals)
+	if err != nil {
+		cli.Usage(err)
+	}
+	singlePoint := *sanitize || *chrome != "" || *timeline != ""
+	switch {
+	case singlePoint && (*profile || len(workloads) != 1 || len(schemeList) != 1 || len(rateList) != 1):
+		cli.Usage(errors.New("-sanitize, -chrome and -timeline need exactly one workload, one -schemes entry and one -rates entry, and no -prof"))
+	case *profile && len(rateList) > 1:
+		cli.Usage(errors.New("-prof profiles one offered load; give at most one -rates entry"))
 	}
 
-	var reports []*harness.ServeReport
-	for _, wl := range workloads {
+	// spec returns the workload's default sweep with the flag overrides.
+	spec := func(wl string) harness.ServeSpec {
 		spec, err := harness.DefaultServeSpec(wl)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
-		if *schemes != "" {
-			spec.Schemes = strings.Split(*schemes, ",")
-		}
-		if *rates != "" {
-			spec.Rates, err = parseRates(*rates)
-			if err != nil {
-				fatal(err)
-			}
+		spec.Schemes = schemeList
+		if rateList != nil {
+			spec.Rates = rateList
 		}
 		if *servers > 0 {
 			spec.Base.Servers = *servers
@@ -113,55 +130,65 @@ func main() {
 		if *seed != 0 {
 			spec.Base.Seed = *seed
 		}
-		spec.Base.Arrivals.Process, err = service.ParseProcess(*arrivals)
-		if err != nil {
-			fatal(err)
-		}
+		spec.Base.Arrivals.Process = process
+		return spec
+	}
 
+	w, closeOut := cli.Output(*out)
+	defer closeOut()
+
+	if singlePoint {
 		if *sanitize {
-			if len(workloads) != 1 || len(spec.Schemes) != 1 || len(spec.Rates) != 1 {
-				fatal(fmt.Errorf("-sanitize needs exactly one workload, one -schemes entry and one -rates entry"))
-			}
-			if err := sanitizePoint(spec, *jsonOut, w); err != nil {
-				fatal(err)
-			}
-			return
+			err = sanitizePoint(spec(*workload), *jsonOut, w)
+		} else {
+			err = tracePoint(spec(*workload), *chrome, *timeline, int64(*window), w)
 		}
-
-		if *chrome != "" || *timeline != "" {
-			if len(workloads) != 1 || len(spec.Schemes) != 1 || len(spec.Rates) != 1 {
-				fatal(fmt.Errorf("-chrome/-timeline need exactly one workload, one -schemes entry and one -rates entry"))
-			}
-			if err := tracePoint(spec, *chrome, *timeline, *window, w); err != nil {
-				fatal(err)
-			}
-			return
-		}
-
-		start := time.Now()
-		rep, err := harness.RunServe(spec, *jobs, progress)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
+		}
+		return
+	}
+
+	progress := cli.Progress(*quiet)
+	var reports []any
+	for _, wl := range workloads {
+		start := time.Now()
+		var rep interface{ WriteText(io.Writer) }
+		if *profile {
+			rep, err = harness.RunProf(profSpec(spec(wl), rateList, int64(*window)), *jobs, progress)
+		} else {
+			rep, err = harness.RunServe(spec(wl), *jobs, progress)
+		}
+		if err != nil {
+			cli.Fatal(err)
 		}
 		rep.WriteText(w)
 		fmt.Fprintln(w)
 		reports = append(reports, rep)
-		fmt.Fprintf(os.Stderr, "serve %s done in %.1fs wall\n", wl, time.Since(start).Seconds())
+		fmt.Fprintf(os.Stderr, "%s done in %.1fs wall\n", wl, time.Since(start).Seconds())
 	}
 
 	if *jsonOut != "" {
-		f, err := os.Create(*jsonOut)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		for _, rep := range reports {
-			if err := rep.WriteJSON(f); err != nil {
-				fatal(err)
-			}
+		if err := cli.WriteJSON(*jsonOut, reports...); err != nil {
+			cli.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "JSON written to %s\n", *jsonOut)
 	}
+}
+
+// profSpec turns a serve sweep into the profile run of its schemes at one
+// offered load: the single -rates entry when one was given, else the
+// workload's calibrated knee.
+func profSpec(serve harness.ServeSpec, rates []float64, window int64) harness.ProfSpec {
+	spec, err := harness.DefaultProfSpec(serve.Base.Workload)
+	if err != nil {
+		cli.Fatal(err)
+	}
+	spec.Base, spec.Schemes, spec.WindowCycles = serve.Base, serve.Schemes, window
+	if len(rates) == 1 {
+		spec.RatePerSec = rates[0]
+	}
+	return spec
 }
 
 // sanitizePoint serves the spec's single point with the simsan race
@@ -181,12 +208,7 @@ func sanitizePoint(spec harness.ServeSpec, jsonPath string, w io.Writer) error {
 	fmt.Fprintln(w)
 	rep.WriteText(w)
 	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := rep.WriteJSON(f); err != nil {
+		if err := cli.WriteJSON(jsonPath, rep); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "race report JSON written to %s\n", jsonPath)
@@ -224,12 +246,7 @@ func tracePoint(spec harness.ServeSpec, chromePath, timelinePath string, window 
 		rep := prof.Report(scheme, cfg.Workload)
 		rep.Service = m
 		rep.WriteText(w)
-		f, err := os.Create(timelinePath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := rep.WriteJSON(f); err != nil {
+		if err := cli.WriteJSON(timelinePath, rep); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "timeline profile (%d windows) written to %s\n",
@@ -247,29 +264,4 @@ func tracePoint(spec harness.ServeSpec, chromePath, timelinePath string, window 
 		fmt.Fprintf(os.Stderr, "Chrome trace (%d events) written to %s\n", len(log.Events), chromePath)
 	}
 	return nil
-}
-
-func parseRates(s string) ([]float64, error) {
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad rate %q (want positive req/s)", part)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func formatRates(rates []float64) string {
-	parts := make([]string, len(rates))
-	for i, r := range rates {
-		parts[i] = strconv.FormatFloat(r, 'g', -1, 64)
-	}
-	return strings.Join(parts, ",")
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
 }

@@ -20,20 +20,19 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
-	"strconv"
 	"strings"
 	"time"
 
+	"hrwle/internal/cli"
 	"hrwle/internal/harness"
 )
 
 func main() {
 	var (
 		list     = flag.Bool("list", false, "print the default sweep and exit")
-		schemes  = flag.String("schemes", "", "comma-separated scheme list (default adaptive,RW-LE_OPT,HLE,SGL)")
+		schemes  = flag.String("schemes", "", "comma-separated scheme list, or 'all' (default adaptive,RW-LE_OPT,HLE,SGL)")
 		shards   = flag.String("shards", "", "comma-separated shard counts (default 4,16,64)")
 		skews    = flag.String("skews", "", "comma-separated Zipf exponents (default 0,0.9,1.2)")
 		rate     = flag.Float64("rate", 0, "offered load, req/s (default: calibrated)")
@@ -54,7 +53,7 @@ func main() {
 	spec := harness.DefaultShardSpec()
 	if *list {
 		fmt.Printf("default sweep: schemes %s × shards %s × skews %s\n",
-			strings.Join(spec.Schemes, ","), formatInts(spec.Shards), formatFloats(spec.Skews))
+			strings.Join(spec.Schemes, ","), cli.FormatInts(spec.Shards), cli.FormatFloats(spec.Skews))
 		fmt.Printf("base: %d servers, %d keys, %d requests at %g/s, cross %d%%, queue cap %d\n",
 			spec.Base.Servers, spec.Base.Keys.Universe, spec.Base.Requests,
 			spec.Base.Arrivals.RatePerSec, spec.Base.Keys.CrossPct, spec.Base.QueueCap)
@@ -62,17 +61,17 @@ func main() {
 	}
 
 	var err error
-	if *schemes != "" {
-		spec.Schemes = strings.Split(*schemes, ",")
+	if spec.Schemes, err = cli.ParseSchemes(*schemes, spec.Schemes, harness.ShardAdaptive); err != nil {
+		cli.Usage(err)
 	}
 	if *shards != "" {
-		if spec.Shards, err = parseInts(*shards); err != nil {
-			fatal(err)
+		if spec.Shards, err = cli.ParseInts(*shards); err != nil {
+			cli.Usage(err)
 		}
 	}
 	if *skews != "" {
-		if spec.Skews, err = parseFloats(*skews); err != nil {
-			fatal(err)
+		if spec.Skews, err = cli.ParseSkews(*skews); err != nil {
+			cli.Usage(err)
 		}
 	}
 	if *rate > 0 {
@@ -100,84 +99,22 @@ func main() {
 		spec.Base.Seed = *seed
 	}
 
-	var progress io.Writer = os.Stderr
-	if *quiet {
-		progress = nil
-	}
-
-	var w io.Writer = os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		w = f
-	}
+	w, closeOut := cli.Output(*out)
+	defer closeOut()
 
 	start := time.Now()
-	rep, err := harness.RunShard(spec, *jobs, progress)
+	rep, err := harness.RunShard(spec, *jobs, cli.Progress(*quiet))
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	rep.WriteText(w)
 	fmt.Fprintf(os.Stderr, "shard sweep (%d points) done in %.1fs wall\n",
 		len(rep.Points), time.Since(start).Seconds())
 
 	if *jsonOut != "" {
-		f, err := os.Create(*jsonOut)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		if err := rep.WriteJSON(f); err != nil {
-			fatal(err)
+		if err := cli.WriteJSON(*jsonOut, rep); err != nil {
+			cli.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "JSON written to %s\n", *jsonOut)
 	}
-}
-
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad count %q (want positive integer)", part)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func parseFloats(s string) ([]float64, error) {
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil || v < 0 {
-			return nil, fmt.Errorf("bad skew %q (want non-negative exponent)", part)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func formatInts(vs []int) string {
-	parts := make([]string, len(vs))
-	for i, v := range vs {
-		parts[i] = strconv.Itoa(v)
-	}
-	return strings.Join(parts, ",")
-}
-
-func formatFloats(vs []float64) string {
-	parts := make([]string, len(vs))
-	for i, v := range vs {
-		parts[i] = strconv.FormatFloat(v, 'g', -1, 64)
-	}
-	return strings.Join(parts, ",")
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
 }

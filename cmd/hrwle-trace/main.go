@@ -45,8 +45,8 @@ import (
 	"os"
 	"runtime"
 	"strings"
-	"sync"
 
+	"hrwle/internal/cli"
 	"hrwle/internal/harness"
 	"hrwle/internal/hashmap"
 	"hrwle/internal/htm"
@@ -68,7 +68,7 @@ type traceOpts struct {
 
 func main() {
 	var (
-		scheme   = flag.String("scheme", "RW-LE_OPT", "synchronization scheme, or a comma-separated list (see hrwle-bench -list output)")
+		scheme   = flag.String("scheme", "RW-LE_OPT", "synchronization scheme, a comma-separated list, or 'all'")
 		threads  = flag.Int("threads", 4, "simulated hardware threads")
 		ops      = flag.Int("ops", 30, "operations per thread")
 		writes   = flag.Int("w", 20, "write percentage")
@@ -86,54 +86,30 @@ func main() {
 	)
 	flag.Parse()
 
-	var schemes []string
-	for _, s := range strings.Split(*scheme, ",") {
-		if s = strings.TrimSpace(s); s != "" {
-			schemes = append(schemes, s)
-		}
-	}
-	if len(schemes) == 0 {
-		fatal(fmt.Errorf("no scheme given"))
+	schemes, err := cli.ParseSchemes(*scheme, []string{"RW-LE_OPT"})
+	if err != nil {
+		cli.Usage(err)
 	}
 	if len(schemes) > 1 && (*jsonOut != "" || *chrome != "" || *timeline != "") {
-		fatal(fmt.Errorf("-json, -chrome and -timeline require a single -scheme, got %d", len(schemes)))
+		cli.Usage(fmt.Errorf("-json, -chrome and -timeline require a single -scheme, got %d", len(schemes)))
 	}
 
 	opts := traceOpts{
 		threads: *threads, ops: *ops, writes: *writes, events: *events,
 		seed: *seed, matrix: *matrix, hist: *hist, noEvents: *noEvents,
 		sanitize: *sanitize,
-		jsonOut: *jsonOut, chrome: *chrome, timeline: *timeline, window: *window,
+		jsonOut:  *jsonOut, chrome: *chrome, timeline: *timeline, window: *window,
 	}
 
 	// Each scheme traces an independent machine; buffer the reports and
 	// print them in the order the schemes were given, regardless of which
-	// finishes first.
+	// finishes first, up to the first scheme that failed.
 	bufs := make([]bytes.Buffer, len(schemes))
 	errs := make([]error, len(schemes))
-	workers := *jobs
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(schemes) {
-		workers = len(schemes)
-	}
-	var wg sync.WaitGroup
-	idxCh := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idxCh {
-				errs[i] = traceScheme(&bufs[i], schemes[i], opts)
-			}
-		}()
-	}
-	for i := range schemes {
-		idxCh <- i
-	}
-	close(idxCh)
-	wg.Wait()
+	harness.ForEach(len(schemes), *jobs, func(i int) error {
+		errs[i] = traceScheme(&bufs[i], schemes[i], opts)
+		return errs[i]
+	})
 
 	for i := range schemes {
 		if i > 0 {
@@ -141,7 +117,7 @@ func main() {
 		}
 		os.Stdout.Write(bufs[i].Bytes())
 		if errs[i] != nil {
-			fatal(errs[i])
+			cli.Fatal(errs[i])
 		}
 	}
 }
@@ -279,11 +255,6 @@ func writeTo(path string, fn func(io.Writer) error) error {
 		return err
 	}
 	return f.Close()
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
 }
 
 func detail(e machine.Event) string {

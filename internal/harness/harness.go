@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 
 	"hrwle/internal/core"
 	"hrwle/internal/htm"
@@ -149,110 +148,39 @@ func (f *FigureSpec) RunParallel(scale float64, progress io.Writer, workers int)
 	return f.runPoints(scale, progress, workers, nil)
 }
 
-// pointJob identifies one measurement point of a sweep: its coordinates
-// plus its index in the deterministic result order.
-type pointJob struct {
-	idx      int
-	scheme   string
-	threads  int
-	writePct int
-}
-
-// jobs enumerates the sweep's points in deterministic order.
-func (f *FigureSpec) jobs() []pointJob {
-	out := make([]pointJob, 0, f.NumPoints())
-	for _, w := range f.WritePcts {
-		for _, n := range f.Threads {
-			for _, s := range f.Schemes {
-				out = append(out, pointJob{idx: len(out), scheme: s, threads: n, writePct: w})
-			}
-		}
-	}
-	return out
-}
-
 // NumPoints returns the number of measurement points in the sweep.
 func (f *FigureSpec) NumPoints() int {
 	return len(f.Schemes) * len(f.Threads) * len(f.WritePcts)
 }
 
 // runPoints is the shared sweep loop behind Run, RunParallel and
-// RunWithMetrics. mkCtx, if non-nil, supplies the PointCtx for each point
-// index (RunWithMetrics uses it to give every point its own collector
-// slot, keeping the sweep race-free under parallelism).
-//
-//simlint:allow determinism the worker pool parallelizes independent sweep points across host cores; each point runs its own machine from a fixed seed, so results are identical at any worker count
-//simlint:allow abortflow the worker recover propagates point panics across the pool join; the pooled abort signal never reaches it (htm.Thread.Try consumes it inside the simulation) and panicVal is re-panicked verbatim after wg.Wait
+// RunWithMetrics. Results are in write-ratio-major, then thread-count,
+// then scheme order. mkCtx, if non-nil, supplies the PointCtx for each
+// point index (RunWithMetrics uses it to give every point its own
+// collector slot, keeping the sweep race-free under parallelism). Points
+// report failure by panicking, which ForEach re-raises here.
 func (f *FigureSpec) runPoints(scale float64, progress io.Writer, workers int, mkCtx func(int) PointCtx) []Result {
-	jobs := f.jobs()
-	out := make([]Result, len(jobs))
-	var progressMu sync.Mutex
-	runJob := func(j pointJob) {
+	out := make([]Result, f.NumPoints())
+	progress = syncWriter(progress)
+	ns, nt := len(f.Schemes), len(f.Threads)
+	ForEach(len(out), workers, func(i int) error {
+		writePct, threads, scheme := f.WritePcts[i/(nt*ns)], f.Threads[i/ns%nt], f.Schemes[i%ns]
 		var ctx PointCtx
 		if mkCtx != nil {
-			ctx = mkCtx(j.idx)
+			ctx = mkCtx(i)
 		}
-		r := f.Point(ctx, j.scheme, j.threads, j.writePct, scale)
+		r := f.Point(ctx, scheme, threads, writePct, scale)
 		r.Figure = f.ID
-		r.Scheme = j.scheme
-		r.Threads = j.threads
-		r.WritePct = j.writePct
-		out[j.idx] = r
+		r.Scheme = scheme
+		r.Threads = threads
+		r.WritePct = writePct
+		out[i] = r
 		if progress != nil {
-			progressMu.Lock()
 			fmt.Fprintf(progress, "  %s w=%d%% n=%d %-12s %.4fs aborts=%4.1f%% ops=%d\n",
-				f.ID, j.writePct, j.threads, j.scheme, r.Seconds(), r.B.AbortRate(), r.B.Ops)
-			progressMu.Unlock()
+				f.ID, writePct, threads, scheme, r.Seconds(), r.B.AbortRate(), r.B.Ops)
 		}
-	}
-
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers <= 1 {
-		for _, j := range jobs {
-			runJob(j)
-		}
-		return out
-	}
-
-	// A point that panics (e.g. a simulation hitting its virtual deadline)
-	// must not crash the process from a worker goroutine: capture the first
-	// panic and re-raise it on the caller after the pool drains.
-	var (
-		panicMu  sync.Mutex
-		panicVal any
-	)
-	ch := make(chan pointJob)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range ch {
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							panicMu.Lock()
-							if panicVal == nil {
-								panicVal = r
-							}
-							panicMu.Unlock()
-						}
-					}()
-					runJob(j)
-				}()
-			}
-		}()
-	}
-	for _, j := range jobs {
-		ch <- j
-	}
-	close(ch)
-	wg.Wait()
-	if panicVal != nil {
-		panic(panicVal)
-	}
+		return nil
+	})
 	return out
 }
 

@@ -34,7 +34,7 @@ func RunWithMetrics(f *FigureSpec, scale float64, progress io.Writer, dir string
 	// (e.g. fig10's lazily computed baseline) and only the last one built is
 	// the measured run, matching the serial exporter's semantics. Slots are
 	// written by worker goroutines and read only after the pool drains (the
-	// WaitGroup inside runPoints provides the happens-before edge).
+	// join in ForEach provides the happens-before edge).
 	collectors := make([]*obs.Collector, f.NumPoints())
 	mkCtx := func(idx int) PointCtx {
 		return PointCtx{Observe: func(m *machine.Machine) {

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -128,4 +129,76 @@ func TestBenchSpecShape(t *testing.T) {
 	if BenchScale != 0.25 {
 		t.Errorf("bench scale = %v, want 0.25", BenchScale)
 	}
+}
+
+// TestForEachPlacesByIndex: every index runs exactly once and its result
+// lands in its own slot, serially, on a pool, and with more workers than
+// indices.
+func TestForEachPlacesByIndex(t *testing.T) {
+	const n = 37
+	for _, workers := range []int{-1, 0, 1, 3, n + 5} {
+		out := make([]int, n)
+		if err := ForEach(n, workers, func(i int) error {
+			out[i] += i * i
+			return nil
+		}); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for i, v := range out {
+			if v != i*i {
+				t.Errorf("workers=%d: slot %d = %d, want %d", workers, i, v, i*i)
+			}
+		}
+	}
+	if err := ForEach(0, 4, func(int) error { panic("called") }); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// lowFailsLast returns a ForEach body in which index 6 fails by panicking
+// and index 2 fails with low only after index 6 has failed, so the higher
+// index always fails first in time.
+func lowFailsLast(low func() error) func(int) error {
+	highFailed := make(chan struct{})
+	return func(i int) error {
+		switch i {
+		case 2:
+			<-highFailed
+			return low()
+		case 6:
+			defer close(highFailed)
+			panic("high")
+		}
+		return nil
+	}
+}
+
+// TestForEachLowestError: the lowest failing index decides the outcome,
+// whichever failure happened first, at any worker count.
+func TestForEachLowestError(t *testing.T) {
+	errLow := errors.New("low")
+	if err := ForEach(8, 4, lowFailsLast(func() error { return errLow })); !errors.Is(err, errLow) {
+		t.Errorf("pool: got %v, want the index-2 error", err)
+	}
+	serial := func(i int) error {
+		if i >= 2 {
+			return fmt.Errorf("index %d", i)
+		}
+		return nil
+	}
+	if err := ForEach(8, 1, serial); err == nil || err.Error() != "index 2" {
+		t.Errorf("serial: got %v, want index 2", err)
+	}
+}
+
+// TestForEachLowestPanic: a panic at the lowest failing index is re-raised
+// even though a higher index panicked first.
+func TestForEachLowestPanic(t *testing.T) {
+	defer func() {
+		if r := recover(); fmt.Sprint(r) != "low" {
+			t.Fatalf("re-raised %v, want the index-2 panic", r)
+		}
+	}()
+	ForEach(8, 4, lowFailsLast(func() error { panic("low") }))
+	t.Fatal("ForEach returned instead of re-raising")
 }

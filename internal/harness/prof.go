@@ -1,18 +1,16 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
 
 	"hrwle/internal/obs"
 	"hrwle/internal/service"
 )
 
-// ProfSpec describes one hrwle-prof run: every scheme profiled against the
-// same workload at one offered load, with the virtual-time window width
-// both profiling collectors bucket into.
+// ProfSpec describes one hrwle-serve -prof run: every scheme profiled
+// against the same workload at one offered load, with the virtual-time
+// window width both profiling collectors bucket into.
 type ProfSpec struct {
 	Base         service.Config
 	Schemes      []string
@@ -57,20 +55,10 @@ type ProfReport struct {
 	Points       []*obs.ProfileReport `json:"points"`
 }
 
-// WriteJSON writes the report as deterministic indented JSON.
-func (r *ProfReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
 // RunProf profiles every scheme of the spec at the given offered load on a
 // bounded worker pool (workers <= 1 means serial). Each point builds its
 // own machine from the same seed with its own profiler, so the report is
 // bit-identical at any worker count.
-//
-//simlint:allow determinism the worker pool parallelizes independent profile points across host cores; each point runs its own machine and profiler from a fixed seed, so the report is identical at any worker count
-//simlint:allow abortflow the worker recover propagates point panics across the pool join; the pooled abort signal never reaches it (htm.Thread.Try consumes it inside the simulation) and panicVal is re-panicked verbatim after wg.Wait
 func RunProf(spec ProfSpec, workers int, progress io.Writer) (*ProfReport, error) {
 	base := spec.Base
 	if spec.WindowCycles < 1 {
@@ -88,90 +76,28 @@ func RunProf(spec ProfSpec, workers int, progress io.Writer) (*ProfReport, error
 		Schemes:      spec.Schemes,
 		Points:       make([]*obs.ProfileReport, len(spec.Schemes)),
 	}
-
-	var progressMu sync.Mutex
-	var errMu sync.Mutex
-	var firstErr error
-	runJob := func(idx int, scheme string) {
+	progress = syncWriter(progress)
+	err := ForEach(len(spec.Schemes), workers, func(i int) error {
+		scheme := spec.Schemes[i]
 		cfg := base
 		cfg.Arrivals.RatePerSec = spec.RatePerSec
 		prof := obs.NewProfile(spec.WindowCycles, len(cfg.Classes))
 		m, _, err := service.RunPointProfiled(cfg, scheme, SchemeFactory(scheme), nil, prof)
 		if err != nil {
-			errMu.Lock()
-			if firstErr == nil {
-				firstErr = fmt.Errorf("profile point %s@%.0f/s: %w", scheme, spec.RatePerSec, err)
-			}
-			errMu.Unlock()
-			return
+			return fmt.Errorf("profile point %s@%.0f/s: %w", scheme, spec.RatePerSec, err)
 		}
 		rep := prof.Report(scheme, cfg.Workload)
 		rep.Service = m
-		report.Points[idx] = rep
+		report.Points[i] = rep
 		if progress != nil {
 			got, want := rep.Cycles.Conservation()
-			progressMu.Lock()
 			fmt.Fprintf(progress, "  prof %s %-12s achieved=%9.0f/s windows=%d attributed=%d/%d\n",
 				base.Workload, scheme, m.AchievedPerSec, len(rep.Timeline.Windows), got, want)
-			progressMu.Unlock()
 		}
-	}
-
-	if workers > len(spec.Schemes) {
-		workers = len(spec.Schemes)
-	}
-	if workers <= 1 {
-		for i, s := range spec.Schemes {
-			runJob(i, s)
-			if firstErr != nil {
-				return nil, firstErr
-			}
-		}
-		return report, nil
-	}
-
-	// Same panic discipline as RunServe: capture the first worker panic
-	// and re-raise it on the caller after the pool drains.
-	var (
-		panicMu  sync.Mutex
-		panicVal any
-	)
-	type job struct {
-		idx    int
-		scheme string
-	}
-	ch := make(chan job)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range ch {
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							panicMu.Lock()
-							if panicVal == nil {
-								panicVal = r
-							}
-							panicMu.Unlock()
-						}
-					}()
-					runJob(j.idx, j.scheme)
-				}()
-			}
-		}()
-	}
-	for i, s := range spec.Schemes {
-		ch <- job{i, s}
-	}
-	close(ch)
-	wg.Wait()
-	if panicVal != nil {
-		panic(panicVal)
-	}
-	if firstErr != nil {
-		return nil, firstErr
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return report, nil
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"strings"
@@ -242,12 +243,13 @@ func TestRunProfDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var txt, js bytes.Buffer
+		var txt bytes.Buffer
 		rep.WriteText(&txt)
-		if err := rep.WriteJSON(&js); err != nil {
+		js, err := json.Marshal(rep)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return txt.String(), js.String()
+		return txt.String(), string(js)
 	}
 	t1, j1 := render(1)
 	t2, j2 := render(4)

@@ -29,3 +29,20 @@ func Registry() map[string]*FigureSpec {
 	}
 	return figs
 }
+
+// BenchScale is the work multiplier of the fixed perf mini-sweep.
+const BenchScale = 0.25
+
+// BenchSpec returns the fixed mini-sweep the wall-clock benchmark runs: a
+// slice of the Figure 5 configuration (low capacity, high contention —
+// the simulator's hottest conflict-detection and quiescence paths) small
+// enough for CI but large enough to exercise every scheme family. The
+// sweep definition must stay fixed so the recorded numbers in
+// results/BENCH_*.json and bench/ remain comparable.
+func BenchSpec() *FigureSpec {
+	spec := *Registry()["fig5"]
+	spec.Schemes = []string{"RW-LE_OPT", "RW-LE_PES", "HLE", "SGL"}
+	spec.Threads = []int{2, 4, 8}
+	spec.WritePcts = []int{10, 90}
+	return &spec
+}

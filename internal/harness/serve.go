@@ -1,10 +1,8 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
 
 	"hrwle/internal/obs"
 	"hrwle/internal/service"
@@ -67,20 +65,10 @@ type ServeReport struct {
 	Points      []*obs.ServiceMetrics `json:"points"`
 }
 
-// WriteJSON writes the report as deterministic indented JSON.
-func (r *ServeReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
 // RunServe sweeps scheme × offered-load on a bounded worker pool (workers
 // <= 1 means serial). Each point builds its own machine from the same
 // seed, so the report is bit-identical at any worker count; progress
 // lines are emitted as points complete, so only their order varies.
-//
-//simlint:allow determinism the worker pool parallelizes independent sweep points across host cores; each point runs its own machine from a fixed seed, so the report is identical at any worker count
-//simlint:allow abortflow the worker recover propagates point panics across the pool join; the pooled abort signal never reaches it (htm.Thread.Try consumes it inside the simulation) and panicVal is re-panicked verbatim after wg.Wait
 func RunServe(spec ServeSpec, workers int, progress io.Writer) (*ServeReport, error) {
 	base := spec.Base
 	report := &ServeReport{
@@ -94,95 +82,24 @@ func RunServe(spec ServeSpec, workers int, progress io.Writer) (*ServeReport, er
 		RatesPerSec: spec.Rates,
 		Points:      make([]*obs.ServiceMetrics, spec.NumPoints()),
 	}
-
-	type job struct {
-		idx    int
-		scheme string
-		rate   float64
-	}
-	jobs := make([]job, 0, spec.NumPoints())
-	for _, s := range spec.Schemes {
-		for _, rate := range spec.Rates {
-			jobs = append(jobs, job{idx: len(jobs), scheme: s, rate: rate})
-		}
-	}
-
-	var progressMu sync.Mutex
-	var errMu sync.Mutex
-	var firstErr error
-	runJob := func(j job) {
+	progress = syncWriter(progress)
+	err := ForEach(spec.NumPoints(), workers, func(i int) error {
+		scheme, rate := spec.Schemes[i/len(spec.Rates)], spec.Rates[i%len(spec.Rates)]
 		cfg := base
-		cfg.Arrivals.RatePerSec = j.rate
-		m, _, err := service.RunPoint(cfg, j.scheme, SchemeFactory(j.scheme), nil)
+		cfg.Arrivals.RatePerSec = rate
+		m, _, err := service.RunPoint(cfg, scheme, SchemeFactory(scheme), nil)
 		if err != nil {
-			errMu.Lock()
-			if firstErr == nil {
-				firstErr = fmt.Errorf("serve point %s@%.0f/s: %w", j.scheme, j.rate, err)
-			}
-			errMu.Unlock()
-			return
+			return fmt.Errorf("serve point %s@%.0f/s: %w", scheme, rate, err)
 		}
-		report.Points[j.idx] = m
+		report.Points[i] = m
 		if progress != nil {
-			progressMu.Lock()
 			fmt.Fprintf(progress, "  serve %s %-12s offered=%9.0f/s achieved=%9.0f/s dropped=%d\n",
-				base.Workload, j.scheme, m.OfferedPerSec, m.AchievedPerSec, m.Dropped)
-			progressMu.Unlock()
+				base.Workload, scheme, m.OfferedPerSec, m.AchievedPerSec, m.Dropped)
 		}
-	}
-
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers <= 1 {
-		for _, j := range jobs {
-			runJob(j)
-			if firstErr != nil {
-				return nil, firstErr
-			}
-		}
-		return report, nil
-	}
-
-	// A point that panics must not crash the process from a worker
-	// goroutine: capture the first panic and re-raise it on the caller
-	// after the pool drains.
-	var (
-		panicMu  sync.Mutex
-		panicVal any
-	)
-	ch := make(chan job)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range ch {
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							panicMu.Lock()
-							if panicVal == nil {
-								panicVal = r
-							}
-							panicMu.Unlock()
-						}
-					}()
-					runJob(j)
-				}()
-			}
-		}()
-	}
-	for _, j := range jobs {
-		ch <- j
-	}
-	close(ch)
-	wg.Wait()
-	if panicVal != nil {
-		panic(panicVal)
-	}
-	if firstErr != nil {
-		return nil, firstErr
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return report, nil
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -31,14 +32,15 @@ func TestServeParallelIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var a, b bytes.Buffer
-	if err := serial.WriteJSON(&a); err != nil {
+	a, err := json.Marshal(serial)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := parallel.WriteJSON(&b); err != nil {
+	b, err := json.Marshal(parallel)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+	if !bytes.Equal(a, b) {
 		t.Fatal("worker count changed the serve report")
 	}
 }

@@ -1,10 +1,8 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
 
 	"hrwle/internal/obs"
 	"hrwle/internal/shard"
@@ -85,20 +83,10 @@ type ShardReport struct {
 	Points      []*ShardPoint `json:"points"`
 }
 
-// WriteJSON writes the report as deterministic indented JSON.
-func (r *ShardReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
 // RunShard sweeps scheme × shard count × skew on a bounded worker pool
 // (workers <= 1 means serial). Each point builds its own machine from the
 // same seed, so the report is bit-identical at any worker count; progress
 // lines are emitted as points complete, so only their order varies.
-//
-//simlint:allow determinism the worker pool parallelizes independent sweep points across host cores; each point runs its own machine from a fixed seed, so the report is identical at any worker count
-//simlint:allow abortflow the worker recover propagates point panics across the pool join; the pooled abort signal never reaches it (htm.Thread.Try consumes it inside the simulation) and panicVal is re-panicked verbatim after wg.Wait
 func RunShard(spec ShardSpec, workers int, progress io.Writer) (*ShardReport, error) {
 	base := spec.Base
 	report := &ShardReport{
@@ -114,100 +102,30 @@ func RunShard(spec ShardSpec, workers int, progress io.Writer) (*ShardReport, er
 		Skews:       spec.Skews,
 		Points:      make([]*ShardPoint, spec.NumPoints()),
 	}
-
-	type job struct {
-		idx    int
-		scheme string
-		shards int
-		skew   float64
-	}
-	jobs := make([]job, 0, spec.NumPoints())
-	for _, s := range spec.Schemes {
-		for _, sc := range spec.Shards {
-			for _, sk := range spec.Skews {
-				jobs = append(jobs, job{idx: len(jobs), scheme: s, shards: sc, skew: sk})
-			}
-		}
-	}
-
-	var progressMu sync.Mutex
-	var errMu sync.Mutex
-	var firstErr error
-	runJob := func(j job) {
+	progress = syncWriter(progress)
+	ns, nk := len(spec.Shards), len(spec.Skews)
+	err := ForEach(spec.NumPoints(), workers, func(i int) error {
+		scheme, shards, skew := spec.Schemes[i/(ns*nk)], spec.Shards[i/nk%ns], spec.Skews[i%nk]
 		cfg := base
-		cfg.Shards = j.shards
-		cfg.Keys.Skew = j.skew
+		cfg.Shards = shards
+		cfg.Keys.Skew = skew
 		pal := ShardPalette()
-		if j.scheme != ShardAdaptive {
-			pal = []shard.Scheme{{Name: j.scheme, Mk: SchemeFactory(j.scheme)}}
+		if scheme != ShardAdaptive {
+			pal = []shard.Scheme{{Name: scheme, Mk: SchemeFactory(scheme)}}
 		}
 		res, err := shard.Run(cfg, pal, nil)
 		if err != nil {
-			errMu.Lock()
-			if firstErr == nil {
-				firstErr = fmt.Errorf("shard point %s/%d-shards/s=%.1f: %w", j.scheme, j.shards, j.skew, err)
-			}
-			errMu.Unlock()
-			return
+			return fmt.Errorf("shard point %s/%d-shards/s=%.1f: %w", scheme, shards, skew, err)
 		}
-		report.Points[j.idx] = &ShardPoint{Scheme: j.scheme, Shards: j.shards, Skew: j.skew, Result: res}
+		report.Points[i] = &ShardPoint{Scheme: scheme, Shards: shards, Skew: skew, Result: res}
 		if progress != nil {
-			progressMu.Lock()
 			fmt.Fprintf(progress, "  shard %-10s shards=%-3d s=%.1f achieved=%9.0f/s dropped=%-5d switches=%d\n",
-				j.scheme, j.shards, j.skew, res.Service.AchievedPerSec, res.Service.Dropped, len(res.Switches))
-			progressMu.Unlock()
+				scheme, shards, skew, res.Service.AchievedPerSec, res.Service.Dropped, len(res.Switches))
 		}
-	}
-
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers <= 1 {
-		for _, j := range jobs {
-			runJob(j)
-			if firstErr != nil {
-				return nil, firstErr
-			}
-		}
-		return report, nil
-	}
-
-	var (
-		panicMu  sync.Mutex
-		panicVal any
-	)
-	ch := make(chan job)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range ch {
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							panicMu.Lock()
-							if panicVal == nil {
-								panicVal = r
-							}
-							panicMu.Unlock()
-						}
-					}()
-					runJob(j)
-				}()
-			}
-		}()
-	}
-	for _, j := range jobs {
-		ch <- j
-	}
-	close(ch)
-	wg.Wait()
-	if panicVal != nil {
-		panic(panicVal)
-	}
-	if firstErr != nil {
-		return nil, firstErr
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return report, nil
 }

@@ -2,6 +2,7 @@ package hrwle
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -62,5 +63,37 @@ func TestServeCLIParallelIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(js1, js4) {
 		t.Error("-j changed hrwle-serve JSON output")
+	}
+}
+
+// TestServeCLIAllWorkloadsJSON: with -workload all, -json holds one JSON
+// array with a report per workload, for the sweep and for -prof.
+func TestServeCLIAllWorkloadsJSON(t *testing.T) {
+	dir := t.TempDir()
+	for _, mode := range [][]string{
+		{"-rates", "1e5"},
+		{"-prof", "-servers", "2"},
+	} {
+		path := filepath.Join(dir, "all.json")
+		runGo(t, "./cmd/hrwle-serve", append(mode,
+			"-workload", "all", "-requests", "100", "-schemes", "SGL", "-q",
+			"-o", os.DevNull, "-json", path)...)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reports []struct {
+			Workload string `json:"workload"`
+		}
+		if err := json.Unmarshal(data, &reports); err != nil {
+			t.Fatalf("%v: -workload all -json is not one JSON array: %v", mode, err)
+		}
+		var got []string
+		for _, r := range reports {
+			got = append(got, r.Workload)
+		}
+		if strings.Join(got, ",") != "hashmap,kyoto,tpcc" {
+			t.Errorf("%v: report workloads = %v, want hashmap,kyoto,tpcc", mode, got)
+		}
 	}
 }
