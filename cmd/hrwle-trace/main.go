@@ -133,9 +133,8 @@ func traceScheme(w io.Writer, scheme string, o traceOpts) error {
 	h.Populate(50)
 
 	ring := machine.NewRingTracer(o.events)
-	counts := &machine.CountTracer{}
 	collector := obs.NewCollector()
-	tracers := machine.MultiTracer{ring, counts, collector}
+	tracers := machine.MultiTracer{ring, collector}
 	var log *machine.LogTracer
 	if o.chrome != "" {
 		log = &machine.LogTracer{}
@@ -186,7 +185,7 @@ func traceScheme(w io.Writer, scheme string, o traceOpts) error {
 		}
 
 		fmt.Fprintln(w, "\nevent totals:")
-		for k, n := range counts.Counts {
+		for k, n := range collector.Counts {
 			if n > 0 {
 				fmt.Fprintf(w, "  %-14s %8d\n", machine.EventKind(k), n)
 			}

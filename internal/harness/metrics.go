@@ -52,7 +52,7 @@ func RunWithMetrics(f *FigureSpec, scale float64, progress io.Writer, dir string
 		if c == nil {
 			continue // the point's runner does not support observation
 		}
-		totalEvents += c.TotalEvents()
+		totalEvents += c.Total()
 		rm := byScheme[r.Scheme]
 		if rm == nil {
 			rm = &obs.RunMetrics{Figure: f.ID, Scheme: r.Scheme}

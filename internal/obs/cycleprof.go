@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"hrwle/internal/machine"
 	"hrwle/internal/stats"
 )
 
@@ -60,56 +59,48 @@ func CycleCatNames() []string {
 // classification by the outcome of the enclosing attempt or section.
 type cycleSpan struct{ lo, hi int64 }
 
-// cycleCPU is one CPU's attribution state machine.
+// cycleCPU is one CPU's attribution state.
 type cycleCPU struct {
-	mark    int64 // attribution frontier: cycles before mark are charged
-	inCS    bool
-	inTx    bool
-	quiesce bool
-	spec    []cycleSpan // pending speculative segments (outcome unknown)
-	cs      []cycleSpan // pending non-speculative CS segments (path unknown)
+	mark int64       // attribution frontier: cycles before mark are charged
+	spec []cycleSpan // pending speculative segments (outcome unknown)
+	cs   []cycleSpan // pending non-speculative CS segments (path unknown)
 }
 
 // CycleProf attributes every simulated cycle of every CPU to a CycleCat,
-// split into fixed-width virtual-time windows. It implements
-// machine.Tracer; install it (via machine.SetTracer or a MultiTracer)
-// after setup/populate and call Start with the machine's current time
-// right before machine.Run, then Finish with the end time right after.
-// Attribution is exact: Report's totals sum to CPUs × (end − base) cycles.
+// split into fixed-width virtual-time windows. It is Profile's cycle view,
+// fed the decoder's records. Attribution is exact: Report's totals sum to
+// CPUs × (end − base) cycles.
 //
-// The state machine charges the span since each CPU's last event to the
-// innermost active state (quiescence > speculation > critical section >
-// application). Speculative segments stay pending until the attempt's
-// commit (→ useful) or abort (→ aborted); non-speculative CS segments stay
-// pending until EvCSEnd classifies them by final commit path (SGL →
-// fallback, otherwise useful). EvLockWait/EvIdle are instant events that
-// carve their Aux-cycle extent out of the enclosing segment.
+// Each record charges the span since the CPU's previous one to the
+// innermost state the decoder says it was in (quiescence > speculation >
+// critical section > application). Speculative segments stay pending
+// until the attempt's commit (→ useful) or abort (→ aborted); critical
+// section segments stay pending until the span resolves by final commit
+// path (SGL → fallback, otherwise useful). Lock waits and idle sleeps
+// carve their extent out of the enclosing segment.
 type CycleProf struct {
 	window int64
 	base   int64
 	end    int64
-	cpus   int
 
 	per    []cycleCPU
 	perCPU [][NumCycleCats]int64
 	wins   [][NumCycleCats]int64
 }
 
-// NewCycleProf returns a profiler with the given window width in cycles
+// newCycleProf returns a profiler with the given window width in cycles
 // (values < 1 collapse to one giant window).
-func NewCycleProf(windowCycles int64) *CycleProf {
+func newCycleProf(windowCycles int64) *CycleProf {
 	if windowCycles < 1 {
 		windowCycles = 1 << 62
 	}
 	return &CycleProf{window: windowCycles}
 }
 
-// Start fixes the attribution origin: base is the machine time at which
-// machine.Run will start (events before Start are ignored by construction
-// because the tracer should be installed at the same moment), cpus the
-// number of CPUs the run drives.
-func (p *CycleProf) Start(base int64, cpus int) {
-	p.base, p.end, p.cpus = base, base, cpus
+// start fixes the attribution origin: base is the machine time at which
+// machine.Run will start, cpus the number of CPUs the run drives.
+func (p *CycleProf) start(base int64, cpus int) {
+	p.base, p.end = base, base
 	p.per = make([]cycleCPU, cpus)
 	p.perCPU = make([][NumCycleCats]int64, cpus)
 	for i := range p.per {
@@ -146,18 +137,18 @@ func (p *CycleProf) resolve(id int, spans *[]cycleSpan, cat CycleCat) {
 	*spans = (*spans)[:0]
 }
 
-// chargeCur advances cpu id's frontier to t, attributing the span to the
-// innermost active state.
-func (p *CycleProf) chargeCur(id int, s *cycleCPU, t int64) {
+// advance moves cpu id's frontier to t, attributing the span to the
+// innermost state in.
+func (p *CycleProf) advance(id int, s *cycleCPU, t int64, in nesting) {
 	if t <= s.mark {
 		return
 	}
 	switch {
-	case s.quiesce:
+	case in.quiesce:
 		p.charge(id, s.mark, t, CatQuiesce)
-	case s.inTx:
+	case in.tx:
 		s.spec = append(s.spec, cycleSpan{s.mark, t})
-	case s.inCS:
+	case in.cs:
 		s.cs = append(s.cs, cycleSpan{s.mark, t})
 	default:
 		p.charge(id, s.mark, t, CatApp)
@@ -165,108 +156,58 @@ func (p *CycleProf) chargeCur(id int, s *cycleCPU, t int64) {
 	s.mark = t
 }
 
-// Event implements machine.Tracer.
-func (p *CycleProf) Event(e machine.Event) {
-	if e.CPU < 0 || e.CPU >= len(p.per) {
-		return
+// consume attributes the cycles up to one decoded record.
+func (p *CycleProf) consume(r *record) {
+	s := &p.per[r.cpu]
+	t := max(r.t, s.mark) // defensive: per-CPU clocks are monotonic by contract
+	// A lock wait or idle sleep of r.cycles ending at t is carved out of
+	// the segment it ends. Inside a transaction the attempt's outcome
+	// classifies the whole span (a wait under speculation is wasted work
+	// if the attempt dies), so only non-speculative segments are carved.
+	lo, cat := t, CatLockWait
+	switch {
+	case r.kind == recLockWait && !r.in.tx && !r.in.quiesce:
+		lo = max(t-r.cycles, s.mark)
+	case r.kind == recIdle && r.in == (nesting{}):
+		lo, cat = max(t-r.cycles, s.mark), CatIdle
 	}
-	s := &p.per[e.CPU]
-	t := e.Time
-	if t < s.mark {
-		t = s.mark // defensive: per-CPU clocks are monotonic by contract
-	}
-	switch e.Kind {
-	case machine.EvTxBegin:
-		p.chargeCur(e.CPU, s, t)
-		s.inTx = true
-	case machine.EvTxCommit:
-		p.chargeCur(e.CPU, s, t)
-		s.inTx = false
-		p.resolve(e.CPU, &s.spec, CatUseful)
-	case machine.EvTxAbort:
+	p.advance(r.cpu, s, lo, r.in)
+	p.charge(r.cpu, lo, t, cat)
+	s.mark = t
+	switch r.kind {
+	case recTxEnd:
 		// The abort penalty is ticked before the event fires, so the
-		// pending segment charged here includes it.
-		p.chargeCur(e.CPU, s, t)
-		s.inTx = false
-		p.resolve(e.CPU, &s.spec, CatAborted)
-	case machine.EvQuiesceStart:
-		p.chargeCur(e.CPU, s, t)
-		s.quiesce = true
-	case machine.EvQuiesceEnd:
-		p.chargeCur(e.CPU, s, t)
-		s.quiesce = false
-	case machine.EvCSBegin:
-		p.chargeCur(e.CPU, s, t)
-		s.inCS = true
-	case machine.EvCSEnd:
-		p.chargeCur(e.CPU, s, t)
-		s.inCS = false
-		_, path, _ := machine.UnpackCS(e.Aux)
+		// pending segment charged above includes it.
 		cat := CatUseful
-		if path == uint64(stats.CommitSGL) {
+		if r.abort {
+			cat = CatAborted
+		}
+		p.resolve(r.cpu, &s.spec, cat)
+	case recSpan:
+		cat := CatUseful
+		if r.path == stats.CommitSGL {
 			cat = CatFallback
 		}
-		p.resolve(e.CPU, &s.cs, cat)
-	case machine.EvLockWait:
-		// Aux cycles of spin-wait ending at t. Inside a transaction the
-		// attempt's outcome classifies the whole span (a wait under
-		// speculation is wasted work if the attempt dies), so only carve
-		// it out of non-speculative segments.
-		if !s.inTx && !s.quiesce {
-			lo := t - int64(e.Aux)
-			if lo < s.mark {
-				lo = s.mark
-			}
-			p.chargeCur(e.CPU, s, lo)
-			p.charge(e.CPU, lo, t, CatLockWait)
-			s.mark = t
-		} else {
-			p.chargeCur(e.CPU, s, t)
-		}
-	case machine.EvIdle:
-		if !s.inTx && !s.quiesce && !s.inCS {
-			lo := t - int64(e.Aux)
-			if lo < s.mark {
-				lo = s.mark
-			}
-			p.charge(e.CPU, s.mark, lo, CatApp)
-			p.charge(e.CPU, lo, t, CatIdle)
-			s.mark = t
-		} else {
-			p.chargeCur(e.CPU, s, t)
-		}
-	default:
-		p.chargeCur(e.CPU, s, t)
+		p.resolve(r.cpu, &s.cs, cat)
 	}
 }
 
-// Finish closes attribution at the machine's end time: each CPU's tail
-// from its last event to end is charged (idle when no state is active —
-// the CPU ran out of work and waited for stragglers), and still-pending
-// spans are classified conservatively (unfinished speculation is wasted,
-// an unfinished CS is unknowable and counts as application work).
-func (p *CycleProf) Finish(end int64) {
-	if end < p.base {
-		end = p.base
-	}
+// finish closes attribution at the machine's end time, given each CPU's
+// final nesting: each CPU's tail from its last event to end is charged
+// (idle when no state is active — the CPU ran out of work and waited for
+// stragglers), and still-pending spans are classified conservatively
+// (unfinished speculation is wasted, an unfinished CS is unknowable and
+// counts as application work).
+func (p *CycleProf) finish(end int64, cpus []cpuState) {
+	end = max(end, p.base)
 	p.end = end
 	for id := range p.per {
 		s := &p.per[id]
-		switch {
-		case s.quiesce:
-			p.charge(id, s.mark, end, CatQuiesce)
-		case s.inTx:
-			if end > s.mark {
-				s.spec = append(s.spec, cycleSpan{s.mark, end})
-			}
-		case s.inCS:
-			if end > s.mark {
-				s.cs = append(s.cs, cycleSpan{s.mark, end})
-			}
-		default:
+		if in := cpus[id].nesting; in != (nesting{}) {
+			p.advance(id, s, end, in)
+		} else {
 			p.charge(id, s.mark, end, CatIdle)
 		}
-		s.mark = end
 		p.resolve(id, &s.spec, CatAborted)
 		p.resolve(id, &s.cs, CatApp)
 	}
@@ -294,7 +235,7 @@ type CycleReport struct {
 // Report snapshots the attribution (call after Finish).
 func (p *CycleProf) Report() *CycleReport {
 	r := &CycleReport{
-		CPUs:         p.cpus,
+		CPUs:         len(p.per),
 		BaseCycles:   p.base,
 		EndCycles:    p.end,
 		WindowCycles: p.window,

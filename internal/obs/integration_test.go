@@ -7,12 +7,15 @@ package obs_test
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"hrwle/internal/core"
+	"hrwle/internal/harness"
 	"hrwle/internal/htm"
 	"hrwle/internal/machine"
 	"hrwle/internal/obs"
+	"hrwle/internal/service"
 	"hrwle/internal/stats"
 )
 
@@ -22,7 +25,16 @@ import (
 // over the same line, so reader arrivals doom the writer's suspended ROT.
 func runContended(t *testing.T, seed uint64) (*obs.PointMetrics, int64) {
 	t.Helper()
-	const threads = 3
+	collector, cycles := contended(seed, nil)
+	return collector.Point(contendedThreads, 20, cycles, nil), cycles
+}
+
+const contendedThreads = 3
+
+// contended runs runContended's scenario with a Collector attached, plus
+// prof when non-nil, and returns the collector and the cycle count.
+func contended(seed uint64, prof *obs.Profile) (*obs.Collector, int64) {
+	const threads = contendedThreads
 	m := machine.New(machine.Config{CPUs: threads, MemWords: 1 << 16, Seed: seed})
 	sys := htm.NewSystem(m, htm.Config{})
 	lock := core.New(sys, core.Pes())
@@ -30,6 +42,10 @@ func runContended(t *testing.T, seed uint64) (*obs.PointMetrics, int64) {
 
 	collector := obs.NewCollector()
 	m.SetTracer(collector)
+	if prof != nil {
+		m.SetTracer(machine.MultiTracer{collector, prof})
+		prof.Start(m.Now(), threads)
+	}
 
 	cycles := m.Run(threads, func(c *machine.CPU) {
 		th := sys.Thread(c.ID)
@@ -48,7 +64,88 @@ func runContended(t *testing.T, seed uint64) (*obs.PointMetrics, int64) {
 			}
 		}
 	})
-	return collector.Point(threads, 20, cycles, nil), cycles
+	if prof != nil {
+		prof.Finish(m.Now())
+	}
+	return collector, cycles
+}
+
+// TestConsumersAgree ties the decoder's consumers together on one closed
+// RW-LE_PES run and one open-system serve point: the Collector's abort
+// matrix equals the sum of the Timeline's per-window matrices, its span
+// count per commit path equals the summed commits_by_path, its tx-begin
+// count equals the summed tx_begins, and the cycle attribution conserves
+// CPUs × cycles.
+func TestConsumersAgree(t *testing.T) {
+	t.Run("closed RW-LE_PES", func(t *testing.T) {
+		prof := obs.NewProfile(20_000, 0)
+		c, _ := contended(11, prof)
+		checkAgree(t, c, prof)
+	})
+	t.Run("serve RW-LE_OPT", func(t *testing.T) {
+		spec, err := harness.DefaultServeSpec("hashmap")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := spec.Base
+		cfg.Servers, cfg.Requests = 4, 300
+		cfg.Arrivals.RatePerSec = spec.Rates[3]
+		c := obs.NewCollector()
+		prof := obs.NewProfile(100_000, len(cfg.Classes))
+		observe := func(m *machine.Machine) { m.SetTracer(c) }
+		if _, _, err := service.RunPointProfiled(cfg, "RW-LE_OPT", harness.SchemeFactory("RW-LE_OPT"), observe, prof); err != nil {
+			t.Fatal(err)
+		}
+		checkAgree(t, c, prof)
+	})
+}
+
+func checkAgree(t *testing.T, c *obs.Collector, prof *obs.Profile) {
+	t.Helper()
+	type cell struct {
+		cause          string
+		killer, victim int
+	}
+	want := map[cell]int64{}
+	for _, m := range c.Matrix() {
+		want[cell{m.Cause, m.Killer, m.Victim}] += m.Count
+	}
+	spans := map[string]int64{}
+	for _, s := range c.Spans() {
+		spans[s.Path] += s.Count
+	}
+
+	rep := prof.Report("", "")
+	got := map[cell]int64{}
+	commits := map[string]int64{}
+	var begins int64
+	for _, w := range rep.Timeline.Windows {
+		for _, m := range w.Matrix {
+			got[cell{m.Cause, m.Killer, m.Victim}] += m.Count
+		}
+		for p, n := range w.Commits {
+			if n > 0 {
+				commits[rep.Timeline.CommitPaths[p]] += n
+			}
+		}
+		begins += w.TxBegins
+	}
+
+	if len(want) == 0 || len(spans) == 0 {
+		t.Fatalf("run recorded %d matrix cells and %d span paths; the comparison needs both", len(want), len(spans))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("timeline matrix sum %v != collector matrix %v", got, want)
+	}
+	if !reflect.DeepEqual(commits, spans) {
+		t.Errorf("timeline commits_by_path sum %v != collector spans per path %v", commits, spans)
+	}
+	if n := c.Counts[machine.EvTxBegin]; n != begins {
+		t.Errorf("collector counted %d tx-begins, timeline %d", n, begins)
+	}
+	if got, want := rep.Cycles.Conservation(); got != want {
+		t.Errorf("attributed %d cycles, want CPUs × cycles = %d", got, want)
+	}
 }
 
 // TestReaderKillsSuspendedROT is the issue's acceptance scenario: on an

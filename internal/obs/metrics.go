@@ -22,8 +22,6 @@ type MatrixCell struct {
 	Killer int    `json:"killer"`
 	Victim int    `json:"victim"`
 	Count  int64  `json:"count"`
-
-	causeN int // for deterministic legend-order sorting; not exported
 }
 
 // AddrConflicts is one conflict hot-spot: a simulated-memory word address

@@ -14,7 +14,6 @@ package obs
 import (
 	"sort"
 
-	"hrwle/internal/htm"
 	"hrwle/internal/machine"
 	"hrwle/internal/stats"
 )
@@ -26,24 +25,51 @@ type matrixKey struct {
 	victim int
 }
 
-// spanState tracks one CPU's open critical-section span.
-type spanState struct {
-	open    bool
-	write   bool
-	start   int64
-	quiesce int64 // quiescence-window cycles inside this span
+// abortMatrix counts aborts per (cause, killer, victim) cell.
+type abortMatrix map[matrixKey]int64
+
+// add counts the abort resolved in r.
+func (m *abortMatrix) add(r *record) {
+	if *m == nil {
+		*m = make(abortMatrix)
+	}
+	(*m)[matrixKey{r.cause, r.killer, r.cpu}]++
+}
+
+// cells returns the non-nil cell list sorted by (cause, killer, victim).
+func (m abortMatrix) cells() []MatrixCell {
+	keys := make([]matrixKey, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		a, b := keys[i], keys[j]
+		if a.cause != b.cause {
+			return a.cause < b.cause
+		}
+		if a.killer != b.killer {
+			return a.killer < b.killer
+		}
+		return a.victim < b.victim
+	})
+	cells := make([]MatrixCell, len(keys))
+	for i, k := range keys {
+		cells[i] = MatrixCell{Cause: k.cause.String(), Killer: k.killer, Victim: k.victim, Count: m[k]}
+	}
+	return cells
 }
 
 // Collector consumes trace events into run telemetry. It implements
 // machine.Tracer and must observe a complete run (install it before
 // machine.Run) for span accounting to balance.
 type Collector struct {
-	eventCounts [machine.NumEventKinds]int64
+	// CountTracer tallies every event by kind.
+	machine.CountTracer
 
-	matrix map[matrixKey]int64
+	dec    decoder
+	matrix abortMatrix
 	addrs  map[machine.Addr]int64
 
-	spans [machine.MaxCPUs]spanState
 	// lat[side][path]: span latency histograms; side 0 = read, 1 = write.
 	lat [2][stats.NumCommitPaths]Hist
 	// retries/quiesceBy[side][path]: aborted attempts and quiescence cycles
@@ -56,67 +82,45 @@ type Collector struct {
 
 // NewCollector returns an empty Collector.
 func NewCollector() *Collector {
-	return &Collector{
-		matrix: make(map[matrixKey]int64),
-		addrs:  make(map[machine.Addr]int64),
-	}
+	return &Collector{dec: newDecoder(machine.MaxCPUs), addrs: make(map[machine.Addr]int64)}
 }
 
 // Event implements machine.Tracer.
 func (c *Collector) Event(e machine.Event) {
-	c.eventCounts[e.Kind]++
-	switch e.Kind {
-	case machine.EvTxDoom:
+	c.CountTracer.Event(e)
+	r := c.dec.decode(e)
+	if r == nil {
+		return
+	}
+	switch r.kind {
+	case recDoom:
 		// One doom per transaction attempt: the conflict occurrence. The
 		// hot-spot ranking counts these, attributed to the contended
 		// address; VM-subsystem dooms carry no address and are skipped.
-		if e.Addr != 0 {
-			c.addrs[e.Addr]++
+		if r.addr != 0 {
+			c.addrs[r.addr]++
 		}
-	case machine.EvTxAbort:
-		cause, killer := htm.UnpackAbortAux(e.Aux)
-		c.matrix[matrixKey{cause, killer, e.CPU}]++
-	case machine.EvQuiesceEnd:
-		c.quiesce.Add(int64(e.Aux))
-		if s := &c.spans[e.CPU]; s.open {
-			s.quiesce += int64(e.Aux)
+	case recTxEnd:
+		if r.abort {
+			c.matrix.add(r)
 		}
-	case machine.EvCSBegin:
-		write, _, _ := machine.UnpackCS(e.Aux)
-		c.spans[e.CPU] = spanState{open: true, write: write, start: e.Time}
-	case machine.EvCSEnd:
-		s := &c.spans[e.CPU]
-		if !s.open {
-			return // trace started mid-section; drop the partial span
-		}
-		write, path, retries := machine.UnpackCS(e.Aux)
+	case recQuiesce:
+		c.quiesce.Add(r.cycles)
+	case recSpan:
 		side := 0
-		if write {
+		if r.write {
 			side = 1
 		}
-		if path >= uint64(stats.NumCommitPaths) {
-			path = 0
-		}
-		c.lat[side][path].Add(e.Time - s.start)
-		c.retries[side][path] += int64(retries)
-		c.quiesceBy[side][path] += s.quiesce
-		*s = spanState{}
+		c.lat[side][r.path].Add(r.cycles)
+		c.retries[side][r.path] += r.retries
+		c.quiesceBy[side][r.path] += r.quiesce
 	}
-}
-
-// TotalEvents returns the number of events the collector has seen.
-func (c *Collector) TotalEvents() int64 {
-	var n int64
-	for _, k := range c.eventCounts {
-		n += k
-	}
-	return n
 }
 
 // EventTotals returns per-kind event counts keyed by kind name.
 func (c *Collector) EventTotals() map[string]int64 {
 	out := make(map[string]int64)
-	for k, n := range c.eventCounts {
+	for k, n := range c.Counts {
 		if n > 0 {
 			out[machine.EventKind(k).String()] = n
 		}
@@ -127,29 +131,7 @@ func (c *Collector) EventTotals() map[string]int64 {
 // Matrix returns the abort-attribution cells sorted by (cause, killer,
 // victim). Killer -1 denotes aborts with no aggressor CPU (capacity,
 // explicit, lock-busy and VM-subsystem aborts).
-func (c *Collector) Matrix() []MatrixCell {
-	cells := make([]MatrixCell, 0, len(c.matrix))
-	for k, n := range c.matrix {
-		cells = append(cells, MatrixCell{
-			Cause:  k.cause.String(),
-			causeN: int(k.cause),
-			Killer: k.killer,
-			Victim: k.victim,
-			Count:  n,
-		})
-	}
-	sort.Slice(cells, func(i, j int) bool {
-		a, b := cells[i], cells[j]
-		if a.causeN != b.causeN {
-			return a.causeN < b.causeN
-		}
-		if a.Killer != b.Killer {
-			return a.Killer < b.Killer
-		}
-		return a.Victim < b.Victim
-	})
-	return cells
-}
+func (c *Collector) Matrix() []MatrixCell { return c.matrix.cells() }
 
 // HotAddrs returns the top-n conflict addresses by doom count, ties broken
 // by address for determinism.

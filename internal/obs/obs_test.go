@@ -226,11 +226,12 @@ func TestWriteChromeTraceValidAndBalanced(t *testing.T) {
 // TestTimelineMultipleSubscribers pins the fan-out contract of
 // Timeline.Subscribe: every subscriber sees every window exactly once, in
 // index order, with identical contents, and no window is delivered before
-// the per-CPU watermark — the minimum last-seen event time across CPUs —
-// has passed its end.
+// the watermark — the minimum last-seen event time across CPUs — has
+// passed its end.
 func TestTimelineMultipleSubscribers(t *testing.T) {
 	const window, cpus, nsubs = 100, 2, 3
-	tl := NewTimeline(window, 0)
+	prof := NewProfile(window, 0)
+	tl := prof.Timeline
 
 	// fed[c] mirrors the event feed below: the last time fed to CPU c so
 	// far. The delivery callback uses it to check the watermark rule.
@@ -253,19 +254,24 @@ func TestTimelineMultipleSubscribers(t *testing.T) {
 			got[i] = append(got[i], w)
 		})
 	}
-	tl.Start(0, cpus)
+	prof.Start(0, cpus)
 
 	emit := func(cpu int, at int64, kind machine.EventKind, aux uint64) {
 		fed[cpu] = at
-		tl.Event(machine.Event{Kind: kind, CPU: cpu, Time: at, Aux: aux})
+		prof.Event(machine.Event{Kind: kind, CPU: cpu, Time: at, Aux: aux})
 	}
 	// CPU 0 races ahead through window 2; windows 0 and 1 stay undelivered
 	// until CPU 1's stream passes their ends.
+	emit(0, 5, machine.EvCSBegin, machine.PackCS(true, 0, 0))
 	emit(0, 10, machine.EvTxBegin, 0)
 	emit(0, 80, machine.EvCSEnd, machine.PackCS(true, uint64(stats.CommitHTM), 1))
 	emit(0, 250, machine.EvTxBegin, 0)
 	if len(got[0]) != 0 {
 		t.Fatalf("window delivered while CPU 1 was silent (watermark at base): %+v", got[0])
+	}
+	emit(1, 90, machine.EvCSBegin, machine.PackCS(false, 0, 0))
+	if len(got[0]) != 0 {
+		t.Fatalf("CPU 1 at 90 released a window: %+v", got[0])
 	}
 	emit(1, 120, machine.EvCSEnd, machine.PackCS(false, uint64(stats.CommitUninstrumented), 0))
 	if len(got[0]) != 1 {
@@ -276,7 +282,7 @@ func TestTimelineMultipleSubscribers(t *testing.T) {
 		t.Fatalf("both CPUs past 200 should release window 1, got %d windows", len(got[0]))
 	}
 	finishing = true
-	tl.Finish(300)
+	prof.Finish(300)
 
 	rep := tl.Report()
 	if len(rep.Windows) != 3 {
@@ -307,5 +313,69 @@ func TestTimelineMultipleSubscribers(t *testing.T) {
 	}
 	if got[0][1].CSEnds != 1 || got[0][1].CSWrites != 0 {
 		t.Errorf("window 1 = %+v, want the CPU-1 read section", got[0][1])
+	}
+}
+
+// TestDecoderEdgePolicy states the one policy every consumer applies to a
+// malformed critical-section stream: a CSEnd with no open CSBegin, or
+// with a commit path outside stats.NumCommitPaths, closes nothing and
+// counts nowhere, so its cycles stay with the open section (application
+// work when none is open); a repeated CSBegin restarts the span.
+func TestDecoderEdgePolicy(t *testing.T) {
+	begin := func(at int64) machine.Event {
+		return machine.Event{Kind: machine.EvCSBegin, Time: at, Aux: machine.PackCS(true, 0, 0)}
+	}
+	end := func(at int64, path stats.CommitPath) machine.Event {
+		return machine.Event{Kind: machine.EvCSEnd, Time: at, Aux: machine.PackCS(true, uint64(path), 0)}
+	}
+	const bad = stats.CommitPath(stats.NumCommitPaths)
+	for _, tc := range []struct {
+		name    string
+		feed    []machine.Event
+		spans   int64              // Collector spans = Timeline cs_ends = Σ commits_by_path
+		latency int64              // summed Collector span latency
+		cycles  map[CycleCat]int64 // CycleProf attribution of [0, 200)
+	}{
+		{"orphan end", []machine.Event{end(100, stats.CommitSGL)}, 0, 0,
+			map[CycleCat]int64{CatApp: 100, CatIdle: 100}},
+		{"out-of-range path", []machine.Event{begin(0), end(100, bad)}, 0, 0,
+			map[CycleCat]int64{CatApp: 200}},
+		{"out-of-range path, then a valid end", []machine.Event{begin(0), end(100, bad), end(150, stats.CommitSGL)}, 1, 150,
+			map[CycleCat]int64{CatFallback: 150, CatIdle: 50}},
+		{"restarted begin", []machine.Event{begin(0), begin(50), end(100, stats.CommitHTM)}, 1, 50,
+			map[CycleCat]int64{CatUseful: 100, CatIdle: 100}},
+	} {
+		c := NewCollector()
+		prof := NewProfile(0, 0)
+		prof.Start(0, 1)
+		for _, e := range tc.feed {
+			c.Event(e)
+			prof.Event(e)
+		}
+		prof.Finish(200)
+		rep := prof.Report("", "")
+
+		var spans, latency, csEnds, commits int64
+		for _, s := range c.Spans() {
+			spans += s.Count
+			latency += s.Latency.SumCycles
+		}
+		for _, w := range rep.Timeline.Windows {
+			csEnds += w.CSEnds
+			for _, n := range w.Commits {
+				commits += n
+			}
+		}
+		if spans != tc.spans || latency != tc.latency {
+			t.Errorf("%s: Collector has %d spans of %d cycles, want %d of %d", tc.name, spans, latency, tc.spans, tc.latency)
+		}
+		if csEnds != tc.spans || commits != tc.spans {
+			t.Errorf("%s: Timeline has %d cs_ends and %d commits, want %d", tc.name, csEnds, commits, tc.spans)
+		}
+		for cat := CycleCat(0); int(cat) < NumCycleCats; cat++ {
+			if got := rep.Cycles.Totals[cat]; got != tc.cycles[cat] {
+				t.Errorf("%s: %s cycles = %d, want %d", tc.name, cat, got, tc.cycles[cat])
+			}
+		}
 	}
 }

@@ -6,47 +6,47 @@ import (
 	"io"
 
 	"hrwle/internal/machine"
+	"hrwle/internal/stats"
 )
 
-// Profile bundles the two virtual-time profiling collectors — per-cycle
+// Profile bundles the two virtual-time profiling views — per-cycle
 // attribution and the windowed telemetry timeline — behind one
-// machine.Tracer. Install it (alone or inside a MultiTracer) right before
-// machine.Run, bracketed by Start/Finish with the machine's time.
+// machine.Tracer. It is a one-shard ShardTimelines, with every CPU
+// attributed to the shard, whose decoder also feeds the attribution.
+// Install it (alone or inside a MultiTracer) right before machine.Run,
+// bracketed by Start/Finish with the machine's time.
 type Profile struct {
 	Cycles   *CycleProf
 	Timeline *Timeline
+
+	set *ShardTimelines
 }
 
 // NewProfile returns a profile with the given window width in virtual
 // cycles and per-class sojourn slots for `classes` request classes (0 for
 // closed-loop runs).
 func NewProfile(windowCycles int64, classes int) *Profile {
-	return &Profile{
-		Cycles:   NewCycleProf(windowCycles),
-		Timeline: NewTimeline(windowCycles, classes),
+	set := NewShardTimelines(windowCycles, 1, classes)
+	set.cycles = newCycleProf(windowCycles)
+	return &Profile{Cycles: set.cycles, Timeline: set.Shards[0], set: set}
+}
+
+// Start fixes both views' origin. Call with machine.Now() right before
+// machine.Run.
+func (p *Profile) Start(base int64, cpus int) {
+	p.set.Start(base, cpus)
+	for id := 0; id < cpus; id++ {
+		p.set.SetShard(id, 0)
 	}
 }
 
-// Start fixes both collectors' origin. Call with machine.Now() right
-// before machine.Run.
-func (p *Profile) Start(base int64, cpus int) {
-	p.Cycles.Start(base, cpus)
-	p.Timeline.Start(base, cpus)
-}
-
 // Event implements machine.Tracer.
-func (p *Profile) Event(e machine.Event) {
-	p.Cycles.Event(e)
-	p.Timeline.Event(e)
-}
+func (p *Profile) Event(e machine.Event) { p.set.Event(e) }
 
-// Finish closes both collectors. Call with machine.Now() right after
+// Finish closes both views. Call with machine.Now() right after
 // machine.Run returns — and, for open-system runs, after feeding the
 // request log to Timeline.AddRequest.
-func (p *Profile) Finish(end int64) {
-	p.Cycles.Finish(end)
-	p.Timeline.Finish(end)
-}
+func (p *Profile) Finish(end int64) { p.set.Finish(end) }
 
 // ProfileReport is the exportable result of one profiled point.
 type ProfileReport struct {
@@ -172,9 +172,7 @@ func (r *ProfileReport) WriteText(w io.Writer) {
 		if tw.CSEnds == 0 {
 			return 0
 		}
-		// Commit-path order is published in the report header; index 2 is
-		// the SGL fallback path.
-		return 100 * float64(tw.Commits[2]) / float64(tw.CSEnds)
+		return 100 * float64(tw.Commits[stats.CommitSGL]) / float64(tw.CSEnds)
 	}), "%")
 	if anyRequests(wins) {
 		sparkPanel(w, "queue depth (end)", series(func(tw *TimelineWindow) float64 {

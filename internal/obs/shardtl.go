@@ -3,30 +3,29 @@ package obs
 import "hrwle/internal/machine"
 
 // ShardTimelines fans one machine's event stream out into per-shard
-// Timelines. The runner tells it which shard each CPU is currently
-// working inside (SetShard, a host-side routing table mutated while the
-// CPU holds the floor, so it is deterministic like every other host-side
-// structure in the service layer); events from unattributed CPUs advance
-// time but belong to no shard.
+// Timelines. It decodes each event once and routes the record to the
+// shard the CPU is currently working inside. The runner sets that with
+// SetShard, a host-side routing table mutated while the CPU holds the
+// floor, so it is deterministic like every other host-side structure in
+// the service layer. Events from unattributed CPUs advance time but belong
+// to no shard.
 //
-// Delivery ordering is the subtle part. A per-shard Timeline's own
-// watermark is the minimum over *all* CPUs of the last event routed to
-// that shard — and a CPU that rarely visits a shard would hold that
-// shard's windows back forever. ShardTimelines therefore keeps a single
-// machine-global watermark (the minimum over CPUs of the last event seen
-// from each, regardless of shard) and drives every shard's delivery from
-// it via Timeline.Advance: once no CPU can emit another event at or
-// before a window's end, that window is final for every shard at once.
-// Windows are delivered shard-by-shard in shard order at each watermark
-// advance, so a controller subscribed to all shards observes a
-// deterministic total order.
+// It also owns the one watermark that drives window delivery: the minimum
+// over CPUs of the latest event time seen from each, regardless of shard.
+// A per-shard watermark would be wrong, because a CPU that rarely visits a
+// shard would hold that shard's windows back forever. Once no CPU can emit
+// another event at or before a window's end, that window is final for
+// every shard at once. Windows are delivered shard-by-shard in shard order
+// at each watermark advance, so a controller subscribed to all shards
+// observes a deterministic total order.
 type ShardTimelines struct {
 	Shards []*Timeline
 
-	cur  []int   // per-CPU current shard; -1 = unattributed
-	last []int64 // per-CPU global watermark input
-	base int64
-	mark int64 // cached global watermark (min over last)
+	cycles *CycleProf // Profile's attribution view; nil for shard runs
+	dec    decoder
+	cur    []int   // per-CPU current shard; -1 = unattributed
+	last   []int64 // per-CPU watermark input
+	mark   int64   // cached watermark (min over last)
 }
 
 // NewShardTimelines builds one Timeline per shard, all sharing the window
@@ -34,7 +33,7 @@ type ShardTimelines struct {
 func NewShardTimelines(windowCycles int64, shards, classes int) *ShardTimelines {
 	st := &ShardTimelines{Shards: make([]*Timeline, shards)}
 	for i := range st.Shards {
-		st.Shards[i] = NewTimeline(windowCycles, classes)
+		st.Shards[i] = newTimeline(windowCycles, classes)
 	}
 	return st
 }
@@ -42,7 +41,8 @@ func NewShardTimelines(windowCycles int64, shards, classes int) *ShardTimelines 
 // Start fixes the window origin for a run driving `cpus` CPUs. Subscribe
 // to the per-shard timelines before calling it.
 func (st *ShardTimelines) Start(base int64, cpus int) {
-	st.base, st.mark = base, base
+	st.dec = newDecoder(cpus)
+	st.mark = base
 	st.cur = make([]int, cpus)
 	st.last = make([]int64, cpus)
 	for i := range st.cur {
@@ -50,7 +50,10 @@ func (st *ShardTimelines) Start(base int64, cpus int) {
 		st.last[i] = base
 	}
 	for _, tl := range st.Shards {
-		tl.Start(base, cpus)
+		tl.start(base)
+	}
+	if st.cycles != nil {
+		st.cycles.start(base, cpus)
 	}
 }
 
@@ -58,14 +61,18 @@ func (st *ShardTimelines) Start(base int64, cpus int) {
 // only from the CPU itself while it holds the floor.
 func (st *ShardTimelines) SetShard(cpu, shard int) { st.cur[cpu] = shard }
 
-// Event implements machine.Tracer: accumulate into the current shard,
-// advance the global watermark, and deliver any windows it finalized.
+// Event implements machine.Tracer: decode, accumulate into the current
+// shard, advance the watermark, and deliver any windows it finalized.
 func (st *ShardTimelines) Event(e machine.Event) {
-	if e.CPU < 0 || e.CPU >= len(st.cur) {
+	r := st.dec.decode(e)
+	if r == nil {
 		return
 	}
+	if st.cycles != nil {
+		st.cycles.consume(r)
+	}
 	if s := st.cur[e.CPU]; s >= 0 {
-		st.Shards[s].accumulate(e)
+		st.Shards[s].consume(r)
 	}
 	if e.Time <= st.last[e.CPU] {
 		return
@@ -84,15 +91,18 @@ func (st *ShardTimelines) Event(e machine.Event) {
 	if mark > st.mark {
 		st.mark = mark
 		for _, tl := range st.Shards {
-			tl.Advance(mark)
+			tl.advance(mark)
 		}
 	}
 }
 
-// Finish closes every shard timeline at the machine's end time,
-// delivering all remaining windows (shard order, window order).
+// Finish closes every view at the machine's end time, delivering all
+// remaining windows (shard order, window order).
 func (st *ShardTimelines) Finish(end int64) {
+	if st.cycles != nil {
+		st.cycles.finish(end, st.dec.cpus)
+	}
 	for _, tl := range st.Shards {
-		tl.Finish(end)
+		tl.finish(end)
 	}
 }

@@ -1,12 +1,6 @@
 package obs
 
-import (
-	"sort"
-
-	"hrwle/internal/htm"
-	"hrwle/internal/machine"
-	"hrwle/internal/stats"
-)
+import "hrwle/internal/stats"
 
 // TimelineWindow is one fixed-width virtual-time window of run telemetry:
 // the live signal the adaptive-controller work (ROADMAP item 2) will
@@ -45,65 +39,56 @@ type tlWin struct {
 	csEnds   int64
 	csWrites int64
 	lockWait int64
-	matrix   map[matrixKey]int64
+	matrix   abortMatrix
 
 	arrivals, dequeues, drops, dones int64
 	sojourn                          []Samples // per class
 }
 
-// Timeline buckets trace events (and, for open-system runs, the request
-// log) into fixed-width virtual-time windows. It implements
-// machine.Tracer. Like CycleProf it is a pure event consumer: installing
-// it never changes virtual time, and the report is deterministic.
+// Timeline buckets the decoder's records (and, for open-system runs, the
+// request log) into fixed-width virtual-time windows. It is fed by a
+// ShardTimelines, or by a Profile, which is a one-shard ShardTimelines.
+// Like CycleProf it is a pure event consumer: installing it never changes
+// virtual time, and the report is deterministic.
 //
 // Subscribe registers a callback that receives each window as soon as it
-// can no longer change — when every CPU's event stream has advanced past
-// its end (a watermark, not a clock: the simulator delivers events in
-// per-CPU time order). This is the shape the future per-shard adaptive
-// controller needs: a bounded-delay live signal, not an end-of-run dump.
-// Subscription callbacks see only the event-derived fields; the
-// request-derived series exist only after Finish.
+// can no longer change — when the owning ShardTimelines' watermark passes
+// its end. This is the shape the per-shard adaptive controller needs: a
+// bounded-delay live signal, not an end-of-run dump. Subscription
+// callbacks see only the event-derived fields; the request-derived series
+// exist only after the run finishes.
 type Timeline struct {
 	window  int64
 	base    int64
 	end     int64
 	classes int
-	cpus    int
 
 	wins      []*tlWin
-	last      []int64 // per-CPU watermark: time of the last event seen
-	seen      []bool  // whether the CPU has emitted at all
 	subs      []func(TimelineWindow)
 	delivered int // windows already pushed to subscribers
-	finished  bool
 }
 
-// NewTimeline returns a collector with the given window width in cycles
+// newTimeline returns a timeline with the given window width in cycles
 // (values < 1 collapse to one giant window) and per-class sojourn slots
 // for `classes` request classes (0 for closed-loop runs).
-func NewTimeline(windowCycles int64, classes int) *Timeline {
+func newTimeline(windowCycles int64, classes int) *Timeline {
 	if windowCycles < 1 {
 		windowCycles = 1 << 62
 	}
 	return &Timeline{window: windowCycles, classes: classes}
 }
 
-// Subscribe registers a live window consumer. Must be called before Start.
+// Subscribe registers a live window consumer. Must be called before the
+// run starts.
 func (tl *Timeline) Subscribe(fn func(TimelineWindow)) {
 	tl.subs = append(tl.subs, fn)
 }
 
-// Start fixes the window origin at base for a run driving `cpus` CPUs.
-func (tl *Timeline) Start(base int64, cpus int) {
-	tl.base, tl.end, tl.cpus = base, base, cpus
-	tl.last = make([]int64, cpus)
-	tl.seen = make([]bool, cpus)
-	for i := range tl.last {
-		tl.last[i] = base
-	}
+// start fixes the window origin at base.
+func (tl *Timeline) start(base int64) {
+	tl.base, tl.end = base, base
 	tl.wins = tl.wins[:0]
 	tl.delivered = 0
-	tl.finished = false
 }
 
 // win returns the accumulator for the window containing time t.
@@ -118,93 +103,53 @@ func (tl *Timeline) win(t int64) *tlWin {
 	return tl.wins[w]
 }
 
-// Event implements machine.Tracer.
-func (tl *Timeline) Event(e machine.Event) {
-	tl.accumulate(e)
-	if e.CPU >= 0 && e.CPU < len(tl.last) {
-		if e.Time > tl.last[e.CPU] {
-			tl.last[e.CPU] = e.Time
+// consume folds one decoded record into its window.
+func (tl *Timeline) consume(r *record) {
+	switch r.kind {
+	case recTxBegin:
+		tl.win(r.t).txBegins++
+	case recTxEnd:
+		if r.abort {
+			w := tl.win(r.t)
+			w.aborts[r.cause]++
+			w.matrix.add(r)
 		}
-		tl.seen[e.CPU] = true
-		tl.deliver()
-	}
-}
-
-// accumulate folds one event into its window without touching the
-// watermark state. ShardTimelines routes events here directly: it owns a
-// single machine-global watermark, so the per-shard timelines must not
-// gate delivery on their own (necessarily sparser) event streams.
-func (tl *Timeline) accumulate(e machine.Event) {
-	switch e.Kind {
-	case machine.EvTxBegin:
-		tl.win(e.Time).txBegins++
-	case machine.EvTxAbort:
-		w := tl.win(e.Time)
-		cause, killer := htm.UnpackAbortAux(e.Aux)
-		w.aborts[cause]++
-		if w.matrix == nil {
-			w.matrix = make(map[matrixKey]int64)
-		}
-		w.matrix[matrixKey{cause, killer, e.CPU}]++
-	case machine.EvCSEnd:
-		w := tl.win(e.Time)
+	case recSpan:
+		w := tl.win(r.t)
 		w.csEnds++
-		write, path, _ := machine.UnpackCS(e.Aux)
-		if write {
+		if r.write {
 			w.csWrites++
 		}
-		if path < uint64(stats.NumCommitPaths) {
-			w.commits[path]++
-		}
-	case machine.EvLockWait:
-		// The wait occupies [Time-Aux, Time]; attribute it wholly to the
+		w.commits[r.path]++
+	case recLockWait:
+		// The wait occupies [t-cycles, t]; attribute it wholly to the
 		// window in which it ends (the window split is not worth the cost
 		// at controller granularity).
-		tl.win(e.Time).lockWait += int64(e.Aux)
+		tl.win(r.t).lockWait += r.cycles
 	}
 }
 
-// watermark is the time below which no CPU can emit further events: the
-// minimum last-seen time across CPUs (CPUs that have emitted nothing yet
-// hold it at base).
-func (tl *Timeline) watermark() int64 {
-	w := int64(1)<<62 - 1
-	for i, t := range tl.last {
-		if !tl.seen[i] {
-			t = tl.base
-		}
-		if t < w {
-			w = t
-		}
+// advance delivers every window that ends at or before the watermark
+// mark, materializing empty windows up to mark so that quiet periods
+// still produce subscription ticks.
+func (tl *Timeline) advance(mark int64) {
+	if mark > tl.base {
+		tl.win(mark - 1)
 	}
-	if len(tl.last) == 0 {
-		w = tl.base
-	}
-	return w
+	tl.deliver(int((mark - tl.base) / tl.window))
 }
 
-// deliver pushes every window that ends at or before the watermark to the
-// subscribers, in index order.
-func (tl *Timeline) deliver() {
-	if len(tl.subs) == 0 {
-		return
-	}
-	mark := tl.watermark()
-	for tl.delivered < len(tl.wins) {
-		endT := tl.base + int64(tl.delivered+1)*tl.window
-		if endT > mark {
-			return
+// deliver pushes windows [delivered, n) to the subscribers, in index
+// order, each exactly once.
+func (tl *Timeline) deliver(n int) {
+	for ; tl.delivered < min(n, len(tl.wins)); tl.delivered++ {
+		if len(tl.subs) == 0 {
+			continue
 		}
-		tl.push(tl.delivered)
-		tl.delivered++
-	}
-}
-
-// push converts window w and hands it to every subscriber.
-func (tl *Timeline) push(w int) {
-	tw := tl.snapshot(w)
-	for _, fn := range tl.subs {
-		fn(tw)
+		tw := tl.snapshot(tl.delivered)
+		for _, fn := range tl.subs {
+			fn(tw)
+		}
 	}
 }
 
@@ -229,24 +174,7 @@ func (tl *Timeline) snapshot(w int) TimelineWindow {
 	copy(tw.Commits, src.commits[:])
 	copy(tw.Aborts, src.aborts[:])
 	if len(src.matrix) > 0 {
-		cells := make([]MatrixCell, 0, len(src.matrix))
-		for k, n := range src.matrix {
-			cells = append(cells, MatrixCell{
-				Cause: k.cause.String(), causeN: int(k.cause),
-				Killer: k.killer, Victim: k.victim, Count: n,
-			})
-		}
-		sort.Slice(cells, func(i, j int) bool {
-			a, b := cells[i], cells[j]
-			if a.causeN != b.causeN {
-				return a.causeN < b.causeN
-			}
-			if a.Killer != b.Killer {
-				return a.Killer < b.Killer
-			}
-			return a.Victim < b.Victim
-		})
-		tw.Matrix = cells
+		tw.Matrix = src.matrix.cells()
 	}
 	if len(src.sojourn) > 0 {
 		tw.SojournP99 = make([]float64, len(src.sojourn))
@@ -255,28 +183,6 @@ func (tl *Timeline) snapshot(w int) TimelineWindow {
 		}
 	}
 	return tw
-}
-
-// Advance delivers (and counts as delivered) every window that ends at or
-// before mark, materializing empty windows up to mark so that quiet
-// periods still produce subscription ticks. ShardTimelines drives this
-// from its machine-global watermark; the timeline's own per-CPU watermark
-// only ever lags it, so the shared `delivered` cursor keeps the two
-// delivery paths duplicate-free.
-func (tl *Timeline) Advance(mark int64) {
-	if mark > tl.base {
-		tl.win(mark - 1)
-	}
-	for tl.delivered < len(tl.wins) {
-		endT := tl.base + int64(tl.delivered+1)*tl.window
-		if endT > mark {
-			return
-		}
-		if len(tl.subs) > 0 {
-			tl.push(tl.delivered)
-		}
-		tl.delivered++
-	}
 }
 
 // AddRequest folds one request's lifecycle into the windows: arrival (and
@@ -305,25 +211,16 @@ func (tl *Timeline) AddRequest(class int, arrive, dequeue, done int64, dropped b
 	}
 }
 
-// Finish closes the timeline at the machine's end time, delivering every
+// finish closes the timeline at the machine's end time, delivering every
 // remaining window to the subscribers.
-func (tl *Timeline) Finish(end int64) {
-	if end < tl.base {
-		end = tl.base
-	}
-	tl.end = end
-	tl.finished = true
+func (tl *Timeline) finish(end int64) {
+	tl.end = max(end, tl.base)
 	// Make sure the window grid covers the whole run even if the tail was
 	// event-free.
-	if end > tl.base {
-		tl.win(end - 1)
+	if tl.end > tl.base {
+		tl.win(tl.end - 1)
 	}
-	for tl.delivered < len(tl.wins) {
-		if len(tl.subs) > 0 {
-			tl.push(tl.delivered)
-		}
-		tl.delivered++
-	}
+	tl.deliver(len(tl.wins))
 }
 
 // TimelineReport is the exportable time series.

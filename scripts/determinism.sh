@@ -39,9 +39,11 @@ gate() {
 	echo "determinism: $name ok ($(wc -l <"$work/files1") files)"
 }
 
-# Single-point metrics export and Chrome trace.
+# Single-point metrics export, Chrome trace, the text matrix and histogram
+# panels, and the timeline export.
 gate trace hrwle-trace -scheme RW-LE_PES -threads 4 -w 20 -seed 7 -q \
-	-json @OUT@/trace.json -chrome @OUT@/chrome.json
+	-json @OUT@/trace.json -chrome @OUT@/chrome.json \
+	-matrix -hist -timeline @OUT@/timeline.json
 # Multi-scheme trace reports print in the order given at any -j.
 gate trace-multi hrwle-trace -scheme RW-LE_OPT,SGL,HLE -ops 10 -j @J@
 # Figure sweep tables and the per-scheme RunMetrics JSON directory.
