@@ -2,6 +2,8 @@ package hrwle
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -63,6 +65,65 @@ func TestCLIRejectsUnknownScheme(t *testing.T) {
 		out := runGoUsageError(t, tc.pkg, tc.args...)
 		if !strings.Contains(out, `unknown scheme "FOO"`) {
 			t.Errorf("%s %v: message does not name the bad scheme:\n%s", tc.pkg, tc.args, out)
+		}
+	}
+}
+
+// TestSharedFlags runs the flags several commands share through each
+// command that takes them: the float profiling -window, "-json -" as
+// stdout (parseable JSON there, no file named "-"), and the removed
+// hrwle-vet -cache flag as a usage error.
+func TestSharedFlags(t *testing.T) {
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go tool not on PATH")
+	}
+	bin := t.TempDir()
+	build := exec.Command(goBin, "build", "-o", bin+"/",
+		"./cmd/hrwle-trace", "./cmd/hrwle-serve", "./cmd/hrwle-shard", "./cmd/hrwle-vet")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	serve := []string{"-workload", "hashmap", "-requests", "100", "-schemes", "SGL", "-q", "-o", "report.txt"}
+	for _, tc := range []struct {
+		cmd      string
+		args     []string
+		exit     int
+		jsonOnly bool // stdout must start with one JSON document
+	}{
+		{"hrwle-trace", []string{"-ops", "5", "-q", "-window", "1e6", "-timeline", "t.json"}, 0, false},
+		{"hrwle-serve", append([]string{"-prof", "-servers", "2", "-window", "1e6"}, serve...), 0, false},
+		{"hrwle-serve", append([]string{"-rates", "1e5", "-json", "-"}, serve...), 0, true},
+		{"hrwle-shard", []string{"-servers", "16", "-requests", "100", "-shards", "4", "-skews", "0",
+			"-schemes", "SGL", "-rate", "3e6", "-universe", "16384", "-q", "-o", "report.txt", "-json", "-"}, 0, true},
+		{"hrwle-trace", []string{"-ops", "5", "-q", "-json", "-"}, 0, true},
+		{"hrwle-vet", []string{"-cache=false", "./..."}, 2, false},
+	} {
+		dir := t.TempDir()
+		cmd := exec.Command(filepath.Join(bin, tc.cmd), tc.args...)
+		cmd.Dir = dir
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		exit := 0
+		var exitErr *exec.ExitError
+		if errors.As(err, &exitErr) {
+			exit = exitErr.ExitCode()
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		if exit != tc.exit {
+			t.Errorf("%s %v: exit %d, want %d\n%s", tc.cmd, tc.args, exit, tc.exit, stderr.Bytes())
+			continue
+		}
+		if tc.jsonOnly {
+			var doc any
+			if err := json.NewDecoder(&stdout).Decode(&doc); err != nil {
+				t.Errorf("%s %v: stdout does not start with JSON: %v", tc.cmd, tc.args, err)
+			}
+		}
+		if _, err := os.Stat(filepath.Join(dir, "-")); err == nil {
+			t.Errorf("%s %v: created a file named -", tc.cmd, tc.args)
 		}
 	}
 }

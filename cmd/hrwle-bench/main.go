@@ -22,23 +22,22 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
+	"path/filepath"
 	"time"
 
 	"hrwle/internal/cli"
 	"hrwle/internal/harness"
+	"hrwle/internal/obs"
 )
 
 func main() {
 	var (
 		fig        = flag.String("fig", "", "figure to regenerate (fig3..fig10, retries, split, or 'all')")
 		scale      = flag.Float64("scale", 1.0, "work multiplier per measurement point")
-		out        = flag.String("o", "", "write results to file (default stdout)")
 		list       = flag.Bool("list", false, "list available figures")
-		quiet      = flag.Bool("q", false, "suppress per-point progress")
 		threads    = flag.String("threads", "", "override thread counts, e.g. 2,8,32")
 		metricsDir = flag.String("metrics-dir", "", "collect obs telemetry and write one RunMetrics JSON per (figure, scheme) into this directory (e.g. results/metrics)")
-		jobs       = flag.Int("j", runtime.GOMAXPROCS(0), "measurement points to run concurrently")
+		shared     = cli.Register("j", "q", "o")
 	)
 	flag.Parse()
 
@@ -68,9 +67,14 @@ func main() {
 		}
 	}
 
-	progress := cli.Progress(*quiet)
-	w, closeOut := cli.Output(*out)
+	progress := cli.Progress(shared.Quiet)
+	w, closeOut := cli.Output(shared.Out)
 	defer closeOut()
+	if *metricsDir != "" {
+		if err := os.MkdirAll(*metricsDir, 0o755); err != nil {
+			cli.Fatal(err)
+		}
+	}
 
 	var totalEvents int64
 	for _, id := range ids {
@@ -81,15 +85,17 @@ func main() {
 		start := time.Now()
 		var results []harness.Result
 		if *metricsDir != "" {
-			var err error
+			var metrics []*obs.RunMetrics
 			var events int64
-			results, events, err = harness.RunWithMetrics(spec, *scale, progress, *metricsDir, *jobs)
-			if err != nil {
-				cli.Fatal(err)
+			results, metrics, events = harness.RunWithMetrics(spec, *scale, progress, shared.Jobs)
+			for _, rm := range metrics {
+				if err := cli.WriteJSON(filepath.Join(*metricsDir, harness.MetricsFileName(rm.Figure, rm.Scheme)), rm); err != nil {
+					cli.Fatal(err)
+				}
 			}
 			totalEvents += events
 		} else {
-			results = spec.RunParallel(*scale, progress, *jobs)
+			results = spec.RunParallel(*scale, progress, shared.Jobs)
 		}
 		harness.Print(w, spec, results)
 		fmt.Fprintf(os.Stderr, "%s done in %.1fs wall\n", id, time.Since(start).Seconds())

@@ -30,6 +30,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"hrwle/internal/check"
@@ -48,9 +49,9 @@ func main() {
 		seed        = flag.Uint64("seed", 0, "base seed for the random-walk sweep (0 = default)")
 		mutation    = flag.String("mutation", "", "seeded bug to validate against: "+
 			check.MutLoseDoomAtResume+", "+check.MutSkipROTQuiesce+", "+check.MutLazySubscription)
-		replay   = flag.String("replay", "", "replay a violation token instead of exploring")
-		all      = flag.Bool("all", false, "sweep every scheme × program combination")
-		sanitize = flag.Bool("sanitize", false, "attach the simsan happens-before race detector to every explored execution")
+		replay = flag.String("replay", "", "replay a violation token instead of exploring")
+		all    = flag.Bool("all", false, "sweep every scheme × program combination")
+		shared = cli.Register("sanitize")
 	)
 	flag.Parse()
 
@@ -60,11 +61,11 @@ func main() {
 
 	// Validate names up front: buildLock panics on unknown schemes, and a
 	// typo'd -mutation would otherwise silently explore unmutated code.
-	if !*all && !contains(check.Schemes(), *scheme) {
+	if !*all && !slices.Contains(check.Schemes(), *scheme) {
 		cli.Usage(fmt.Errorf("unknown scheme %q (want one of %s)", *scheme, strings.Join(check.Schemes(), ", ")))
 	}
 	programs := append(check.Programs(), check.LitmusPrograms()...)
-	if !contains(programs, *program) {
+	if !slices.Contains(programs, *program) {
 		cli.Usage(fmt.Errorf("unknown program %q (want one of %s)", *program, strings.Join(programs, ", ")))
 	}
 	switch *mutation {
@@ -84,7 +85,7 @@ func main() {
 		WalkPreemptPct: *walkPct,
 		Seed:           *seed,
 		Mutation:       *mutation,
-		Sanitize:       *sanitize,
+		Sanitize:       shared.Sanitize,
 	}
 
 	violations := 0
@@ -95,14 +96,14 @@ func main() {
 		// their schedules are exactly the reader/writer interactions worth
 		// race-checking.
 		sweep := check.Programs()
-		if *sanitize {
+		if shared.Sanitize {
 			sweep = programs
 		}
 		for _, s := range check.Schemes() {
 			for _, p := range sweep {
 				cfg := base
 				cfg.Scheme, cfg.Program = s, p
-				if lit := contains(check.LitmusPrograms(), p); lit {
+				if slices.Contains(check.LitmusPrograms(), p) {
 					// Litmus shapes are two fixed threads with one section
 					// each; the defaults for closed programs oversubscribe
 					// them.
@@ -117,15 +118,6 @@ func main() {
 	if violations > 0 {
 		os.Exit(1)
 	}
-}
-
-func contains(list []string, s string) bool {
-	for _, v := range list {
-		if v == s {
-			return true
-		}
-	}
-	return false
 }
 
 // report prints one exploration summary and returns 1 if it found a

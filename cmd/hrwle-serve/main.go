@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -51,22 +50,11 @@ func main() {
 	var (
 		workload = flag.String("workload", "", "workload to serve (hashmap|kyoto|tpcc|all)")
 		list     = flag.Bool("list", false, "list workloads, their default sweeps and -prof knee loads")
-		schemes  = flag.String("schemes", "", "comma-separated scheme list, or 'all' (default RW-LE_OPT,HLE,RWL,SGL)")
 		rates    = flag.String("rates", "", "comma-separated offered loads, req/s (default: calibrated per workload; one load with -prof, default the knee)")
-		servers  = flag.Int("servers", 0, "serving CPUs (default 8)")
-		requests = flag.Int("requests", 0, "arrivals per point (default 4000)")
-		queueCap = flag.Int("queue-cap", 0, "dispatch queue bound (default 512)")
 		arrivals = flag.String("arrivals", "poisson", "arrival process (poisson|mmpp)")
-		seed     = flag.Uint64("seed", 0, "schedule and machine seed (default 1)")
-		out      = flag.String("o", "", "write the text report to file (default stdout)")
-		jsonOut  = flag.String("json", "", "write the ServeReport (with -prof, ProfReport) JSON to file")
-		chrome   = flag.String("chrome", "", "write a Chrome trace of the run (single scheme and rate only)")
-		timeline = flag.String("timeline", "", "write the virtual-time profile JSON of the run (single scheme and rate only)")
-		sanitize = flag.Bool("sanitize", false, "run one point under the simsan happens-before race detector (single scheme and rate only; exit 1 on any race)")
 		profile  = flag.Bool("prof", false, "run the virtual-time profiler on every scheme at one offered load")
-		window   = flag.Float64("window", harness.DefaultProfWindow, "profiling window width in virtual cycles (with -prof or -timeline)")
-		jobs     = flag.Int("j", runtime.GOMAXPROCS(0), "measurement points to run concurrently")
-		quiet    = flag.Bool("q", false, "suppress per-point progress")
+		shared   = cli.Register("j", "q", "o", "json", "schemes", "servers", "requests", "queue-cap", "seed",
+			"chrome", "timeline", "window", "sanitize")
 	)
 	flag.Parse()
 
@@ -86,7 +74,7 @@ func main() {
 	if *workload == "all" {
 		workloads = harness.ServeWorkloads()
 	}
-	schemeList, err := cli.ParseSchemes(*schemes, harness.ServeSchemes())
+	schemeList, err := cli.ParseSchemes(shared.Schemes, harness.ServeSchemes())
 	if err != nil {
 		cli.Usage(err)
 	}
@@ -100,7 +88,7 @@ func main() {
 	if err != nil {
 		cli.Usage(err)
 	}
-	singlePoint := *sanitize || *chrome != "" || *timeline != ""
+	singlePoint := shared.Sanitize || shared.Chrome != "" || shared.Timeline != ""
 	switch {
 	case singlePoint && (*profile || len(workloads) != 1 || len(schemeList) != 1 || len(rateList) != 1):
 		cli.Usage(errors.New("-sanitize, -chrome and -timeline need exactly one workload, one -schemes entry and one -rates entry, and no -prof"))
@@ -118,30 +106,19 @@ func main() {
 		if rateList != nil {
 			spec.Rates = rateList
 		}
-		if *servers > 0 {
-			spec.Base.Servers = *servers
-		}
-		if *requests > 0 {
-			spec.Base.Requests = *requests
-		}
-		if *queueCap > 0 {
-			spec.Base.QueueCap = *queueCap
-		}
-		if *seed != 0 {
-			spec.Base.Seed = *seed
-		}
+		shared.ApplyService(&spec.Base)
 		spec.Base.Arrivals.Process = process
 		return spec
 	}
 
-	w, closeOut := cli.Output(*out)
+	w, closeOut := cli.Output(shared.Out)
 	defer closeOut()
 
 	if singlePoint {
-		if *sanitize {
-			err = sanitizePoint(spec(*workload), *jsonOut, w)
+		if shared.Sanitize {
+			err = sanitizePoint(spec(*workload), shared.JSON, w)
 		} else {
-			err = tracePoint(spec(*workload), *chrome, *timeline, int64(*window), w)
+			err = tracePoint(spec(*workload), shared.Chrome, shared.Timeline, int64(shared.Window), w)
 		}
 		if err != nil {
 			cli.Fatal(err)
@@ -149,15 +126,15 @@ func main() {
 		return
 	}
 
-	progress := cli.Progress(*quiet)
+	progress := cli.Progress(shared.Quiet)
 	var reports []any
 	for _, wl := range workloads {
 		start := time.Now()
 		var rep interface{ WriteText(io.Writer) }
 		if *profile {
-			rep, err = harness.RunProf(profSpec(spec(wl), rateList, int64(*window)), *jobs, progress)
+			rep, err = harness.RunProf(profSpec(spec(wl), rateList, int64(shared.Window)), shared.Jobs, progress)
 		} else {
-			rep, err = harness.RunServe(spec(wl), *jobs, progress)
+			rep, err = harness.RunServe(spec(wl), shared.Jobs, progress)
 		}
 		if err != nil {
 			cli.Fatal(err)
@@ -168,11 +145,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "%s done in %.1fs wall\n", wl, time.Since(start).Seconds())
 	}
 
-	if *jsonOut != "" {
-		if err := cli.WriteJSON(*jsonOut, reports...); err != nil {
+	if shared.JSON != "" {
+		if err := cli.WriteJSON(shared.JSON, reports...); err != nil {
 			cli.Fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "JSON written to %s\n", *jsonOut)
+		fmt.Fprintf(os.Stderr, "JSON written to %s\n", shared.JSON)
 	}
 }
 
@@ -253,12 +230,10 @@ func tracePoint(spec harness.ServeSpec, chromePath, timelinePath string, window 
 			len(rep.Timeline.Windows), timelinePath)
 	}
 	if log != nil {
-		f, err := os.Create(chromePath)
+		err := cli.WriteFile(chromePath, func(f io.Writer) error {
+			return obs.WriteChromeTraceCounters(f, log.Events, service.CounterTracks(reqs))
+		})
 		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := obs.WriteChromeTraceCounters(f, log.Events, service.CounterTracks(reqs)); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "Chrome trace (%d events) written to %s\n", len(log.Events), chromePath)

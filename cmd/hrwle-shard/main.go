@@ -21,7 +21,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -32,21 +31,13 @@ import (
 func main() {
 	var (
 		list     = flag.Bool("list", false, "print the default sweep and exit")
-		schemes  = flag.String("schemes", "", "comma-separated scheme list, or 'all' (default adaptive,RW-LE_OPT,HLE,SGL)")
 		shards   = flag.String("shards", "", "comma-separated shard counts (default 4,16,64)")
 		skews    = flag.String("skews", "", "comma-separated Zipf exponents (default 0,0.9,1.2)")
 		rate     = flag.Float64("rate", 0, "offered load, req/s (default: calibrated)")
-		servers  = flag.Int("servers", 0, "serving CPUs (default 64, max 256)")
-		requests = flag.Int("requests", 0, "arrivals per point (default 6000)")
-		queueCap = flag.Int("queue-cap", 0, "dispatch queue bound (default 2048)")
 		universe = flag.Int("universe", 0, "distinct keys (default 2097152)")
 		crossPct = flag.Int("cross", -1, "percent of writes touching a second key (default 4)")
 		window   = flag.Int64("window", 0, "controller window width, cycles (default 50000)")
-		seed     = flag.Uint64("seed", 0, "schedule and machine seed (default 1)")
-		out      = flag.String("o", "", "write the text report to file (default stdout)")
-		jsonOut  = flag.String("json", "", "write the ShardReport JSON to file")
-		jobs     = flag.Int("j", runtime.GOMAXPROCS(0), "measurement points to run concurrently")
-		quiet    = flag.Bool("q", false, "suppress per-point progress")
+		shared   = cli.Register("j", "q", "o", "json", "schemes", "servers", "requests", "queue-cap", "seed")
 	)
 	flag.Parse()
 
@@ -61,7 +52,7 @@ func main() {
 	}
 
 	var err error
-	if spec.Schemes, err = cli.ParseSchemes(*schemes, spec.Schemes, harness.ShardAdaptive); err != nil {
+	if spec.Schemes, err = cli.ParseSchemes(shared.Schemes, spec.Schemes, harness.ShardAdaptive); err != nil {
 		cli.Usage(err)
 	}
 	if *shards != "" {
@@ -77,15 +68,7 @@ func main() {
 	if *rate > 0 {
 		spec.Base.Arrivals.RatePerSec = *rate
 	}
-	if *servers > 0 {
-		spec.Base.Servers = *servers
-	}
-	if *requests > 0 {
-		spec.Base.Requests = *requests
-	}
-	if *queueCap > 0 {
-		spec.Base.QueueCap = *queueCap
-	}
+	shared.ApplyService(&spec.Base.Config)
 	if *universe > 0 {
 		spec.Base.Keys.Universe = *universe
 	}
@@ -95,15 +78,12 @@ func main() {
 	if *window > 0 {
 		spec.Base.Window = *window
 	}
-	if *seed != 0 {
-		spec.Base.Seed = *seed
-	}
 
-	w, closeOut := cli.Output(*out)
+	w, closeOut := cli.Output(shared.Out)
 	defer closeOut()
 
 	start := time.Now()
-	rep, err := harness.RunShard(spec, *jobs, cli.Progress(*quiet))
+	rep, err := harness.RunShard(spec, shared.Jobs, cli.Progress(shared.Quiet))
 	if err != nil {
 		cli.Fatal(err)
 	}
@@ -111,10 +91,10 @@ func main() {
 	fmt.Fprintf(os.Stderr, "shard sweep (%d points) done in %.1fs wall\n",
 		len(rep.Points), time.Since(start).Seconds())
 
-	if *jsonOut != "" {
-		if err := cli.WriteJSON(*jsonOut, rep); err != nil {
+	if shared.JSON != "" {
+		if err := cli.WriteJSON(shared.JSON, rep); err != nil {
 			cli.Fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "JSON written to %s\n", *jsonOut)
+		fmt.Fprintf(os.Stderr, "JSON written to %s\n", shared.JSON)
 	}
 }

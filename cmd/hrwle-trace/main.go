@@ -6,24 +6,12 @@
 // behaves the way a figure shows.
 //
 // Beyond the raw event dump it exposes the structured telemetry of
-// internal/obs:
-//
-//	-matrix        print the killer→victim abort-attribution matrix and
-//	               the conflict hot-address ranking
-//	-hist          print per-critical-section latency histograms (split by
-//	               read/write side and final commit path) and the
-//	               quiescence-window histogram
-//	-json FILE     write the full point metrics as deterministic JSON
-//	               ("-" for stdout)
-//	-chrome FILE   write the complete event trace in Chrome trace_event
-//	               format (open in Perfetto or chrome://tracing)
-//	-timeline FILE attach the virtual-time profiler and write its windowed
-//	               cycle-attribution/telemetry report as JSON (text panels
-//	               are printed with the trace); -window sets the bucket
-//	               width in virtual cycles
-//	-sanitize      attach the simsan happens-before race detector; the race
-//	               report is printed after the stats and any race fails the
-//	               run (exit 1)
+// internal/obs: -matrix prints the killer→victim abort-attribution matrix
+// and the conflict hot addresses, -hist the per-critical-section latency
+// and quiescence-window histograms. -json writes the point metrics,
+// -chrome the full event trace, and -timeline the virtual-time profile
+// (its text panels print with the trace); -sanitize attaches the simsan
+// race detector, whose report prints after the stats.
 //
 // -scheme accepts a comma-separated list; each scheme runs on its own
 // simulated machine (concurrently, up to -j at a time) and the traces are
@@ -43,7 +31,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strings"
 
 	"hrwle/internal/cli"
@@ -56,49 +43,28 @@ import (
 	"hrwle/internal/stats"
 )
 
-// traceOpts carries the per-run knobs shared by every scheme.
-type traceOpts struct {
-	threads, ops, writes, events int
-	seed                         uint64
-	matrix, hist, noEvents       bool
-	sanitize                     bool
-	jsonOut, chrome, timeline    string
-	window                       int64
-}
+var (
+	scheme   = flag.String("scheme", "RW-LE_OPT", "synchronization scheme, a comma-separated list, or 'all'")
+	threads  = flag.Int("threads", 4, "simulated hardware threads")
+	ops      = flag.Int("ops", 30, "operations per thread")
+	writes   = flag.Int("w", 20, "write percentage")
+	events   = flag.Int("n", 120, "max events to print")
+	seed     = flag.Uint64("seed", 7, "machine seed (identical seeds give identical runs)")
+	matrix   = flag.Bool("matrix", false, "print the killer→victim abort-attribution matrix")
+	hist     = flag.Bool("hist", false, "print per-CS latency and quiescence histograms")
+	noEvents = flag.Bool("q", false, "suppress the raw event dump")
+	shared   = cli.Register("j", "json", "chrome", "timeline", "window", "sanitize")
+)
 
 func main() {
-	var (
-		scheme   = flag.String("scheme", "RW-LE_OPT", "synchronization scheme, a comma-separated list, or 'all'")
-		threads  = flag.Int("threads", 4, "simulated hardware threads")
-		ops      = flag.Int("ops", 30, "operations per thread")
-		writes   = flag.Int("w", 20, "write percentage")
-		events   = flag.Int("n", 120, "max events to print")
-		seed     = flag.Uint64("seed", 7, "machine seed (identical seeds give identical runs)")
-		jobs     = flag.Int("j", runtime.GOMAXPROCS(0), "schemes to trace concurrently")
-		matrix   = flag.Bool("matrix", false, "print the killer→victim abort-attribution matrix")
-		hist     = flag.Bool("hist", false, "print per-CS latency and quiescence histograms")
-		jsonOut  = flag.String("json", "", "write point metrics JSON to this file ('-' for stdout)")
-		chrome   = flag.String("chrome", "", "write a Chrome trace_event file (Perfetto / chrome://tracing)")
-		timeline = flag.String("timeline", "", "write the virtual-time profile JSON to this file ('-' for stdout)")
-		window   = flag.Int64("window", harness.DefaultProfWindow, "profiling window width in virtual cycles (with -timeline)")
-		noEvents = flag.Bool("q", false, "suppress the raw event dump")
-		sanitize = flag.Bool("sanitize", false, "attach the simsan happens-before race detector (exit 1 on any race)")
-	)
 	flag.Parse()
 
 	schemes, err := cli.ParseSchemes(*scheme, []string{"RW-LE_OPT"})
 	if err != nil {
 		cli.Usage(err)
 	}
-	if len(schemes) > 1 && (*jsonOut != "" || *chrome != "" || *timeline != "") {
+	if len(schemes) > 1 && (shared.JSON != "" || shared.Chrome != "" || shared.Timeline != "") {
 		cli.Usage(fmt.Errorf("-json, -chrome and -timeline require a single -scheme, got %d", len(schemes)))
-	}
-
-	opts := traceOpts{
-		threads: *threads, ops: *ops, writes: *writes, events: *events,
-		seed: *seed, matrix: *matrix, hist: *hist, noEvents: *noEvents,
-		sanitize: *sanitize,
-		jsonOut:  *jsonOut, chrome: *chrome, timeline: *timeline, window: *window,
 	}
 
 	// Each scheme traces an independent machine; buffer the reports and
@@ -106,8 +72,8 @@ func main() {
 	// finishes first, up to the first scheme that failed.
 	bufs := make([]bytes.Buffer, len(schemes))
 	errs := make([]error, len(schemes))
-	harness.ForEach(len(schemes), *jobs, func(i int) error {
-		errs[i] = traceScheme(&bufs[i], schemes[i], opts)
+	harness.ForEach(len(schemes), shared.Jobs, func(i int) error {
+		errs[i] = traceScheme(&bufs[i], schemes[i])
 		return errs[i]
 	})
 
@@ -122,46 +88,46 @@ func main() {
 	}
 }
 
-// traceScheme runs the scenario under one scheme, writing the full report
-// to w. Side-effecting outputs (-json, -chrome files) only occur in
+// traceScheme runs the scenario under the named scheme, writing the full
+// report to w. Side-effecting outputs (-json, -chrome files) only occur in
 // single-scheme mode, guarded in main.
-func traceScheme(w io.Writer, scheme string, o traceOpts) error {
-	m := machine.New(machine.Config{CPUs: o.threads, MemWords: 1 << 20, Seed: o.seed})
+func traceScheme(w io.Writer, name string) error {
+	m := machine.New(machine.Config{CPUs: *threads, MemWords: 1 << 20, Seed: *seed})
 	sys := htm.NewSystem(m, htm.Config{})
-	lock := harness.SchemeFactory(scheme)(sys)
+	lock := harness.SchemeFactory(name)(sys)
 	h := hashmap.New(m, 4)
 	h.Populate(50)
 
-	ring := machine.NewRingTracer(o.events)
+	ring := machine.NewRingTracer(*events)
 	collector := obs.NewCollector()
 	tracers := machine.MultiTracer{ring, collector}
 	var log *machine.LogTracer
-	if o.chrome != "" {
+	if shared.Chrome != "" {
 		log = &machine.LogTracer{}
 		tracers = append(tracers, log)
 	}
 	var prof *obs.Profile
-	if o.timeline != "" {
-		prof = obs.NewProfile(o.window, 0)
+	if shared.Timeline != "" {
+		prof = obs.NewProfile(int64(shared.Window), 0)
 		tracers = append(tracers, prof)
 	}
 	var san *simsan.Sanitizer
-	if o.sanitize {
-		san = simsan.New(simsan.Options{CPUs: o.threads})
+	if shared.Sanitize {
+		san = simsan.New(simsan.Options{CPUs: *threads})
 		tracers = append(tracers, san)
 		sys.SetTraceAccesses(true)
 	}
 	m.SetTracer(tracers)
 	if prof != nil {
-		prof.Start(m.Now(), o.threads)
+		prof.Start(m.Now(), *threads)
 	}
 
-	cycles := m.Run(o.threads, func(c *machine.CPU) {
+	cycles := m.Run(*threads, func(c *machine.CPU) {
 		th := sys.Thread(c.ID)
 		var spare machine.Addr
-		for i := 0; i < o.ops; i++ {
+		for i := 0; i < *ops; i++ {
 			key := uint64(c.Intn(200))
-			if c.Intn(100) < o.writes {
+			if c.Intn(100) < *writes {
 				if spare == 0 {
 					spare = h.PrepareNode(th)
 				}
@@ -177,8 +143,8 @@ func traceScheme(w io.Writer, scheme string, o traceOpts) error {
 	})
 
 	fmt.Fprintf(w, "scheme=%s threads=%d ops/thread=%d w=%d%% seed=%d  →  %d virtual cycles\n\n",
-		lock.Name(), o.threads, o.ops, o.writes, o.seed, cycles)
-	if !o.noEvents {
+		lock.Name(), *threads, *ops, *writes, *seed, cycles)
+	if !*noEvents {
 		fmt.Fprintf(w, "%12s %4s %-14s %s\n", "CYCLE", "CPU", "EVENT", "DETAIL")
 		for _, e := range ring.Events() {
 			fmt.Fprintf(w, "%12d %4d %-14s %s\n", e.Time, e.CPU, e.Kind, detail(e))
@@ -191,7 +157,7 @@ func traceScheme(w io.Writer, scheme string, o traceOpts) error {
 			}
 		}
 	}
-	b := stats.Merge(sys.Stats(o.threads), cycles)
+	b := stats.Merge(sys.Stats(*threads), cycles)
 	fmt.Fprintf(w, "\naborts: %.1f%% of %d attempts   commits: %s\n",
 		b.AbortRate(), b.TxStarts, b.FormatCommits())
 
@@ -204,56 +170,40 @@ func traceScheme(w io.Writer, scheme string, o traceOpts) error {
 		}
 	}
 
-	point := collector.Point(o.threads, o.writes, cycles, &b)
-	if o.matrix {
+	point := collector.Point(*threads, *writes, cycles, &b)
+	if *matrix {
 		fmt.Fprintln(w)
 		point.WriteMatrix(w)
 	}
-	if o.hist {
+	if *hist {
 		fmt.Fprintln(w)
 		point.WriteHists(w)
 	}
-	if o.jsonOut != "" {
+	if shared.JSON != "" {
 		rm := &obs.RunMetrics{Figure: "trace", Scheme: lock.Name(), Points: []*obs.PointMetrics{point}}
-		if err := writeTo(o.jsonOut, rm.WriteJSON); err != nil {
+		if err := cli.WriteJSON(shared.JSON, rm); err != nil {
 			return err
 		}
 	}
-	if o.chrome != "" {
-		err := writeTo(o.chrome, func(w io.Writer) error { return obs.WriteChromeTrace(w, log.Events) })
+	if shared.Chrome != "" {
+		err := cli.WriteFile(shared.Chrome, func(w io.Writer) error { return obs.WriteChromeTrace(w, log.Events) })
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "chrome trace: %d events → %s (open in Perfetto or chrome://tracing)\n",
-			len(log.Events), o.chrome)
+			len(log.Events), shared.Chrome)
 	}
 	if prof != nil {
 		prof.Finish(m.Now())
 		rep := prof.Report(lock.Name(), "hashmap")
 		rep.WriteText(w)
-		if err := writeTo(o.timeline, rep.WriteJSON); err != nil {
+		if err := cli.WriteJSON(shared.Timeline, rep); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "timeline profile: %d windows → %s\n",
-			len(rep.Timeline.Windows), o.timeline)
+			len(rep.Timeline.Windows), shared.Timeline)
 	}
 	return nil
-}
-
-// writeTo writes via fn to path, with "-" meaning stdout.
-func writeTo(path string, fn func(io.Writer) error) error {
-	if path == "-" {
-		return fn(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := fn(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func detail(e machine.Event) string {

@@ -8,33 +8,19 @@
 //	go run ./cmd/hrwle-vet ./...
 //	go run ./cmd/hrwle-vet -list
 //
-// Results are cached by the content hash of every .go file in the module,
-// so a run over an unchanged tree replays instantly (disable with
-// -cache=false; point CI's cache step at -cachedir). The -json report
-// carries per-analyzer wall time so the cost of a cache miss is visible;
-// cached replays keep the timings of the run that produced them.
+// The -json report carries the diagnostics, the number suppressed by
+// //simlint:allow and each analyzer's wall time.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"io/fs"
 	"os"
-	"path/filepath"
-	"runtime"
-	"sort"
 	"strings"
 
+	"hrwle/internal/cli"
 	"hrwle/internal/simlint"
 )
-
-// cacheSchema is bumped whenever analyzer semantics change, invalidating
-// every prior cache entry.
-const cacheSchema = "simlint-v2"
 
 type jsonDiag struct {
 	Position string `json:"position"`
@@ -42,8 +28,8 @@ type jsonDiag struct {
 	Message  string `json:"message"`
 }
 
-type cacheEntry struct {
-	Schema      string                   `json:"schema"`
+// result is one run's verdict, as the -json report renders it.
+type result struct {
 	Diagnostics []jsonDiag               `json:"diagnostics"`
 	Suppressed  int                      `json:"suppressed"`
 	Timings     []simlint.AnalyzerTiming `json:"timings,omitempty"`
@@ -51,8 +37,6 @@ type cacheEntry struct {
 
 func main() {
 	jsonOut := flag.Bool("json", false, "emit diagnostics as JSON")
-	useCache := flag.Bool("cache", true, "reuse cached results when no .go file changed")
-	cacheDir := flag.String("cachedir", "", "cache directory (default <user cache dir>/hrwle-vet)")
 	list := flag.Bool("list", false, "print the registered analyzers and exit")
 	flag.Parse()
 	if *list {
@@ -63,7 +47,7 @@ func main() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	os.Exit(run(patterns, *jsonOut, *useCache, *cacheDir))
+	os.Exit(run(patterns, *jsonOut))
 }
 
 // listAnalyzers prints each registered analyzer's name and the first line
@@ -78,32 +62,9 @@ func listAnalyzers() {
 	}
 }
 
-func run(patterns []string, jsonOut, useCache bool, cacheDir string) int {
-	root, err := moduleRoot()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hrwle-vet: %v\n", err)
-		return 2
-	}
-
-	var cachePath string
-	if useCache {
-		if cacheDir == "" {
-			if base, err := os.UserCacheDir(); err == nil {
-				cacheDir = filepath.Join(base, "hrwle-vet")
-			} else {
-				cacheDir = filepath.Join(os.TempDir(), "hrwle-vet")
-			}
-		}
-		key, err := cacheKey(root, patterns)
-		if err == nil {
-			cachePath = filepath.Join(cacheDir, key+".json")
-			if entry, err := readCache(cachePath); err == nil {
-				fmt.Fprintln(os.Stderr, "hrwle-vet: cached result (tree unchanged)")
-				return emit(entry, jsonOut)
-			}
-		}
-	}
-
+// run analyzes the packages matching patterns, prints the result and
+// returns the process exit code.
+func run(patterns []string, jsonOut bool) int {
 	fset, pkgs, err := simlint.Load(".", patterns)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hrwle-vet: %v\n", err)
@@ -116,125 +77,28 @@ func run(patterns []string, jsonOut, useCache bool, cacheDir string) int {
 		return 2
 	}
 
-	entry := &cacheEntry{Schema: cacheSchema, Suppressed: suite.Suppressed, Timings: suite.Timings()}
+	res := &result{Suppressed: suite.Suppressed, Timings: suite.Timings()}
 	for _, d := range diags {
-		entry.Diagnostics = append(entry.Diagnostics, jsonDiag{
+		res.Diagnostics = append(res.Diagnostics, jsonDiag{
 			Position: fset.Position(d.Pos).String(),
 			Analyzer: d.Analyzer,
 			Message:  d.Message,
 		})
 	}
-	if cachePath != "" {
-		writeCache(cachePath, entry)
-	}
-	return emit(entry, jsonOut)
-}
-
-// emit prints the result and returns the process exit code.
-func emit(entry *cacheEntry, jsonOut bool) int {
 	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		enc.Encode(entry)
+		if err := cli.WriteJSON("-", res); err != nil {
+			fmt.Fprintf(os.Stderr, "hrwle-vet: %v\n", err)
+			return 2
+		}
 	} else {
-		for _, d := range entry.Diagnostics {
+		for _, d := range res.Diagnostics {
 			fmt.Printf("%s: [%s] %s\n", d.Position, d.Analyzer, d.Message)
 		}
 	}
-	if n := len(entry.Diagnostics); n > 0 {
-		fmt.Fprintf(os.Stderr, "hrwle-vet: %d violation(s), %d suppressed by //simlint:allow\n", n, entry.Suppressed)
+	if n := len(res.Diagnostics); n > 0 {
+		fmt.Fprintf(os.Stderr, "hrwle-vet: %d violation(s), %d suppressed by //simlint:allow\n", n, res.Suppressed)
 		return 1
 	}
-	fmt.Fprintf(os.Stderr, "hrwle-vet: ok (%d suppressed by //simlint:allow)\n", entry.Suppressed)
+	fmt.Fprintf(os.Stderr, "hrwle-vet: ok (%d suppressed by //simlint:allow)\n", res.Suppressed)
 	return 0
-}
-
-// moduleRoot walks up from the working directory to the enclosing go.mod.
-func moduleRoot() (string, error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", err
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", fmt.Errorf("no go.mod found above the working directory")
-		}
-		dir = parent
-	}
-}
-
-// cacheKey hashes the analysis inputs: the schema version, the Go
-// toolchain, the patterns, and the path and content of every .go file
-// (plus go.mod/go.sum) in the module tree.
-func cacheKey(root string, patterns []string) (string, error) {
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\n%s\n%s\n", cacheSchema, runtime.Version(), strings.Join(patterns, " "))
-	var files []string
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); name == ".git" || name == "node_modules" {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		name := d.Name()
-		if strings.HasSuffix(name, ".go") || name == "go.mod" || name == "go.sum" {
-			files = append(files, path)
-		}
-		return nil
-	})
-	if err != nil {
-		return "", err
-	}
-	sort.Strings(files)
-	for _, path := range files {
-		rel, _ := filepath.Rel(root, path)
-		fmt.Fprintf(h, "%s\n", filepath.ToSlash(rel))
-		f, err := os.Open(path)
-		if err != nil {
-			return "", err
-		}
-		_, err = io.Copy(h, f)
-		f.Close()
-		if err != nil {
-			return "", err
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
-func readCache(path string) (*cacheEntry, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	entry := new(cacheEntry)
-	if err := json.Unmarshal(data, entry); err != nil {
-		return nil, err
-	}
-	if entry.Schema != cacheSchema {
-		return nil, fmt.Errorf("stale cache schema")
-	}
-	return entry, nil
-}
-
-func writeCache(path string, entry *cacheEntry) {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return
-	}
-	data, err := json.Marshal(entry)
-	if err != nil {
-		return
-	}
-	tmp := path + ".tmp"
-	if os.WriteFile(tmp, data, 0o644) == nil {
-		os.Rename(tmp, path)
-	}
 }

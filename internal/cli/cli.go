@@ -1,20 +1,100 @@
 // Package cli holds the command-line plumbing the hrwle commands share:
-// exiting on failure, opening the -o and -json outputs, the -q progress
-// writer, comma-separated list flags and -schemes validation.
+// the flags more than one command takes, exiting on failure, the one way
+// a command writes an output file ("-" is stdout everywhere), the -q
+// progress writer, comma-separated list flags and -schemes validation.
 package cli
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
 
 	"hrwle/internal/harness"
+	"hrwle/internal/service"
 )
+
+// Flags holds the values of the shared flags. A flag the command did not
+// register keeps its zero value.
+type Flags struct {
+	Jobs     int     // -j
+	Quiet    bool    // -q
+	Out      string  // -o
+	JSON     string  // -json
+	Schemes  string  // -schemes
+	Chrome   string  // -chrome
+	Timeline string  // -timeline
+	Window   float64 // -window
+	Sanitize bool    // -sanitize
+
+	// -servers, -requests, -queue-cap and -seed override the open-system
+	// service config when non-zero; see ApplyService.
+	Servers, Requests, QueueCap int
+	Seed                        uint64
+}
+
+// Register declares the named shared flags on the command line and
+// returns the struct their values are parsed into. A flag only one
+// command takes is declared in that command instead.
+func Register(names ...string) *Flags {
+	f := new(Flags)
+	for _, name := range names {
+		switch name {
+		case "j":
+			flag.IntVar(&f.Jobs, name, runtime.GOMAXPROCS(0), "measurement points (or traced schemes) to run concurrently")
+		case "q":
+			flag.BoolVar(&f.Quiet, name, false, "suppress per-point progress")
+		case "o":
+			flag.StringVar(&f.Out, name, "", "write the text report to this file (default stdout)")
+		case "json":
+			flag.StringVar(&f.JSON, name, "", "write the report JSON to this file ('-' for stdout)")
+		case "schemes":
+			flag.StringVar(&f.Schemes, name, "", "comma-separated scheme list, or 'all' (default: see -list)")
+		case "chrome":
+			flag.StringVar(&f.Chrome, name, "", "write a Chrome trace_event file of the run, for Perfetto or chrome://tracing ('-' for stdout)")
+		case "timeline":
+			flag.StringVar(&f.Timeline, name, "", "write the virtual-time profile JSON of the run to this file ('-' for stdout)")
+		case "window":
+			flag.Float64Var(&f.Window, name, harness.DefaultProfWindow, "profiling window width in virtual cycles")
+		case "sanitize":
+			flag.BoolVar(&f.Sanitize, name, false, "attach the simsan happens-before race detector (exit 1 on any race)")
+		case "servers":
+			flag.IntVar(&f.Servers, name, 0, "serving CPUs (0: the command's default)")
+		case "requests":
+			flag.IntVar(&f.Requests, name, 0, "arrivals per point (0: the command's default)")
+		case "queue-cap":
+			flag.IntVar(&f.QueueCap, name, 0, "dispatch queue bound (0: the command's default)")
+		case "seed":
+			flag.Uint64Var(&f.Seed, name, 0, "schedule and machine seed (default 1)")
+		default:
+			panic("cli: no shared flag -" + name)
+		}
+	}
+	return f
+}
+
+// ApplyService sets the non-zero -servers, -requests, -queue-cap and
+// -seed values on cfg.
+func (f *Flags) ApplyService(cfg *service.Config) {
+	if f.Servers > 0 {
+		cfg.Servers = f.Servers
+	}
+	if f.Requests > 0 {
+		cfg.Requests = f.Requests
+	}
+	if f.QueueCap > 0 {
+		cfg.QueueCap = f.QueueCap
+	}
+	if f.Seed != 0 {
+		cfg.Seed = f.Seed
+	}
+}
 
 // Fatal prints err to stderr and exits 1: a requested run failed.
 func Fatal(err error) {
@@ -29,41 +109,63 @@ func Usage(err error) {
 	os.Exit(2)
 }
 
-// Output returns the writer for an -o flag — stdout when path is empty,
-// else a new file — and the function that closes it after the last write.
-func Output(path string) (io.Writer, func()) {
-	if path == "" {
-		return os.Stdout, func() {}
+// create opens path for writing, "-" meaning stdout, and returns the
+// writer with the function that closes it.
+func create(path string) (io.Writer, func() error, error) {
+	if path == "-" {
+		return os.Stdout, func() error { return nil }, nil
 	}
 	f, err := os.Create(path)
 	if err != nil {
+		return nil, nil, err
+	}
+	return f, f.Close, nil
+}
+
+// Output returns the writer for an -o flag — stdout when path is empty —
+// and the function that closes it after the last write.
+func Output(path string) (io.Writer, func()) {
+	if path == "" {
+		path = "-"
+	}
+	w, closeW, err := create(path)
+	if err != nil {
 		Fatal(err)
 	}
-	return f, func() {
-		if err := f.Close(); err != nil {
+	return w, func() {
+		if err := closeW(); err != nil {
 			Fatal(err)
 		}
 	}
 }
 
-// WriteJSON writes docs to path as deterministic indented JSON: the
-// document itself when there is one, a JSON array when there are several.
-func WriteJSON(path string, docs ...any) error {
-	f, err := os.Create(path)
+// WriteFile writes path through write, "-" meaning stdout. It is how a
+// command streams an output file such as a Chrome trace.
+func WriteFile(path string, write func(io.Writer) error) error {
+	w, closeW, err := create(path)
 	if err != nil {
 		return err
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
+	if err := write(w); err != nil {
+		closeW()
+		return fmt.Errorf("writing %s: %w", path, err)
+	}
+	return closeW()
+}
+
+// WriteJSON writes docs to path ("-" for stdout) as deterministic indented
+// JSON: the document itself when there is one, a JSON array when there
+// are several.
+func WriteJSON(path string, docs ...any) error {
 	var v any = docs
 	if len(docs) == 1 {
 		v = docs[0]
 	}
-	if err := enc.Encode(v); err != nil {
-		f.Close()
-		return fmt.Errorf("writing %s: %w", path, err)
-	}
-	return f.Close()
+	return WriteFile(path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(v)
+	})
 }
 
 // Progress returns the per-point progress writer behind a -q flag: nil

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -23,10 +24,12 @@ func goldenSpec() *FigureSpec {
 	return &spec
 }
 
-func renderGolden(t *testing.T) ([]byte, []Result) {
+// renderGolden sweeps goldenSpec serially, giving each point the PointCtx
+// mkCtx returns (nil: no context), and renders the figure.
+func renderGolden(t *testing.T, mkCtx func(int) PointCtx) ([]byte, []Result) {
 	t.Helper()
 	spec := goldenSpec()
-	results := spec.Run(0.02, nil)
+	results := spec.runPoints(0.02, nil, 1, mkCtx)
 	var buf bytes.Buffer
 	Print(&buf, spec, results)
 	return buf.Bytes(), results
@@ -37,7 +40,7 @@ func renderGolden(t *testing.T) ([]byte, []Result) {
 // table formatting; regenerate with `go test ./internal/harness -run Golden
 // -update` and review the diff.
 func TestGoldenFigureOutput(t *testing.T) {
-	got, _ := renderGolden(t)
+	got, _ := renderGolden(t, nil)
 	path := filepath.Join("testdata", "golden_fig5_mini.txt")
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -61,18 +64,17 @@ func TestGoldenFigureOutput(t *testing.T) {
 
 // TestTracingDoesNotChangeResults is the zero-cost guard: the same sweep
 // with a Collector observing every machine must print byte-identical output
-// and identical cycle counts. Must not run in parallel — the machine
-// observer is a package-level slot.
+// and identical cycle counts.
 func TestTracingDoesNotChangeResults(t *testing.T) {
-	base, baseResults := renderGolden(t)
+	base, baseResults := renderGolden(t, nil)
 
 	installs := 0
-	SetMachineObserver(func(m *machine.Machine) {
-		installs++
-		m.SetTracer(machine.MultiTracer{obs.NewCollector(), &machine.CountTracer{}})
+	traced, tracedResults := renderGolden(t, func(int) PointCtx {
+		return PointCtx{Observe: func(m *machine.Machine) {
+			installs++
+			m.SetTracer(machine.MultiTracer{obs.NewCollector(), &machine.CountTracer{}})
+		}}
 	})
-	defer SetMachineObserver(nil)
-	traced, tracedResults := renderGolden(t)
 
 	if installs != len(baseResults) {
 		t.Errorf("observer installed for %d machines, want %d", installs, len(baseResults))
@@ -89,23 +91,15 @@ func TestTracingDoesNotChangeResults(t *testing.T) {
 }
 
 // TestRunWithMetricsMatchesPlainRun checks that the metrics exporter
-// produces the same Results as a plain sweep, writes one valid JSON file
-// per scheme, and that a second export is byte-identical (the determinism
-// contract of EXPERIMENTS.md).
+// produces the same Results as a plain sweep, one RunMetrics per scheme in
+// the figure's scheme order, and that a second export is identical (the
+// determinism contract of EXPERIMENTS.md).
 func TestRunWithMetricsMatchesPlainRun(t *testing.T) {
 	spec := goldenSpec()
 	plain := spec.Run(0.02, nil)
 
-	export := func(dir string) []Result {
-		results, _, err := RunWithMetrics(spec, 0.02, nil, dir, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return results
-	}
-	dir1, dir2 := t.TempDir(), t.TempDir()
-	withMetrics := export(dir1)
-	export(dir2)
+	withMetrics, metrics1, _ := RunWithMetrics(spec, 0.02, nil, 1)
+	_, metrics2, _ := RunWithMetrics(spec, 0.02, nil, 1)
 
 	if len(withMetrics) != len(plain) {
 		t.Fatalf("result counts differ: %d vs %d", len(withMetrics), len(plain))
@@ -115,18 +109,25 @@ func TestRunWithMetricsMatchesPlainRun(t *testing.T) {
 			t.Errorf("point %d differs with metrics enabled: %+v vs %+v", i, plain[i], withMetrics[i])
 		}
 	}
-	for _, scheme := range spec.Schemes {
-		name := MetricsFileName(spec.ID, scheme)
-		a, err := os.ReadFile(filepath.Join(dir1, name))
-		if err != nil {
-			t.Fatalf("metrics file missing: %v", err)
-		}
-		b, err := os.ReadFile(filepath.Join(dir2, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a, b) {
-			t.Errorf("%s: repeated export not byte-identical", name)
+	if len(metrics1) != len(spec.Schemes) {
+		t.Fatalf("got %d RunMetrics, want one per scheme (%d)", len(metrics1), len(spec.Schemes))
+	}
+	for i, scheme := range spec.Schemes {
+		if metrics1[i].Figure != spec.ID || metrics1[i].Scheme != scheme {
+			t.Errorf("metrics %d is %s/%s, want %s/%s", i, metrics1[i].Figure, metrics1[i].Scheme, spec.ID, scheme)
 		}
 	}
+	if a, b := metricsJSON(t, metrics1), metricsJSON(t, metrics2); !bytes.Equal(a, b) {
+		t.Error("repeated export not identical")
+	}
+}
+
+// metricsJSON encodes metrics for byte comparison.
+func metricsJSON(t *testing.T, metrics []*obs.RunMetrics) []byte {
+	t.Helper()
+	data, err := json.Marshal(metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }

@@ -102,16 +102,10 @@ type PointCtx struct {
 	Observe func(*machine.Machine)
 }
 
-// observe notifies the per-point observer, falling back to the package
-// global installed with SetMachineObserver (used by tests and ad-hoc
-// tracing, which run sweeps serially).
+// observe notifies the per-point observer, if any.
 func (ctx PointCtx) observe(m *machine.Machine) {
 	if ctx.Observe != nil {
 		ctx.Observe(m)
-		return
-	}
-	if machineObserver != nil {
-		machineObserver(m)
 	}
 }
 

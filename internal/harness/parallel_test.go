@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -74,19 +72,11 @@ func TestParallelPanicPropagates(t *testing.T) {
 }
 
 // TestParallelMetricsMatchesSerial pins the parallel metrics exporter to
-// the serial one: same Results, byte-identical per-scheme JSON files.
+// the serial one: same Results, identical per-scheme metrics.
 func TestParallelMetricsMatchesSerial(t *testing.T) {
 	spec := goldenSpec()
-	dirS, dirP := t.TempDir(), t.TempDir()
-
-	serial, serialEvents, err := RunWithMetrics(spec, 0.02, nil, dirS, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, parallelEvents, err := RunWithMetrics(spec, 0.02, nil, dirP, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial, serialMetrics, serialEvents := RunWithMetrics(spec, 0.02, nil, 1)
+	parallel, parallelMetrics, parallelEvents := RunWithMetrics(spec, 0.02, nil, 4)
 
 	for i := range serial {
 		if parallel[i] != serial[i] {
@@ -99,19 +89,8 @@ func TestParallelMetricsMatchesSerial(t *testing.T) {
 	if serialEvents == 0 {
 		t.Error("metrics run traced no events")
 	}
-	for _, scheme := range spec.Schemes {
-		name := MetricsFileName(spec.ID, scheme)
-		a, err := os.ReadFile(filepath.Join(dirS, name))
-		if err != nil {
-			t.Fatalf("serial metrics file missing: %v", err)
-		}
-		b, err := os.ReadFile(filepath.Join(dirP, name))
-		if err != nil {
-			t.Fatalf("parallel metrics file missing: %v", err)
-		}
-		if !bytes.Equal(a, b) {
-			t.Errorf("%s: parallel export differs from serial export", name)
-		}
+	if !bytes.Equal(metricsJSON(t, serialMetrics), metricsJSON(t, parallelMetrics)) {
+		t.Error("parallel metrics differ from serial metrics")
 	}
 }
 

@@ -16,7 +16,7 @@ func allocSys(t *testing.T) (*machine.Machine, *Thread, machine.Addr) {
 	sys := NewSystem(m, Config{})
 	th := sys.Thread(0)
 	var base machine.Addr
-	m.Setup(func(c *machine.CPU) {
+	m.Run(1, func(c *machine.CPU) {
 		base = c.AllocAligned(64)
 		th.Try(false, func() {
 			th.Store(base, 1)
@@ -42,7 +42,7 @@ func assertZeroAllocs(t *testing.T, name string, body func()) {
 // and abort paths at zero host allocations per operation.
 func TestFastPathsDoNotAllocate(t *testing.T) {
 	m, th, base := allocSys(t)
-	m.Setup(func(c *machine.CPU) {
+	m.Run(1, func(c *machine.CPU) {
 		assertZeroAllocs(t, "tx read", func() {
 			th.Try(false, func() {
 				for i := 0; i < 8; i++ {
@@ -75,7 +75,7 @@ func TestFastPathsDoNotAllocate(t *testing.T) {
 // the lock-word subscription logic.
 func TestROTPathDoesNotAllocate(t *testing.T) {
 	m, th, base := allocSys(t)
-	m.Setup(func(c *machine.CPU) {
+	m.Run(1, func(c *machine.CPU) {
 		// Warm the ROT path once before measuring.
 		th.Try(true, func() { th.Load(base) })
 		assertZeroAllocs(t, "rot read+commit", func() {

@@ -148,9 +148,6 @@ func (s *System) Thread(id int) *Thread { return s.threads[id] }
 // change every recorded event stream, so only sanitized runs enable it.
 func (s *System) SetTraceAccesses(on bool) { s.traceAccesses = on }
 
-// TraceAccesses reports whether HTM-level data accesses are being emitted.
-func (s *System) TraceAccesses() bool { return s.traceAccesses }
-
 // Threads returns all HTM threads.
 func (s *System) Threads() []*Thread { return s.threads }
 
@@ -161,13 +158,6 @@ func (s *System) Stats(n int) []*stats.Thread {
 		out[i] = &s.threads[i].St
 	}
 	return out
-}
-
-// ResetStats zeroes all per-thread counters.
-func (s *System) ResetStats() {
-	for _, t := range s.threads {
-		t.St.Reset()
-	}
 }
 
 // Thread is one hardware thread's HTM context.

@@ -260,15 +260,6 @@ func (t *Thread) CAS(a machine.Addr, old, new uint64) bool {
 	return ok
 }
 
-// NonTxStore is an explicitly non-transactional store (valid in suspended
-// mode per POWER8 semantics, and trivially outside transactions).
-func (t *Thread) NonTxStore(a machine.Addr, v uint64) {
-	if t.mode != ModeNone && !t.suspended {
-		panic("htm: NonTxStore inside active transaction")
-	}
-	t.Store(a, v)
-}
-
 // Alloc allocates n words of simulated memory. Allocator bookkeeping is
 // host-side and NOT speculative: never allocate inside a transactional
 // critical section body (aborts would leak or double-use the block) —

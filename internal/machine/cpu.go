@@ -32,7 +32,6 @@ type CPU struct {
 	yield   func(struct{}) bool
 	heapIdx int
 	rng     rng
-	fast    bool
 
 	// wake is this CPU's fast-path scheduling threshold: Sync keeps the
 	// floor without any heap work while the CPU's packed (time, ID) key
@@ -213,11 +212,6 @@ func (c *CPU) Sync() {
 // repaired lazily here rather than at every clock advance; parked CPUs'
 // clocks are frozen, so only this CPU's position can be stale.
 func (c *CPU) syncSlow() {
-	if c.fast {
-		// Setup-mode accesses land here whenever the stale wake threshold
-		// fails the comparison; scheduling is a no-op in fast mode.
-		return
-	}
 	m := c.m
 	if c.now > m.Cfg.Deadline {
 		panic(fmt.Sprintf("machine: CPU %d exceeded virtual deadline (%d cycles): livelock?", c.ID, m.Cfg.Deadline))
@@ -320,12 +314,12 @@ type Waiter interface {
 // is over. A long poll loop therefore costs two host context switches in
 // total instead of two per iteration.
 //
-// Fast mode has no scheduling, and controlled schedulers must observe
-// every scheduling point with the same choice sets as the open-coded loop,
-// so both run the steps on this coroutine with Sync behaving normally.
+// Controlled schedulers must observe every scheduling point with the same
+// choice sets as the open-coded loop, so under them the steps run on this
+// coroutine with Sync behaving normally.
 func (c *CPU) Await(w Waiter) {
 	m := c.m
-	if c.fast || m.sched != nil {
+	if m.sched != nil {
 		for !w.Step(c) {
 		}
 		return
@@ -367,7 +361,7 @@ func (c *CPU) Await(w Waiter) {
 // preAccess delivers any pending timer interrupt and walks the TLB/page
 // tables for address a. It may invoke the OnInterrupt/OnPageFault hooks.
 func (c *CPU) preAccess(a Addr) {
-	if !c.fast && (c.now >= c.nextInterrupt || c.m.pager.enabled) {
+	if c.now >= c.nextInterrupt || c.m.pager.enabled {
 		c.preAccessSlow(a)
 	}
 }
@@ -416,9 +410,6 @@ func (c *CPU) AccessRead(a Addr) {
 	c.preAccess(a)
 	c.Counters.Reads++
 	c.streamRun = 0
-	if c.fast {
-		return
-	}
 	l := &c.m.lines[c.m.LineOf(a)]
 	t0 := c.now
 	if l.exclUntil > t0 {
@@ -444,9 +435,6 @@ func (c *CPU) AccessReadStream(a Addr) {
 	c.Sync()
 	c.preAccess(a)
 	c.Counters.Reads++
-	if c.fast {
-		return
-	}
 	l := &c.m.lines[c.m.LineOf(a)]
 	t0 := c.now
 	if l.exclUntil > t0 {
@@ -474,9 +462,6 @@ func (c *CPU) AccessWrite(a Addr) {
 	c.preAccess(a)
 	c.Counters.Writes++
 	c.streamRun = 0
-	if c.fast {
-		return
-	}
 	l := &c.m.lines[c.m.LineOf(a)]
 	t0 := c.now
 	if l.exclUntil > t0 {

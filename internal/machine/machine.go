@@ -207,16 +207,6 @@ func (m *Machine) Now() int64 {
 	return t
 }
 
-// Setup runs body on CPU 0 in fast mode: no virtual time is charged, no
-// paging or interrupts fire, and no scheduling happens. Use it to populate
-// data structures through the same code paths the measured run uses.
-func (m *Machine) Setup(body func(*CPU)) {
-	c := m.cpus[0]
-	c.fast = true
-	defer func() { c.fast = false }()
-	body(c)
-}
-
 // Run executes body on CPUs 0..threads-1 concurrently in virtual time and
 // returns the elapsed virtual cycles (the time at which the last CPU
 // finished, minus the start time). Virtual time is monotonic across

@@ -324,21 +324,6 @@ func TestMonotonicTimeAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestSetupFastMode(t *testing.T) {
-	m := New(testConfig(4))
-	m.Setup(func(c *CPU) {
-		for i := 0; i < 1000; i++ {
-			c.Write(Addr(64+i), uint64(i))
-		}
-		if c.Now() != 0 {
-			t.Error("setup charged virtual time")
-		}
-	})
-	if m.Peek(100) != 36 {
-		t.Errorf("setup write lost: %d", m.Peek(100))
-	}
-}
-
 func TestDeadlineCatchesLivelock(t *testing.T) {
 	cfg := testConfig(1)
 	cfg.Deadline = 10_000

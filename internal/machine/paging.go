@@ -85,24 +85,5 @@ func shootdown(m *Machine, page int64) {
 	}
 }
 
-// ResetPaging evicts every resident page and clears all TLBs, modelling a
-// cold start. It may only be called outside Run.
-func (m *Machine) ResetPaging() {
-	p := &m.pager
-	if !p.enabled {
-		return
-	}
-	for i := range p.pages {
-		p.pages[i] = pageState{}
-	}
-	p.residentCount = 0
-	p.hand = 0
-	for _, c := range m.cpus {
-		for i := range c.tlb {
-			c.tlb[i] = -1
-		}
-	}
-}
-
 // ResidentPages returns the number of currently resident pages.
 func (m *Machine) ResidentPages() int64 { return m.pager.residentCount }

@@ -7,6 +7,7 @@ package obs_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -220,11 +221,11 @@ func TestMetricsJSONDeterministicAcrossRuns(t *testing.T) {
 	render := func() []byte {
 		p, _ := runContended(t, 42)
 		rm := &obs.RunMetrics{Figure: "it", Scheme: "RW-LE_PES", Points: []*obs.PointMetrics{p}}
-		var buf bytes.Buffer
-		if err := rm.WriteJSON(&buf); err != nil {
+		data, err := json.Marshal(rm)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes()
+		return data
 	}
 	if !bytes.Equal(render(), render()) {
 		t.Error("identical seeds produced different metrics JSON")

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -131,16 +130,6 @@ type RunMetrics struct {
 	Figure string          `json:"figure"`
 	Scheme string          `json:"scheme"`
 	Points []*PointMetrics `json:"points"`
-}
-
-// WriteJSON writes the metrics as deterministic, indented JSON: map keys
-// are sorted by encoding/json, slices carry explicit orderings, and no
-// wall-clock or host state is included, so identical seeds produce
-// byte-identical output.
-func (r *RunMetrics) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }
 
 // WriteMatrix renders the abort-attribution matrix as one killer×victim

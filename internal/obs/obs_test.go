@@ -125,11 +125,11 @@ func TestPointJSONDeterministicAndValid(t *testing.T) {
 		b.Commits[stats.CommitROT] = 1
 		rm := &RunMetrics{Figure: "test", Scheme: "RW-LE_PES",
 			Points: []*PointMetrics{c.Point(3, 20, 500, b)}}
-		var buf bytes.Buffer
-		if err := rm.WriteJSON(&buf); err != nil {
+		data, err := json.Marshal(rm)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes()
+		return data
 	}
 	a, b := render(), render()
 	if !bytes.Equal(a, b) {

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -67,13 +66,6 @@ func (p *Profile) Report(scheme, workload string) *ProfileReport {
 		Cycles:       p.Cycles.Report(),
 		Timeline:     p.Timeline.Report(),
 	}
-}
-
-// WriteJSON writes the report as deterministic indented JSON.
-func (r *ProfileReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }
 
 // sparkRunes is the 8-level sparkline ramp.

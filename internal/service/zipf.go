@@ -21,7 +21,6 @@ import (
 // tests pin.
 type Zipf struct {
 	n   int
-	s   float64
 	cdf []float64 // cdf[k] = P(X ≤ k); cdf[n-1] == 1 by construction
 }
 
@@ -44,14 +43,11 @@ func NewZipf(n int, s float64) *Zipf {
 		cdf[k] *= inv
 	}
 	cdf[n-1] = 1 // normalization rounding must not leave a reachable gap
-	return &Zipf{n: n, s: s, cdf: cdf}
+	return &Zipf{n: n, cdf: cdf}
 }
 
 // N returns the universe size.
 func (z *Zipf) N() int { return z.n }
-
-// S returns the exponent.
-func (z *Zipf) S() float64 { return z.s }
 
 // PMF returns the analytic probability of rank k (tests compare empirical
 // frequencies against it).

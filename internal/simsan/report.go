@@ -1,7 +1,6 @@
 package simsan
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -93,12 +92,4 @@ func (r *Report) WriteText(w io.Writer) {
 	if r.Total > len(r.Races) {
 		fmt.Fprintf(w, "... %d further race(s) dropped (MaxRaces)\n", r.Total-len(r.Races))
 	}
-}
-
-// WriteJSON renders the report as deterministic indented JSON (struct field
-// order; races in stream order).
-func (r *Report) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }

@@ -158,6 +158,3 @@ type Bench struct {
 	// the chained hashmap substrate.
 	Index *hashmap.Map
 }
-
-// NumParts returns the number of atomic parts.
-func (b *Bench) NumParts() int { return len(b.AtomicParts) }

@@ -24,16 +24,9 @@ type NewOrderParams struct {
 
 // PrepareOrderBlock allocates the 16-line block (order header + up to 15
 // order lines) a New-Order will fill. Allocate outside the critical
-// section; recycle with RecycleOrderBlock if the transaction is abandoned.
+// section.
 func (db *DB) PrepareOrderBlock(t *htm.Thread) machine.Addr {
 	return t.AllocAligned(orderBlockWords)
-}
-
-// RecycleOrderBlock returns an unused order block to the allocator.
-func (db *DB) RecycleOrderBlock(t *htm.Thread, block machine.Addr) {
-	if block != 0 {
-		t.FreeAligned(block, orderBlockWords)
-	}
 }
 
 // NewOrder executes the New-Order transaction body (write critical

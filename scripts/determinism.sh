@@ -44,6 +44,8 @@ gate() {
 gate trace hrwle-trace -scheme RW-LE_PES -threads 4 -w 20 -seed 7 -q \
 	-json @OUT@/trace.json -chrome @OUT@/chrome.json \
 	-matrix -hist -timeline @OUT@/timeline.json
+# Metrics JSON on stdout ("-"), ahead of the trace text.
+gate trace-stdout hrwle-trace -scheme RW-LE_OPT -q -json -
 # Multi-scheme trace reports print in the order given at any -j.
 gate trace-multi hrwle-trace -scheme RW-LE_OPT,SGL,HLE -ops 10 -j @J@
 # Figure sweep tables and the per-scheme RunMetrics JSON directory.
