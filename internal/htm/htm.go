@@ -94,28 +94,14 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// dirEntry is the per-cache-line conflict-directory state: at most one
-// speculative writer and a bitmap of speculative readers.
-type dirEntry struct {
-	writer  *Thread
-	readers [4]uint64
-}
-
-func (e *dirEntry) hasReader(id int) bool { return e.readers[id>>6]&(1<<(uint(id)&63)) != 0 }
-func (e *dirEntry) addReader(id int)      { e.readers[id>>6] |= 1 << (uint(id) & 63) }
-func (e *dirEntry) delReader(id int)      { e.readers[id>>6] &^= 1 << (uint(id) & 63) }
-func (e *dirEntry) anyOtherReader(id int) bool {
-	r := e.readers
-	r[id>>6] &^= 1 << (uint(id) & 63)
-	return r[0]|r[1]|r[2]|r[3] != 0
-}
-
-// System is an HTM-capable simulated machine: the machine plus the conflict
-// directory and one Thread per CPU.
+// System is an HTM-capable simulated machine: the machine plus one Thread
+// per CPU. The conflict directory — each line's speculative writer and
+// speculative-reader bitmap — lives in the machine's per-line records
+// (Machine.SpecWriter, SpecReaders), so a machine carries at most one
+// System.
 type System struct {
 	M       *machine.Machine
 	Cfg     Config
-	dir     []dirEntry
 	threads []*Thread
 
 	// traceAccesses gates EvRead/EvWrite emission from Thread.Load,
@@ -131,7 +117,6 @@ type System struct {
 func NewSystem(m *machine.Machine, cfg Config) *System {
 	cfg.applyDefaults()
 	s := &System{M: m, Cfg: cfg}
-	s.dir = make([]dirEntry, m.NumLines())
 	s.threads = make([]*Thread, m.Cfg.CPUs)
 	for i := range s.threads {
 		s.threads[i] = newThread(s, m.CPU(i))
@@ -293,12 +278,13 @@ func (t *Thread) abort(cause stats.AbortCause, persistent bool) {
 //
 //simlint:hotpath
 func (t *Thread) rollback() {
+	m, id := t.C.Machine(), t.C.ID
 	for _, l := range t.readLines {
-		t.sys.dir[l].delReader(t.C.ID)
+		m.SpecReaders(l).Del(id)
 	}
 	for _, l := range t.writeLines {
-		if t.sys.dir[l].writer == t {
-			t.sys.dir[l].writer = nil
+		if m.SpecWriter(l) == id {
+			m.SetSpecWriter(l, -1)
 		}
 	}
 	t.readLines = t.readLines[:0]

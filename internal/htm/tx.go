@@ -11,6 +11,7 @@ import (
 // Begin never fails in this model (hardware tbegin reports failures of
 // *prior* attempts through the handler; here failures surface at the first
 // conflicting access or at commit).
+//
 //simlint:hotpath
 func (t *Thread) Begin(rot bool) {
 	if t.mode != ModeNone {
@@ -124,11 +125,6 @@ func (t *Thread) Try(rot bool, fn func()) (status Status) {
 	return Status{OK: true}
 }
 
-// dirAt returns the directory entry covering address a.
-func (t *Thread) dirAt(a machine.Addr) *dirEntry {
-	return &t.sys.dir[t.C.Machine().LineOf(a)]
-}
-
 // Load reads word a with semantics determined by the thread's mode:
 // tracked transactional read (HTM), untracked read (ROT or suspended), or
 // plain non-transactional read. Any speculative writer of the line other
@@ -165,13 +161,12 @@ func (t *Thread) LoadStream(a machine.Addr) uint64 {
 //
 //simlint:hotpath
 func (t *Thread) loadData(a machine.Addr) uint64 {
-	m := t.C.Machine()
+	m, id := t.C.Machine(), t.C.ID
 	line := m.LineOf(a)
-	e := &t.sys.dir[line]
 
 	if t.mode == ModeNone || t.suspended {
-		if e.writer != nil && e.writer != t {
-			e.writer.setDoom(false, t.C.ID, a)
+		if w := m.SpecWriter(line); w >= 0 && w != id {
+			t.sys.threads[w].setDoom(false, id, a)
 		}
 		// Suspended loads do not observe the transaction's own
 		// speculative stores (POWER8: transactional state is not
@@ -180,20 +175,24 @@ func (t *Thread) loadData(a machine.Addr) uint64 {
 	}
 
 	t.checkDoom()
-	if e.writer != nil && e.writer != t {
-		e.writer.setDoom(true, t.C.ID, a)
-	}
-	if e.writer == t {
+	w := m.SpecWriter(line)
+	if w == id {
 		if v, ok := t.ws.get(a); ok {
 			return v
 		}
 		return m.Peek(a)
 	}
-	if t.mode == ModeHTM && !e.hasReader(t.C.ID) {
+	if w >= 0 {
+		t.sys.threads[w].setDoom(true, id, a)
+	}
+	if t.mode != ModeHTM {
+		return m.Peek(a)
+	}
+	if r := m.SpecReaders(line); !r.Has(id) {
 		if len(t.readLines) >= t.sys.Cfg.ReadCapLines {
 			t.abort(stats.AbortCapacity, true)
 		}
-		e.addReader(t.C.ID)
+		r.Add(id)
 		t.readLines = append(t.readLines, line)
 	}
 	return m.Peek(a)
@@ -204,15 +203,15 @@ func (t *Thread) loadData(a machine.Addr) uint64 {
 // speculating reader or writer of the line. While suspended or outside a
 // transaction the store is non-transactional: it dooms every transaction
 // speculating on the line and hits memory directly.
+//
 //simlint:hotpath
 func (t *Thread) Store(a machine.Addr, v uint64) {
 	t.C.AccessWrite(a)
-	m := t.C.Machine()
+	m, id := t.C.Machine(), t.C.ID
 	line := m.LineOf(a)
-	e := &t.sys.dir[line]
 
 	if t.mode == ModeNone || t.suspended {
-		t.doomAllNonTx(e, a)
+		t.doomAllNonTx(line, a)
 		m.Poke(a, v)
 		if t.sys.traceAccesses {
 			t.C.Emit(machine.EvWrite, a, v)
@@ -221,13 +220,14 @@ func (t *Thread) Store(a machine.Addr, v uint64) {
 	}
 
 	t.checkDoom()
-	if e.writer != nil && e.writer != t {
-		e.writer.setDoom(true, t.C.ID, a)
+	w := m.SpecWriter(line)
+	if w >= 0 && w != id {
+		t.sys.threads[w].setDoom(true, id, a)
 	}
-	if e.anyOtherReader(t.C.ID) {
-		t.doomReaders(e, true, a)
+	if r := m.SpecReaders(line); r.AnyExcept(id) {
+		t.doomReaders(r, true, a)
 	}
-	if e.writer != t {
+	if w != id {
 		capacity := t.sys.Cfg.WriteCapLines
 		if len(t.writeLines) >= capacity {
 			if t.mode == ModeROT {
@@ -235,7 +235,7 @@ func (t *Thread) Store(a machine.Addr, v uint64) {
 			}
 			t.abort(stats.AbortCapacity, true)
 		}
-		e.writer = t
+		m.SetSpecWriter(line, id)
 		t.writeLines = append(t.writeLines, line)
 	}
 	t.ws.put(a, v)
@@ -254,9 +254,8 @@ func (t *Thread) CAS(a machine.Addr, old, new uint64) bool {
 	if t.mode != ModeNone && !t.suspended {
 		panic("htm: CAS inside active transaction (use Load+Store)")
 	}
-	e := t.dirAt(a)
 	ok := t.C.CAS(a, old, new)
-	t.doomAllNonTx(e, a)
+	t.doomAllNonTx(t.C.Machine().LineOf(a), a)
 	return ok
 }
 
@@ -305,20 +304,22 @@ func (t *Thread) FreeAligned(a machine.Addr, n int64) {
 	t.C.FreeAligned(a, n)
 }
 
-// doomAllNonTx dooms the writer and all readers of e due to a
+// doomAllNonTx dooms the writer and all readers of line due to a
 // non-transactional access by t at address a.
-func (t *Thread) doomAllNonTx(e *dirEntry, a machine.Addr) {
-	if e.writer != nil && e.writer != t {
-		e.writer.setDoom(false, t.C.ID, a)
+func (t *Thread) doomAllNonTx(line int64, a machine.Addr) {
+	m, id := t.C.Machine(), t.C.ID
+	if w := m.SpecWriter(line); w >= 0 && w != id {
+		t.sys.threads[w].setDoom(false, id, a)
 	}
-	if e.anyOtherReader(t.C.ID) {
-		t.doomReaders(e, false, a)
+	if r := m.SpecReaders(line); r.AnyExcept(id) {
+		t.doomReaders(r, false, a)
 	}
 }
 
-func (t *Thread) doomReaders(e *dirEntry, sourceTx bool, a machine.Addr) {
-	for w := 0; w < len(e.readers); w++ {
-		mask := e.readers[w]
+// doomReaders dooms every speculative reader in readers except t, in CPU
+// order, walking as many bitmap words as the machine's records carry.
+func (t *Thread) doomReaders(readers machine.CPUSet, sourceTx bool, a machine.Addr) {
+	for w, mask := range readers {
 		for mask != 0 {
 			id := w<<6 + bits.TrailingZeros64(mask)
 			mask &= mask - 1

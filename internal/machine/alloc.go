@@ -12,6 +12,7 @@ type arena struct {
 	limit     Addr
 	lineWords int64
 	free      map[int64][]Addr
+	nFree     int // blocks on the free lists; alloc skips the map while 0
 }
 
 func (a *arena) init(memWords, lineWords int64) {
@@ -36,10 +37,13 @@ func (a *arena) alloc(n int64, lineAligned bool) Addr {
 	if lineAligned {
 		key = -n // aligned blocks use a separate size-class namespace
 	}
-	if lst := a.free[key]; len(lst) > 0 {
-		addr := lst[len(lst)-1]
-		a.free[key] = lst[:len(lst)-1]
-		return addr
+	if a.nFree > 0 {
+		if lst := a.free[key]; len(lst) > 0 {
+			addr := lst[len(lst)-1]
+			a.free[key] = lst[:len(lst)-1]
+			a.nFree--
+			return addr
+		}
 	}
 	p := a.next
 	if lineAligned {
@@ -59,6 +63,7 @@ func (a *arena) release(addr Addr, n int64, lineAligned bool) {
 		key = -n
 	}
 	a.free[key] = append(a.free[key], addr)
+	a.nFree++
 }
 
 // allocWords allocates and zeroes n words of simulated memory.
@@ -68,9 +73,7 @@ func (m *Machine) allocWords(n int64, aligned bool) Addr {
 	if aligned {
 		size = (n + m.Cfg.LineWords - 1) &^ (m.Cfg.LineWords - 1)
 	}
-	for i := Addr(0); i < Addr(size); i++ {
-		m.words[addr+i] = 0
-	}
+	clear(m.words[addr : addr+Addr(size)])
 	return addr
 }
 

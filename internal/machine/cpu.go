@@ -410,15 +410,19 @@ func (c *CPU) AccessRead(a Addr) {
 	c.preAccess(a)
 	c.Counters.Reads++
 	c.streamRun = 0
-	l := &c.m.lines[c.m.LineOf(a)]
+	m := c.m
+	r := m.lineRec(m.LineOf(a))
 	t0 := c.now
-	if l.exclUntil > t0 {
-		t0 = l.exclUntil
+	if x := int64(r[recExcl]); x > t0 {
+		t0 = x
 	}
-	cost := c.m.Cfg.Costs.L1Hit
-	if int(l.owner) != c.ID && !l.isSharer(c.ID) {
-		cost = c.m.Cfg.Costs.ReadMiss
-		l.addSharer(c.ID)
+	// The owner is always a sharer (a write miss makes its CPU owner and
+	// sole sharer, and only the next write miss clears the bitmap), so a
+	// sharer test alone tells a hit from a miss.
+	cost := m.Cfg.Costs.L1Hit
+	if sh := m.sharers(r); !sh.Has(c.ID) {
+		cost = m.Cfg.Costs.ReadMiss
+		sh.Add(c.ID)
 	}
 	c.now = t0 + cost
 }
@@ -435,19 +439,20 @@ func (c *CPU) AccessReadStream(a Addr) {
 	c.Sync()
 	c.preAccess(a)
 	c.Counters.Reads++
-	l := &c.m.lines[c.m.LineOf(a)]
+	m := c.m
+	r := m.lineRec(m.LineOf(a))
 	t0 := c.now
-	if l.exclUntil > t0 {
-		t0 = l.exclUntil
+	if x := int64(r[recExcl]); x > t0 {
+		t0 = x
 	}
-	cost := c.m.Cfg.Costs.L1Hit
-	if int(l.owner) != c.ID && !l.isSharer(c.ID) {
-		cost = c.m.Cfg.Costs.ReadMiss
+	cost := m.Cfg.Costs.L1Hit
+	if sh := m.sharers(r); !sh.Has(c.ID) {
+		cost = m.Cfg.Costs.ReadMiss
 		if c.streamRun > 0 {
 			cost /= mlpOverlap
 		}
 		c.streamRun++
-		l.addSharer(c.ID)
+		sh.Add(c.ID)
 	}
 	c.now = t0 + cost
 }
@@ -462,18 +467,22 @@ func (c *CPU) AccessWrite(a Addr) {
 	c.preAccess(a)
 	c.Counters.Writes++
 	c.streamRun = 0
-	l := &c.m.lines[c.m.LineOf(a)]
+	m := c.m
+	r := m.lineRec(m.LineOf(a))
 	t0 := c.now
-	if l.exclUntil > t0 {
-		t0 = l.exclUntil
+	if x := int64(r[recExcl]); x > t0 {
+		t0 = x
 	}
-	if int(l.owner) == c.ID && l.onlySharer(c.ID) {
-		c.now = t0 + c.m.Cfg.Costs.WriteHit
+	sh := m.sharers(r)
+	if int(r[recOwner]&ownerMask) == c.ID+1 && sh.only(c.ID) {
+		c.now = t0 + m.Cfg.Costs.WriteHit
 		return
 	}
-	l.setExclusive(c.ID)
-	l.exclUntil = t0 + c.m.Cfg.Costs.LineTransfer
-	c.now = t0 + c.m.Cfg.Costs.WriteMiss
+	// Take the line exclusive: this CPU becomes owner and sole sharer.
+	r[recOwner] = r[recOwner]&^ownerMask | uint64(c.ID+1)
+	sh.setOnly(c.ID)
+	r[recExcl] = uint64(t0 + m.Cfg.Costs.LineTransfer)
+	c.now = t0 + m.Cfg.Costs.WriteMiss
 }
 
 // Read performs a timed, coherent, non-transactional read of word a.

@@ -107,33 +107,13 @@ func (cfg *Config) applyDefaults() {
 	}
 }
 
-// line holds per-cache-line coherence state: the time until which the line
-// is reserved by an exclusive transfer, the last exclusive owner, and a
-// bitmap of CPUs that have read the line since the last write.
-type line struct {
-	exclUntil int64
-	owner     int32
-	sharers   [4]uint64
-}
-
-func (l *line) isSharer(id int) bool { return l.sharers[id>>6]&(1<<(uint(id)&63)) != 0 }
-func (l *line) addSharer(id int)     { l.sharers[id>>6] |= 1 << (uint(id) & 63) }
-func (l *line) setExclusive(id int) {
-	l.owner = int32(id)
-	l.sharers = [4]uint64{}
-	l.addSharer(id)
-}
-func (l *line) onlySharer(id int) bool {
-	var want [4]uint64
-	want[id>>6] = 1 << (uint(id) & 63)
-	return l.sharers == want
-}
-
 // Machine is a simulated shared-memory multiprocessor.
 type Machine struct {
 	Cfg       Config
 	words     []uint64
-	lines     []line
+	lines     []uint64 // per-line records, recWords each (see line.go)
+	recWords  int64
+	bitWords  int64 // width of each record bitmap: ceil(CPUs/64)
 	cpus      []*CPU
 	heap      cpuHeap
 	pager     pager
@@ -164,10 +144,9 @@ func New(cfg Config) *Machine {
 	}
 	nLines := (cfg.MemWords + cfg.LineWords - 1) >> m.lineShift
 	m.words = make([]uint64, cfg.MemWords)
-	m.lines = make([]line, nLines)
-	for i := range m.lines {
-		m.lines[i].owner = -1
-	}
+	m.bitWords = int64(cfg.CPUs+63) / 64
+	m.recWords = recBits + 2*m.bitWords
+	m.lines = make([]uint64, nLines*m.recWords)
 	m.pager.init(cfg)
 	m.alloc.init(cfg.MemWords, cfg.LineWords)
 	m.cpus = make([]*CPU, cfg.CPUs)
@@ -176,11 +155,6 @@ func New(cfg Config) *Machine {
 	}
 	return m
 }
-
-// NumLines returns the number of cache lines covering simulated memory.
-// Layers above (e.g. the HTM conflict directory) size their per-line
-// metadata from it.
-func (m *Machine) NumLines() int { return len(m.lines) }
 
 // LineOf returns the cache-line index of address a.
 func (m *Machine) LineOf(a Addr) int64 { return int64(a) >> m.lineShift }

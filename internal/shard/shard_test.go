@@ -2,6 +2,8 @@ package shard_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"testing"
 
@@ -206,5 +208,32 @@ func TestShardFixedNeverSwitches(t *testing.T) {
 		if s.Final != "SGL" || s.Switches != 0 {
 			t.Fatalf("shard %d: final %q, %d switches", s.Shard, s.Final, s.Switches)
 		}
+	}
+}
+
+// TestShard256Pinned runs one 256-CPU adaptive point, so the four-word
+// coherence and conflict bitmaps of a machine with more than 64 CPUs are
+// exercised by the ordinary test suite, and pins its sim_cycles and the
+// sha256 of its result JSON exactly: a change to either is a behaviour
+// change, not a speed-up.
+func TestShard256Pinned(t *testing.T) {
+	cfg := shard.DefaultConfig()
+	cfg.Servers = 256
+	cfg.Shards = 16
+	cfg.Requests = 600
+	cfg.Keys.Universe = 16384
+	cfg.Keys.Skew = 1.2
+	cfg.Arrivals.RatePerSec = 2e7
+	res, b := runJSON(t, cfg, palette())
+	sum := sha256.Sum256(b)
+	const (
+		wantCycles = int64(235741)
+		wantSHA    = "24521b5a5298580992ad0fb4ba97c6877e0182ab835f75db832563caa70fbd05"
+	)
+	if res.Service.MakespanCycles != wantCycles {
+		t.Errorf("sim_cycles %d, want %d", res.Service.MakespanCycles, wantCycles)
+	}
+	if got := hex.EncodeToString(sum[:]); got != wantSHA {
+		t.Errorf("result sha256 %s, want %s", got, wantSHA)
 	}
 }

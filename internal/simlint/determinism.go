@@ -107,7 +107,7 @@ func checkDeterminismNode(pass *Pass, n ast.Node, sortCalls []token.Pos) {
 	ast.Inspect(n, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.GoStmt:
-			pass.Report(n.Pos(), "goroutine spawn in a simulator package: host scheduling is nondeterministic; simulated concurrency runs on machine.Machine's virtual-time token passing")
+			pass.Report(n.Pos(), "goroutine spawn in a simulator package: host scheduling is nondeterministic; simulated CPUs are coroutines run by machine.Machine's inline scheduler loop")
 		case *ast.SelectStmt:
 			pass.Report(n.Pos(), "select in a simulator package: case choice depends on host scheduling")
 		case *ast.SendStmt:

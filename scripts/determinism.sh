@@ -79,3 +79,7 @@ gate sanitize hrwle-serve -workload hashmap -requests 400 \
 gate shard hrwle-shard -servers 16 -requests 600 -shards 4,8 \
 	-skews 0,1.2 -schemes adaptive,SGL -rate 3e6 -universe 16384 -q \
 	-j @J@ -o @OUT@/shard.txt -json @OUT@/shard.json
+# 256 CPUs: four-word coherence and conflict bitmaps in every line record.
+gate shard-256 hrwle-shard -servers 256 -shards 16 -requests 600 \
+	-universe 16384 -skews 1.2 -schemes adaptive,SGL -q \
+	-j @J@ -o @OUT@/shard256.txt -json @OUT@/shard256.json
