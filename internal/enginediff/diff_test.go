@@ -86,6 +86,15 @@ func TestEngineEquivalence(t *testing.T) {
 			t.Errorf("mutation %s/%s diverged:\n  got  %+v\n  want %+v", wm.Scheme, wm.Mutation, gm, wm)
 		}
 	}
+
+	if len(got.Open) != len(want.Open) {
+		t.Fatalf("open-system point count drifted: got %d, want %d", len(got.Open), len(want.Open))
+	}
+	for i, wo := range want.Open {
+		if g := got.Open[i]; g != wo {
+			t.Errorf("open-system point %s diverged:\n  got  %+v\n  want %+v", wo.Point, g, wo)
+		}
+	}
 }
 
 // TestCaptureIsDeterministic guards the harness itself: two captures of the

@@ -124,6 +124,7 @@ func (c *CPU) spawn(body func(*CPU)) {
 // resumed. If the coroutine is being torn down instead, it unwinds the
 // body with the teardown sentinel.
 func (c *CPU) park() {
+	c.m.eng.Parks++
 	if !c.yield(struct{}{}) {
 		panic(runStopped)
 	}
@@ -213,6 +214,7 @@ func (c *CPU) Sync() {
 // clocks are frozen, so only this CPU's position can be stale.
 func (c *CPU) syncSlow() {
 	m := c.m
+	m.eng.SyncSlow++
 	if c.now > m.Cfg.Deadline {
 		panic(fmt.Sprintf("machine: CPU %d exceeded virtual deadline (%d cycles): livelock?", c.ID, m.Cfg.Deadline))
 	}
@@ -320,9 +322,12 @@ type Waiter interface {
 func (c *CPU) Await(w Waiter) {
 	m := c.m
 	if m.sched != nil {
-		for !w.Step(c) {
+		for {
+			m.eng.InlineSteps++
+			if w.Step(c) {
+				return
+			}
 		}
-		return
 	}
 	c.Sync()
 	// We hold the floor: parking is disabled during a step, so each step
@@ -339,6 +344,7 @@ func (c *CPU) Await(w Waiter) {
 		}
 	}()
 	for {
+		m.eng.InlineSteps++
 		if w.Step(c) {
 			c.wake = saved
 			return

@@ -130,6 +130,10 @@ type Machine struct {
 	// scheduler loop right after the park returns control to it.
 	next *CPU
 
+	// eng counts the engine's own work for the current Run (see
+	// EngineCounters).
+	eng EngineCounters
+
 	runErr any
 	//simlint:allow determinism runOnce serializes whole Run invocations from the host side; it never orders simulated events
 	runOnce sync.Mutex
@@ -206,6 +210,7 @@ func (m *Machine) Run(threads int, body func(*CPU)) int64 {
 	base := m.Now()
 	m.baseTime = base
 	m.heap = cpuHeap{}
+	m.eng = EngineCounters{}
 	m.runErr = nil
 
 	active := m.cpus[:threads]
@@ -259,6 +264,21 @@ func (m *Machine) Run(threads int, body func(*CPU)) int64 {
 	return end - base
 }
 
+// EngineCounters is the scheduler's own work during one Run: what it cost
+// the host to keep the CPUs in virtual-time order, as opposed to what the
+// simulated program did. Like sim_cycles, every count is a pure function
+// of the configuration and seed, so the counts can be pinned exactly.
+type EngineCounters struct {
+	Parks       int64 // coroutine parks: a CPU handing the floor back to the loop
+	WaiterSteps int64 // Waiter steps the engine ran for a parked CPU, with no switch
+	InlineSteps int64 // Waiter steps Await ran on the waiting CPU's own stack
+	SyncSlow    int64 // Sync calls that missed the inlined fast path
+}
+
+// EngineCounters returns the engine counters of the most recent Run (of
+// the current one, when called from inside it).
+func (m *Machine) EngineCounters() EngineCounters { return m.eng }
+
 // stepWaiter advances c's engine-stepped wait by one step and reports
 // whether the wait is over. It owns the two pieces of bookkeeping a step
 // cannot do for itself: the livelock deadline check (a waiting CPU's Syncs
@@ -281,6 +301,7 @@ func (m *Machine) stepWaiter(c *CPU) (done bool) {
 			done = true
 		}
 	}()
+	m.eng.WaiterSteps++
 	if c.waiter.Step(c) {
 		c.waiter = nil
 		return true
