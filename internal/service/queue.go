@@ -1,10 +1,11 @@
 package service
 
 // Queue is the bounded strict-priority dispatch queue shared by the
-// service and shard runners. It lives in host
-// memory, which is safe because every access happens from a CPU that has
-// just passed Sync: the engine only lets a CPU act when it holds the
-// global minimum (time, ID), so queue operations are linearized in
+// service and shard runners. It lives in host memory, which is safe
+// because every access happens from a CPU that has just passed Sync, or
+// inside a Waiter step at that CPU's turn (the server loop's dispatch
+// wait): the engine only lets a CPU act when it holds the global minimum
+// (time, ID), so queue operations are linearized in
 // nondecreasing virtual time exactly like a hardware arbiter would see
 // them. Arrivals are ingested lazily — pop(now) first admits every
 // scheduled arrival with ArriveAt <= now, in schedule order, applying the

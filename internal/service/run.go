@@ -92,31 +92,7 @@ func runPoint(cfg Config, scheme string, mk rwlock.Factory, observe func(*machin
 	}
 	cycles := m.Run(cfg.Servers, func(c *machine.CPU) {
 		th := sys.Thread(c.ID)
-		for {
-			// Sync makes this CPU the global minimum (time, ID), so the
-			// host-side queue below is only ever touched in nondecreasing
-			// virtual time — see the queue type comment.
-			c.Sync()
-			idx, ok := q.Pop(c.Now())
-			if !ok {
-				if t, more := q.NextArrival(); more {
-					c.IdleUntil(t)
-					continue
-				}
-				// Schedule exhausted and queue empty: arrivals are the only
-				// source of work, so this server is done.
-				return
-			}
-			r := &q.reqs[idx]
-			r.Server = c.ID
-			r.DequeueAt = c.Now()
-			c.Tick(cfg.DispatchCycles)
-			c.Tick(r.Work) // pre-CS local compute (parse, app logic)
-			before := th.St.Commits
-			ex.exec(r, c, th)
-			r.Path = DominantPath(before, th.St.Commits)
-			r.DoneAt = c.Now()
-		}
+		Serve(c, th, q, cfg.DispatchCycles, func(r *Request) { ex.exec(r, c, th) })
 	})
 	if prof != nil {
 		for i := range q.reqs {
@@ -131,6 +107,66 @@ func runPoint(cfg Config, scheme string, mk rwlock.Factory, observe func(*machin
 	}
 	b := stats.Merge(sys.Stats(cfg.Servers), cycles)
 	return Assemble(&cfg, scheme, q.reqs, cycles, &b), q.reqs, sanRep, nil
+}
+
+// Serve is the open-system server loop shared by every runner: it
+// dispatches requests from q to server CPU c until the schedule is
+// exhausted and the queue is empty. For each request it stamps the
+// dequeue, charges dispatchCycles and the request's pre-section Work,
+// hands it to exec for the structure work, and stamps the dominant commit
+// path and the completion time.
+//
+// The wait for work is a machine.Waiter, so a server with nothing to do is
+// stepped by the engine — one IdleUntil per arrival it sleeps past — with
+// no coroutine switch. Await returns holding the virtual-time floor, so
+// the request bookkeeping below it is covered exactly as after a Sync.
+func Serve(c *machine.CPU, th *htm.Thread, q *Queue, dispatchCycles int64, exec func(*Request)) {
+	w := &dispatchWait{q: q}
+	for {
+		c.Await(w)
+		if w.idx < 0 {
+			// Schedule exhausted and queue empty: arrivals are the only
+			// source of work, so this server is done.
+			return
+		}
+		r := &q.reqs[w.idx]
+		r.Server = c.ID
+		r.DequeueAt = c.Now()
+		c.Tick(dispatchCycles)
+		c.Tick(r.Work) // pre-CS local compute (parse, app logic)
+		before := th.St.Commits
+		exec(r)
+		r.Path = DominantPath(before, th.St.Commits)
+		r.DoneAt = c.Now()
+	}
+}
+
+// dispatchWait is a server's wait for work. Each step, at the CPU's turn,
+// either pops the highest-priority queued request (idx >= 0), or idles
+// the CPU until the next scheduled arrival, or — the schedule exhausted
+// and the queue empty — ends the wait with idx = -1.
+type dispatchWait struct {
+	q   *Queue
+	idx int
+}
+
+// Step implements machine.Waiter. The Sync is a no-op while the engine
+// steps the wait; under a controlled scheduler, where Await runs the
+// steps on the CPU's own stack, it is the scheduling point the queue
+// access needs.
+func (w *dispatchWait) Step(c *machine.CPU) bool {
+	c.Sync()
+	if idx, ok := w.q.Pop(c.Now()); ok {
+		w.idx = idx
+		return true
+	}
+	t, more := w.q.NextArrival()
+	if !more {
+		w.idx = -1
+		return true
+	}
+	c.IdleUntil(t)
+	return false
 }
 
 // DominantPath returns the commit path most of the request's critical

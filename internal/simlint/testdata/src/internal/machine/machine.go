@@ -23,6 +23,12 @@ func (c *CPU) Intn(n int) int { return 0 }
 
 func (c *CPU) Sync() {}
 
+type Waiter interface {
+	Step(c *CPU) bool
+}
+
+func (c *CPU) Await(w Waiter) {}
+
 func (c *CPU) Tick(cycles int64) {}
 
 func (c *CPU) Now() int64 { return 0 }
