@@ -1,0 +1,53 @@
+package harness
+
+import (
+	"testing"
+
+	"hrwle/internal/machine"
+	"hrwle/internal/service"
+	"hrwle/internal/shard"
+)
+
+// TestFreshMemoryStaysZero checks the allocator contract on every
+// workload: nothing writes outside an allocated block. The allocator hands
+// out bump-pointer memory without clearing it, relying on New's zeroing,
+// so after set-up and a short run every word from HeapUsed() to the end
+// of memory must still read zero.
+func TestFreshMemoryStaysZero(t *testing.T) {
+	rwle := SchemeFactory("RW-LE_OPT")
+	hm := HashmapParams{Buckets: 16, Items: 20, WritePct: 50, Threads: 4, TotalOps: 400, Seed: 1}
+	points := []struct {
+		name string
+		run  func(observe func(*machine.Machine))
+	}{
+		{"hashmap", func(o func(*machine.Machine)) { RunHashmap(PointCtx{Observe: o}, hm, rwle) }},
+		{"kyoto", func(o func(*machine.Machine)) { RunKyoto(PointCtx{Observe: o}, 4, 20, 400, 1, "RW-LE_OPT") }},
+		{"tpcc", func(o func(*machine.Machine)) { RunTPCC(PointCtx{Observe: o}, 4, 50, 200, 1, rwle) }},
+		{"stmbench7", func(o func(*machine.Machine)) { RunSTMBench7(PointCtx{Observe: o}, 4, 50, 100, 1, rwle) }},
+		{"rcu", func(o func(*machine.Machine)) { RunRCUHashmap(PointCtx{Observe: o}, hm) }},
+		{"shard", func(o func(*machine.Machine)) {
+			cfg := shard.DefaultConfig()
+			cfg.Servers = 8
+			cfg.Shards = 2
+			cfg.Requests = 400
+			cfg.Keys = service.KeyConfig{Universe: 1 << 12, Skew: 1.2, CrossPct: 6}
+			cfg.Arrivals.RatePerSec = 3e6
+			if _, err := shard.Run(cfg, ShardPalette(), o); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, p := range points {
+		var m *machine.Machine
+		p.run(func(mm *machine.Machine) { m = mm })
+		if m == nil {
+			t.Fatalf("%s: observe never saw the machine", p.name)
+		}
+		for a := machine.Addr(m.HeapUsed()); a < machine.Addr(m.Cfg.MemWords); a++ {
+			if v := m.Peek(a); v != 0 {
+				t.Errorf("%s: word %d past the bump pointer (%d) reads %#x", p.name, a, m.HeapUsed(), v)
+				break
+			}
+		}
+	}
+}

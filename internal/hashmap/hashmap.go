@@ -60,12 +60,23 @@ func (h *Map) bucketAddr(key uint64) machine.Addr {
 // (i.e. key k chains in bucket k mod l), linking nodes directly with raw
 // stores — O(total items), no traversals, no virtual time. Keys are
 // inserted in decreasing i order so that key b+i*l sits at depth items-1-i.
+//
+// All nodes come from one line-aligned block, one node per line-rounded
+// stride, in (bucket, i) order. Populate runs at set-up, before anything
+// is freed, so these are the addresses per-node AllocRawAligned(nodeWords)
+// calls would return, and a node removed later is recycled in the same
+// size class PrepareNode allocates from.
 func (h *Map) Populate(items int64) {
+	if items <= 0 {
+		return
+	}
 	l := int64(h.nbuckets)
+	lw := h.m.Cfg.LineWords
+	stride := (int64(nodeWords) + lw - 1) &^ (lw - 1)
+	n := h.m.AllocRawAligned(l * items * stride)
 	for b := int64(0); b < l; b++ {
 		head := uint64(0)
-		for i := int64(0); i < items; i++ {
-			n := h.m.AllocRawAligned(nodeWords)
+		for i := int64(0); i < items; i, n = i+1, n+machine.Addr(stride) {
 			h.m.Poke(n+offKey, uint64(b+i*l))
 			h.m.Poke(n+offValue, uint64(i))
 			h.m.Poke(n+offNext, head)

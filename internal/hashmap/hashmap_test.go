@@ -34,6 +34,68 @@ func TestPopulate(t *testing.T) {
 	}
 }
 
+// TestPopulateLayout pins that Populate's one-block layout places every
+// node where a per-node AllocRawAligned(nodeWords) call in (bucket, i)
+// order would have, so populated maps keep their simulated addresses (and
+// with them every line, conflict and cycle) at any line size.
+func TestPopulateLayout(t *testing.T) {
+	const buckets, items = 5, 7
+	for _, lw := range []int64{1, 4, 16} {
+		cfg := machine.Config{CPUs: 1, MemWords: 1 << 14, LineWords: lw, Seed: 1}
+		h := New(machine.New(cfg), buckets)
+		h.Populate(items)
+
+		twin := machine.New(cfg)
+		New(twin, buckets)
+		var want [buckets][items]machine.Addr
+		for b := range want {
+			for i := range want[b] {
+				want[b][i] = twin.AllocRawAligned(nodeWords)
+			}
+		}
+		for b := range want {
+			n := h.m.Peek(h.buckets + machine.Addr(b))
+			for i := items - 1; i >= 0; i-- { // head is the last node linked
+				if machine.Addr(n) != want[b][i] {
+					t.Fatalf("LineWords %d: bucket %d node %d at %d, per-node allocation gives %d", lw, b, i, n, want[b][i])
+				}
+				n = h.m.Peek(machine.Addr(n) + offNext)
+			}
+			if n != 0 {
+				t.Fatalf("LineWords %d: bucket %d chain longer than %d", lw, b, items)
+			}
+		}
+		if got, wantUsed := h.m.HeapUsed(), twin.HeapUsed(); got != wantUsed {
+			t.Errorf("LineWords %d: heap used %d, per-node allocation uses %d", lw, got, wantUsed)
+		}
+	}
+}
+
+// TestPopulatedNodeRecycles checks that a node carved out of Populate's
+// block is recycled in PrepareNode's size class: the next PrepareNode
+// hands the removed node back, zeroed.
+func TestPopulatedNodeRecycles(t *testing.T) {
+	sys := newSys(1, 1<<16, 1)
+	h := New(sys.M, 4)
+	h.Populate(6)
+	sys.M.Run(1, func(c *machine.CPU) {
+		th := sys.Thread(0)
+		node := h.Remove(th, 9)
+		if node == 0 {
+			t.Fatal("key 9 not found")
+		}
+		h.Recycle(th, node)
+		if got := h.PrepareNode(th); got != node {
+			t.Fatalf("PrepareNode returned %d, want the removed node %d", got, node)
+		}
+		for w := machine.Addr(0); w < nodeWords; w++ {
+			if v := sys.M.Peek(node + w); v != 0 {
+				t.Fatalf("recycled node word %d reads %d, want 0", w, v)
+			}
+		}
+	})
+}
+
 func TestSequentialOpsMatchModel(t *testing.T) {
 	sys := newSys(1, 1<<20, 2)
 	h := New(sys.M, 4)

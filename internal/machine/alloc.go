@@ -7,6 +7,11 @@ import "fmt"
 // bookkeeping costs are charged as a flat Alloc cost), which keeps it out
 // of the coherence and conflict-detection picture — the experiments are
 // about the applications' accesses, not the allocator's.
+//
+// Contract: nothing writes a word outside an allocated block. Words past
+// the bump pointer (and the padding the bump pointer skips to align a
+// block) are therefore still zero from New, and only blocks recycled from
+// the free lists need clearing before they are handed out again.
 type arena struct {
 	next      Addr
 	limit     Addr
@@ -24,7 +29,10 @@ func (a *arena) init(memWords, lineWords int64) {
 	a.free = make(map[int64][]Addr)
 }
 
-func (a *arena) alloc(n int64, lineAligned bool) Addr {
+// alloc returns a block of n words (n rounded up to whole lines when
+// lineAligned), its size in words, and whether it was recycled from a free
+// list rather than claimed from the bump pointer.
+func (a *arena) alloc(n int64, lineAligned bool) (addr Addr, size int64, recycled bool) {
 	if n <= 0 {
 		panic("machine: Alloc with non-positive size")
 	}
@@ -42,7 +50,7 @@ func (a *arena) alloc(n int64, lineAligned bool) Addr {
 			addr := lst[len(lst)-1]
 			a.free[key] = lst[:len(lst)-1]
 			a.nFree--
-			return addr
+			return addr, n, true
 		}
 	}
 	p := a.next
@@ -53,7 +61,7 @@ func (a *arena) alloc(n int64, lineAligned bool) Addr {
 		panic(fmt.Sprintf("machine: simulated memory exhausted (%d words requested, %d free)", n, a.limit-a.next))
 	}
 	a.next = p + Addr(n)
-	return p
+	return p, n, false
 }
 
 func (a *arena) release(addr Addr, n int64, lineAligned bool) {
@@ -66,14 +74,14 @@ func (a *arena) release(addr Addr, n int64, lineAligned bool) {
 	a.nFree++
 }
 
-// allocWords allocates and zeroes n words of simulated memory.
+// allocWords allocates n words of simulated memory and returns them
+// zeroed. A block from the bump pointer is zero already (see arena), so
+// only a recycled block is cleared.
 func (m *Machine) allocWords(n int64, aligned bool) Addr {
-	addr := m.alloc.alloc(n, aligned)
-	size := n
-	if aligned {
-		size = (n + m.Cfg.LineWords - 1) &^ (m.Cfg.LineWords - 1)
+	addr, size, recycled := m.alloc.alloc(n, aligned)
+	if recycled {
+		clear(m.words[addr : addr+Addr(size)])
 	}
-	clear(m.words[addr : addr+Addr(size)])
 	return addr
 }
 
@@ -85,11 +93,13 @@ func (m *Machine) freeWords(addr Addr, n int64, aligned bool) {
 	m.alloc.release(addr, n, aligned)
 }
 
-// AllocRaw allocates n words without charging any CPU time. Intended for
-// Setup-phase population.
+// AllocRaw allocates n zeroed words without charging any CPU time.
+// Intended for Setup-phase population. Writes must stay inside the block
+// (see arena).
 func (m *Machine) AllocRaw(n int64) Addr { return m.allocWords(n, false) }
 
-// AllocRawAligned allocates n line-aligned words without charging CPU time.
+// AllocRawAligned allocates n zeroed, line-aligned words without charging
+// CPU time. Writes must stay inside the block (see arena).
 func (m *Machine) AllocRawAligned(n int64) Addr { return m.allocWords(n, true) }
 
 // HeapUsed reports how many words have been claimed from the bump pointer.

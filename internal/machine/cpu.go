@@ -527,14 +527,15 @@ func (c *CPU) CAS(a Addr, old, new uint64) bool {
 func (c *CPU) Fence() { c.now += c.m.Cfg.Costs.Fence }
 
 // Alloc allocates n words of simulated memory, charging allocation cost.
-// The memory is zeroed.
+// The memory is zeroed: fresh words are zero from New, and a recycled
+// block is cleared. Writes must stay inside the block (see arena).
 func (c *CPU) Alloc(n int64) Addr {
 	c.now += c.m.Cfg.Costs.Alloc
 	return c.m.allocWords(n, false)
 }
 
 // AllocAligned allocates n words starting on a cache-line boundary,
-// charging allocation cost. The memory is zeroed.
+// charging allocation cost. The memory is zeroed, as for Alloc.
 func (c *CPU) AllocAligned(n int64) Addr {
 	c.now += c.m.Cfg.Costs.Alloc
 	return c.m.allocWords(n, true)

@@ -154,6 +154,8 @@ type DB struct {
 	// name, ordered by customer id. Built once; TPC-C's last-name index
 	// is read-only at runtime (customers are never created or renamed).
 	nameIndex []machine.Addr
+
+	seen []itemSet // per-CPU Stock-Level scratch, [CPU ID]
 }
 
 // lastNameOf assigns customer c its last name (round-robin, as a stand-in
@@ -173,7 +175,7 @@ func (db *DB) stockOf(w, i int64) machine.Addr { return db.stock[w*db.Cfg.Items+
 
 // Build constructs and populates the database with raw stores.
 func Build(m *machine.Machine, cfg Config) *DB {
-	db := &DB{Cfg: cfg, M: m}
+	db := &DB{Cfg: cfg, M: m, seen: make([]itemSet, m.Cfg.CPUs)}
 	rng := buildRNG{s: cfg.Seed*0x9e3779b97f4a7c15 + 3}
 
 	for w := int64(0); w < cfg.Warehouses; w++ {

@@ -228,7 +228,7 @@ func (db *DB) Delivery(t *htm.Thread, w int64, carrier uint64) DeliveryResult {
 // budget for roughly half of HLE's read attempts.
 func (db *DB) StockLevel(t *htm.Thread, w, d int64, threshold uint64) int {
 	di := db.district(w, d)
-	seen := make(map[uint64]bool, 64) // host-local scratch: restartable
+	seen := db.itemSet(t.C.ID)
 	low := 0
 	for i := 0; i < RecentOrders; i++ {
 		order := machine.Addr(t.Load(di + diRing + machine.Addr(i)))
@@ -239,10 +239,10 @@ func (db *DB) StockLevel(t *htm.Thread, w, d int64, threshold uint64) int {
 		for l := 0; l < n; l++ {
 			ol := order + machine.Addr((l+1)*16)
 			iid := t.Load(ol + olIID)
-			if iid == 0 || seen[iid] {
+			if iid == 0 || seen.stamp[iid] == seen.gen {
 				continue
 			}
-			seen[iid] = true
+			seen.stamp[iid] = seen.gen
 			st := db.stockOf(w, int64(iid-1))
 			if t.Load(st+stQty) < threshold {
 				low++
@@ -250,4 +250,31 @@ func (db *DB) StockLevel(t *htm.Thread, w, d int64, threshold uint64) int {
 		}
 	}
 	return low
+}
+
+// itemSet is one CPU's Stock-Level scratch set of item ids: id iid is in
+// the set when stamp[iid] == gen. It is host-side state, invisible to the
+// simulation, and reused across executions so that Stock-Level makes no
+// host allocation.
+type itemSet struct {
+	stamp []uint32 // indexed by 1-based item id
+	gen   uint32
+}
+
+// itemSet returns CPU cpu's item set, emptied for a new Stock-Level
+// execution. Every execution starts here, so a re-execution after an abort
+// mid-scan starts from an empty set too. The set is per CPU because a Load
+// can park the CPU mid-scan, and another CPU's Stock-Level then runs
+// before this one resumes.
+func (db *DB) itemSet(cpu int) *itemSet {
+	s := &db.seen[cpu]
+	if s.stamp == nil {
+		s.stamp = make([]uint32, db.Cfg.Items+1)
+	}
+	s.gen++
+	if s.gen == 0 { // wrapped: stamps from 2^32 executions ago would match
+		clear(s.stamp)
+		s.gen = 1
+	}
+	return s
 }
