@@ -177,7 +177,7 @@ func sanitizePoint(spec harness.ServeSpec, jsonPath string, w io.Writer) error {
 	cfg := spec.Base
 	cfg.Arrivals.RatePerSec = spec.Rates[0]
 	scheme := spec.Schemes[0]
-	m, rep, err := service.RunPointSanitized(cfg, scheme, harness.SchemeFactory(scheme))
+	m, _, rep, err := service.RunPointObserved(cfg, scheme, harness.SchemeFactory(scheme), nil, nil, true)
 	if err != nil {
 		return err
 	}
@@ -214,7 +214,7 @@ func tracePoint(spec harness.ServeSpec, chromePath, timelinePath string, window 
 	if timelinePath != "" {
 		prof = obs.NewProfile(window, len(cfg.Classes))
 	}
-	m, reqs, err := service.RunPointProfiled(cfg, scheme, harness.SchemeFactory(scheme), observe, prof)
+	m, reqs, _, err := service.RunPointObserved(cfg, scheme, harness.SchemeFactory(scheme), observe, prof, false)
 	if err != nil {
 		return err
 	}

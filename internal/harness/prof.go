@@ -82,7 +82,7 @@ func RunProf(spec ProfSpec, workers int, progress io.Writer) (*ProfReport, error
 		cfg := base
 		cfg.Arrivals.RatePerSec = spec.RatePerSec
 		prof := obs.NewProfile(spec.WindowCycles, len(cfg.Classes))
-		m, _, err := service.RunPointProfiled(cfg, scheme, SchemeFactory(scheme), nil, prof)
+		m, _, _, err := service.RunPointObserved(cfg, scheme, SchemeFactory(scheme), nil, prof, false)
 		if err != nil {
 			return fmt.Errorf("profile point %s@%.0f/s: %w", scheme, spec.RatePerSec, err)
 		}

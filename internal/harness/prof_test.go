@@ -17,7 +17,7 @@ import (
 // caller can assert on the diagnostic.
 func runPointCatching(cfg service.Config, scheme string, prof *obs.Profile) (m *obs.ServiceMetrics, err error, panicked any) {
 	defer func() { panicked = recover() }()
-	m, _, err = service.RunPointProfiled(cfg, scheme, SchemeFactory(scheme), nil, prof)
+	m, _, _, err = service.RunPointObserved(cfg, scheme, SchemeFactory(scheme), nil, prof, false)
 	return
 }
 
@@ -131,7 +131,7 @@ func TestProfilerZeroCost(t *testing.T) {
 				t.Fatal(err)
 			}
 			prof := obs.NewProfile(250_000, len(cfg.Classes))
-			profiled, _, err := service.RunPointProfiled(cfg, scheme, SchemeFactory(scheme), nil, prof)
+			profiled, _, _, err := service.RunPointObserved(cfg, scheme, SchemeFactory(scheme), nil, prof, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,7 +154,7 @@ func TestProfilerWindowInvariance(t *testing.T) {
 	var ref []int64
 	for _, window := range []int64{50_000, 250_000, 1 << 62} {
 		prof := obs.NewProfile(window, len(cfg.Classes))
-		if _, _, err := service.RunPointProfiled(cfg, "RW-LE_OPT", SchemeFactory("RW-LE_OPT"), nil, prof); err != nil {
+		if _, _, _, err := service.RunPointObserved(cfg, "RW-LE_OPT", SchemeFactory("RW-LE_OPT"), nil, prof, false); err != nil {
 			t.Fatal(err)
 		}
 		rep := prof.Report("RW-LE_OPT", "hashmap")
@@ -177,7 +177,7 @@ func TestTimelineSubscription(t *testing.T) {
 	prof := obs.NewProfile(100_000, len(cfg.Classes))
 	var live []obs.TimelineWindow
 	prof.Timeline.Subscribe(func(w obs.TimelineWindow) { live = append(live, w) })
-	if _, _, err := service.RunPointProfiled(cfg, "RW-LE_OPT", SchemeFactory("RW-LE_OPT"), nil, prof); err != nil {
+	if _, _, _, err := service.RunPointObserved(cfg, "RW-LE_OPT", SchemeFactory("RW-LE_OPT"), nil, prof, false); err != nil {
 		t.Fatal(err)
 	}
 	rep := prof.Report("RW-LE_OPT", "hashmap")
@@ -203,7 +203,7 @@ func TestTimelineQueueAccounting(t *testing.T) {
 	cfg, rate := profTestConfig(t, "hashmap")
 	cfg.Arrivals.RatePerSec = rate
 	prof := obs.NewProfile(100_000, len(cfg.Classes))
-	if _, _, err := service.RunPointProfiled(cfg, "SGL", SchemeFactory("SGL"), nil, prof); err != nil {
+	if _, _, _, err := service.RunPointObserved(cfg, "SGL", SchemeFactory("SGL"), nil, prof, false); err != nil {
 		t.Fatal(err)
 	}
 	rep := prof.Timeline.Report()

@@ -42,7 +42,7 @@ func TestServeSanitizerClean(t *testing.T) {
 		base.Arrivals.RatePerSec = rate
 		for _, scheme := range serveSanitizeSchemes() {
 			t.Run(fmt.Sprintf("%s/%s", wl, scheme), func(t *testing.T) {
-				_, rep, err := service.RunPointSanitized(base, scheme, SchemeFactory(scheme))
+				_, _, rep, err := service.RunPointObserved(base, scheme, SchemeFactory(scheme), nil, nil, true)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -75,11 +75,11 @@ func TestServeSanitizerZeroCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	san1, rep1, err := service.RunPointSanitized(base, scheme, SchemeFactory(scheme))
+	san1, _, rep1, err := service.RunPointObserved(base, scheme, SchemeFactory(scheme), nil, nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	san2, rep2, err := service.RunPointSanitized(base, scheme, SchemeFactory(scheme))
+	san2, _, rep2, err := service.RunPointObserved(base, scheme, SchemeFactory(scheme), nil, nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}

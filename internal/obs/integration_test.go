@@ -94,7 +94,7 @@ func TestConsumersAgree(t *testing.T) {
 		c := obs.NewCollector()
 		prof := obs.NewProfile(100_000, len(cfg.Classes))
 		observe := func(m *machine.Machine) { m.SetTracer(c) }
-		if _, _, err := service.RunPointProfiled(cfg, "RW-LE_OPT", harness.SchemeFactory("RW-LE_OPT"), observe, prof); err != nil {
+		if _, _, _, err := service.RunPointObserved(cfg, "RW-LE_OPT", harness.SchemeFactory("RW-LE_OPT"), observe, prof, false); err != nil {
 			t.Fatal(err)
 		}
 		checkAgree(t, c, prof)

@@ -27,7 +27,7 @@ func GenerateSchedule(cfg Config) ([]Request, error) {
 			return nil, fmt.Errorf("class %q footprint: %w", cl.Name, err)
 		}
 	}
-	s := NewScheduleStream(c.Seed)
+	s := machine.NewStream(scheduleSeed(c.Seed))
 	times := arrivalTimes(s, c.Arrivals, c.Requests)
 	// Cumulative class shares for the percent draw.
 	var cum [8]int

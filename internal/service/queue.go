@@ -1,19 +1,18 @@
 package service
 
-// Queue is the bounded strict-priority dispatch queue shared by the
-// service and shard runners. It lives in host memory, which is safe
-// because every access happens from a CPU that has just passed Sync, or
-// inside a Waiter step at that CPU's turn (the server loop's dispatch
-// wait): the engine only lets a CPU act when it holds the global minimum
-// (time, ID), so queue operations are linearized in
-// nondecreasing virtual time exactly like a hardware arbiter would see
-// them. Arrivals are ingested lazily — pop(now) first admits every
+// queue is the open-system runner's bounded strict-priority dispatch
+// queue. It lives in host memory, which is safe because every access
+// happens from a CPU that has just passed Sync, or inside a Waiter step
+// at that CPU's turn (the server loop's dispatch wait): the engine only
+// lets a CPU act when it holds the global minimum (time, ID), so queue
+// operations are linearized in nondecreasing virtual time exactly like a
+// hardware arbiter would see them. Arrivals are ingested lazily — pop(now) first admits every
 // scheduled arrival with ArriveAt <= now, in schedule order, applying the
 // capacity bound (an arrival that finds the queue full is dropped, at its
 // own arrival time, before later arrivals are considered) — so the queue
 // state at any virtual instant is identical to an eager event-driven
 // simulation, without needing an arrival-injector CPU.
-type Queue struct {
+type queue struct {
 	reqs    []Request // the full schedule, in arrival order
 	next    int       // first schedule entry not yet ingested
 	cap     int
@@ -24,12 +23,12 @@ type Queue struct {
 	dropped int64
 }
 
-func NewQueue(reqs []Request, capacity, classes int) *Queue {
-	return &Queue{reqs: reqs, cap: capacity, classes: classes}
+func newQueue(reqs []Request, capacity, classes int) *queue {
+	return &queue{reqs: reqs, cap: capacity, classes: classes}
 }
 
 // ingest admits every arrival scheduled at or before now.
-func (q *Queue) ingest(now int64) {
+func (q *queue) ingest(now int64) {
 	for q.next < len(q.reqs) && q.reqs[q.next].ArriveAt <= now {
 		i := q.next
 		q.next++
@@ -47,7 +46,7 @@ func (q *Queue) ingest(now int64) {
 // Pop ingests arrivals up to now and returns the index of the
 // highest-priority queued request, or ok=false if the queue is empty at
 // this instant.
-func (q *Queue) Pop(now int64) (idx int, ok bool) {
+func (q *queue) Pop(now int64) (idx int, ok bool) {
 	q.ingest(now)
 	for c := 0; c < q.classes; c++ {
 		if q.heads[c] < len(q.fifo[c]) {
@@ -60,15 +59,9 @@ func (q *Queue) Pop(now int64) (idx int, ok bool) {
 	return 0, false
 }
 
-// Drained reports whether every scheduled arrival has been ingested and
-// the queue is empty.
-func (q *Queue) Drained() bool {
-	return q.next == len(q.reqs) && q.queued == 0
-}
-
 // NextArrival returns the arrival time of the earliest not-yet-ingested
 // request; ok=false when the schedule is exhausted.
-func (q *Queue) NextArrival() (t int64, ok bool) {
+func (q *queue) NextArrival() (t int64, ok bool) {
 	if q.next >= len(q.reqs) {
 		return 0, false
 	}

@@ -9,6 +9,21 @@ import (
 	"hrwle/internal/stats"
 )
 
+// Host is the structure an open-system point serves; RunHost does the
+// rest. MemWords sizes simulated memory (totalOps is the schedule's summed
+// footprint). Build allocates and populates the structure; a non-nil late
+// tracer it returns is chained after observe's, so, like the profiler and
+// the sanitizer behind it, it covers exactly the serving phase. Exec runs
+// one request's structure work on server CPU c after the dispatch wait's
+// Await, holding the virtual-time floor as after a Sync. Finish is called
+// once after the run with the final virtual time and the served schedule.
+type Host interface {
+	MemWords(totalOps int64) int64
+	Build(m *machine.Machine, sys *htm.System) (late machine.Tracer, err error)
+	Exec(r *Request, c *machine.CPU, th *htm.Thread)
+	Finish(now int64, reqs []Request)
+}
+
 // RunPoint measures one open-system point: it draws the arrival schedule,
 // builds the protected structure under the given lock scheme, serves the
 // schedule with cfg.Servers simulated CPUs, and returns the latency
@@ -16,37 +31,30 @@ import (
 // non-nil, is called with the machine before the run starts (tracer
 // attachment).
 func RunPoint(cfg Config, scheme string, mk rwlock.Factory, observe func(*machine.Machine)) (*obs.ServiceMetrics, []Request, error) {
-	m, reqs, _, err := runPoint(cfg, scheme, mk, observe, nil, false)
+	m, reqs, _, err := RunPointObserved(cfg, scheme, mk, observe, nil, false)
 	return m, reqs, err
 }
 
-// RunPointSanitized is RunPoint with the simsan happens-before race
-// detector attached for the serving phase (population is setup, not
-// workload). The returned race report is deterministic for a given
-// configuration; the metrics and sim_cycles are identical to an
-// unsanitized run — the sanitizer only observes the event stream.
-func RunPointSanitized(cfg Config, scheme string, mk rwlock.Factory) (*obs.ServiceMetrics, *simsan.Report, error) {
-	m, _, rep, err := runPoint(cfg, scheme, mk, nil, nil, true)
-	return m, rep, err
+// RunPointObserved is RunPoint with the serving-phase observers attached:
+// the virtual-time profiler prof, when non-nil, and, when sanitize is set,
+// the simsan race detector, whose deterministic report it returns.
+func RunPointObserved(cfg Config, scheme string, mk rwlock.Factory, observe func(*machine.Machine), prof *obs.Profile, sanitize bool) (*obs.ServiceMetrics, []Request, *simsan.Report, error) {
+	return RunHost(&cfg, scheme, &structure{cfg: &cfg, scheme: scheme, mk: mk}, observe, prof, sanitize)
 }
 
-// RunPointProfiled is RunPoint with a virtual-time profiler attached: prof
-// (when non-nil) is installed as an additional tracer right before the run
-// — after structure population, so attribution covers exactly the serving
-// phase — Started/Finished around it, and fed the completed request log so
-// its timeline carries the queue-depth and sojourn series. The profiler is
-// a pure event consumer: metrics and sim_cycles are identical with and
-// without it.
-func RunPointProfiled(cfg Config, scheme string, mk rwlock.Factory, observe func(*machine.Machine), prof *obs.Profile) (*obs.ServiceMetrics, []Request, error) {
-	m, reqs, _, err := runPoint(cfg, scheme, mk, observe, prof, false)
-	return m, reqs, err
-}
-
-func runPoint(cfg Config, scheme string, mk rwlock.Factory, observe func(*machine.Machine), prof *obs.Profile, sanitize bool) (*obs.ServiceMetrics, []Request, *simsan.Report, error) {
+// RunHost is the one open-system runner: it measures one point of h under
+// cfg and labels the metrics with scheme. cfg is normalized in place
+// before h is asked for anything, so a host holding cfg sees the defaulted
+// values. The tracer chain is observe's tracer, h's late tracer, prof
+// (when non-nil; Started and Finished around the run and fed the request
+// log, so its timeline carries the queue-depth and sojourn series), then
+// the simsan sanitizer (when sanitize is set; its report is returned).
+// None of them changes the run: metrics and sim_cycles stay the same.
+func RunHost(cfg *Config, scheme string, h Host, observe func(*machine.Machine), prof *obs.Profile, sanitize bool) (*obs.ServiceMetrics, []Request, *simsan.Report, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, nil, nil, err
 	}
-	reqs, err := GenerateSchedule(cfg)
+	reqs, err := GenerateSchedule(*cfg)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -56,47 +64,47 @@ func runPoint(cfg Config, scheme string, mk rwlock.Factory, observe func(*machin
 	}
 	m := machine.New(machine.Config{
 		CPUs:     cfg.Servers,
-		MemWords: cfg.memWords(totalOps),
+		MemWords: h.MemWords(totalOps),
 		Seed:     cfg.Seed,
 	})
 	if observe != nil {
 		observe(m)
 	}
 	sys := htm.NewSystem(m, htm.Config{})
-	lock := mk(sys)
-	ex, err := newExecutor(&cfg, m, sys, lock, scheme)
+	late, err := h.Build(m, sys)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 
-	q := NewQueue(reqs, cfg.QueueCap, len(cfg.Classes))
-	// Late observers attach after structure population so they cover
-	// exactly the serving phase.
-	var late machine.MultiTracer
+	q := newQueue(reqs, cfg.QueueCap, len(cfg.Classes))
+	var chain machine.MultiTracer
+	for _, t := range []machine.Tracer{m.Tracer(), late} {
+		if t != nil {
+			chain = append(chain, t)
+		}
+	}
 	if prof != nil {
 		prof.Start(m.Now(), cfg.Servers)
-		late = append(late, prof)
+		chain = append(chain, prof)
 	}
 	var san *simsan.Sanitizer
 	if sanitize {
 		san = simsan.New(simsan.Options{CPUs: cfg.Servers})
 		sys.SetTraceAccesses(true)
-		late = append(late, san)
+		chain = append(chain, san)
 	}
-	if len(late) > 0 {
-		if t := m.Tracer(); t != nil {
-			m.SetTracer(append(machine.MultiTracer{t}, late...))
-		} else {
-			m.SetTracer(late)
-		}
+	if len(chain) == 1 {
+		m.SetTracer(chain[0])
+	} else if len(chain) > 1 {
+		m.SetTracer(chain)
 	}
 	cycles := m.Run(cfg.Servers, func(c *machine.CPU) {
-		th := sys.Thread(c.ID)
-		Serve(c, th, q, cfg.DispatchCycles, func(r *Request) { ex.exec(r, c, th) })
+		serve(c, sys.Thread(c.ID), q, cfg.DispatchCycles, h)
 	})
+	h.Finish(m.Now(), reqs)
 	if prof != nil {
-		for i := range q.reqs {
-			r := &q.reqs[i]
+		for i := range reqs {
+			r := &reqs[i]
 			prof.Timeline.AddRequest(r.Class, r.ArriveAt, r.DequeueAt, r.DoneAt, r.Dropped)
 		}
 		prof.Finish(m.Now())
@@ -106,21 +114,20 @@ func runPoint(cfg Config, scheme string, mk rwlock.Factory, observe func(*machin
 		sanRep = san.Finish()
 	}
 	b := stats.Merge(sys.Stats(cfg.Servers), cycles)
-	return Assemble(&cfg, scheme, q.reqs, cycles, &b), q.reqs, sanRep, nil
+	return assemble(cfg, scheme, reqs, cycles, &b), reqs, sanRep, nil
 }
 
-// Serve is the open-system server loop shared by every runner: it
-// dispatches requests from q to server CPU c until the schedule is
-// exhausted and the queue is empty. For each request it stamps the
-// dequeue, charges dispatchCycles and the request's pre-section Work,
-// hands it to exec for the structure work, and stamps the dominant commit
-// path and the completion time.
+// serve is the open-system server loop: it dispatches requests from q to
+// server CPU c until the schedule is exhausted and the queue is empty. For
+// each request it stamps the dequeue, charges dispatchCycles and the
+// request's pre-section Work, hands it to h for the structure work, and
+// stamps the dominant commit path and the completion time.
 //
 // The wait for work is a machine.Waiter, so a server with nothing to do is
 // stepped by the engine — one IdleUntil per arrival it sleeps past — with
 // no coroutine switch. Await returns holding the virtual-time floor, so
 // the request bookkeeping below it is covered exactly as after a Sync.
-func Serve(c *machine.CPU, th *htm.Thread, q *Queue, dispatchCycles int64, exec func(*Request)) {
+func serve(c *machine.CPU, th *htm.Thread, q *queue, dispatchCycles int64, h Host) {
 	w := &dispatchWait{q: q}
 	for {
 		c.Await(w)
@@ -135,8 +142,8 @@ func Serve(c *machine.CPU, th *htm.Thread, q *Queue, dispatchCycles int64, exec 
 		c.Tick(dispatchCycles)
 		c.Tick(r.Work) // pre-CS local compute (parse, app logic)
 		before := th.St.Commits
-		exec(r)
-		r.Path = DominantPath(before, th.St.Commits)
+		h.Exec(r, c, th)
+		r.Path = dominantPath(before, th.St.Commits)
 		r.DoneAt = c.Now()
 	}
 }
@@ -146,7 +153,7 @@ func Serve(c *machine.CPU, th *htm.Thread, q *Queue, dispatchCycles int64, exec 
 // the CPU until the next scheduled arrival, or — the schedule exhausted
 // and the queue empty — ends the wait with idx = -1.
 type dispatchWait struct {
-	q   *Queue
+	q   *queue
 	idx int
 }
 
@@ -169,10 +176,10 @@ func (w *dispatchWait) Step(c *machine.CPU) bool {
 	return false
 }
 
-// DominantPath returns the commit path most of the request's critical
+// dominantPath returns the commit path most of the request's critical
 // sections took (ties break toward the smaller path index, i.e. the more
 // speculative path); -1 when no critical section committed a path delta.
-func DominantPath(before, after [stats.NumCommitPaths]int64) int8 {
+func dominantPath(before, after [stats.NumCommitPaths]int64) int8 {
 	best, bestN := -1, int64(0)
 	for i := 0; i < stats.NumCommitPaths; i++ {
 		if d := after[i] - before[i]; d > bestN {
@@ -182,10 +189,10 @@ func DominantPath(before, after [stats.NumCommitPaths]int64) int8 {
 	return int8(best)
 }
 
-// Assemble folds the completed schedule into a ServiceMetrics. Quantiles
+// assemble folds the completed schedule into a ServiceMetrics. Quantiles
 // cover measured requests: served, past the warmup prefix of the arrival
 // order.
-func Assemble(cfg *Config, scheme string, reqs []Request, cycles int64, b *stats.Breakdown) *obs.ServiceMetrics {
+func assemble(cfg *Config, scheme string, reqs []Request, cycles int64, b *stats.Breakdown) *obs.ServiceMetrics {
 	warmup := int(cfg.WarmupFrac * float64(len(reqs)))
 	out := &obs.ServiceMetrics{
 		Workload:       cfg.Workload,

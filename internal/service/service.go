@@ -22,11 +22,7 @@
 // analyzer enforces this for the whole package.
 package service
 
-import (
-	"fmt"
-
-	"hrwle/internal/machine"
-)
+import "fmt"
 
 // Process selects the arrival process.
 type Process int
@@ -236,12 +232,6 @@ func (c *Config) applyDefaults() error {
 	return nil
 }
 
-// Normalize applies defaults in place and validates the config. Exported
-// for runners outside the package (the shard deployment) that need the
-// defaulted values — server count, class list, queue bound — before
-// generating the schedule.
-func (c *Config) Normalize() error { return c.applyDefaults() }
-
 // Request is one generated arrival: the open-loop schedule entry plus the
 // fields the run fills in. The schedule fields (ArriveAt through Seed) are
 // fixed before machine.Run starts and never depend on service progress —
@@ -276,10 +266,4 @@ func scheduleSeed(seed uint64) uint64 {
 // arrival times, class mix, or demand draws of any request.
 func keySeed(seed uint64) uint64 {
 	return seed*0x9e3779b97f4a7c15 + 0x6b65797374726d // "keystrm"
-}
-
-// NewScheduleStream returns the stream the schedule generator draws from.
-// Exposed so tests can pin schedule bytes independently of GenerateSchedule.
-func NewScheduleStream(seed uint64) *machine.Stream {
-	return machine.NewStream(scheduleSeed(seed))
 }

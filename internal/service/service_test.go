@@ -3,6 +3,8 @@ package service
 import (
 	"reflect"
 	"testing"
+
+	"hrwle/internal/machine"
 )
 
 // testConfig returns a small, fast point configuration.
@@ -153,7 +155,7 @@ func TestQueueDropsAndConservation(t *testing.T) {
 		{ArriveAt: 40, Class: 0}, // arrives when queue is full → dropped
 		{ArriveAt: 500, Class: 0},
 	}
-	q := NewQueue(reqs, 3, 2)
+	q := newQueue(reqs, 3, 2)
 
 	// At t=45 the first three arrivals fill the cap-3 queue; the fourth is
 	// dropped at its own arrival time.
@@ -180,7 +182,7 @@ func TestQueueDropsAndConservation(t *testing.T) {
 	if idx, ok = q.Pop(500); !ok || idx != 4 {
 		t.Fatalf("final pop = %d,%v; want 4", idx, ok)
 	}
-	if !q.Drained() {
+	if _, more := q.NextArrival(); more || q.queued != 0 {
 		t.Fatal("queue not drained after serving everything")
 	}
 	served := 0
@@ -217,7 +219,7 @@ func TestBadConfigs(t *testing.T) {
 func TestDistMeans(t *testing.T) {
 	dists := []Dist{Fixed(100), Pareto(1000, 2.0), Pareto(1000, 1.5), Bimodal(10, 0.9, 8)}
 	for _, d := range dists {
-		s := NewScheduleStream(99)
+		s := machine.NewStream(scheduleSeed(99))
 		sum := 0.0
 		const n = 200000
 		for i := 0; i < n; i++ {

@@ -11,18 +11,23 @@ import (
 	"hrwle/internal/tpcc"
 )
 
-// executor runs one request's structure work on the serving CPU. A
+// structure is the Host of the single-structure workloads: one lock of
+// the named scheme over a hashmap, Kyoto Cabinet or TPC-C database. A
 // request of footprint k performs k operations, each inside its own
 // RW-LE-protected critical section; the per-op randomness comes from the
 // request's own schedule seed (hashmap) or the serving CPU's stream
 // (kyoto, tpcc), so either way the run is a pure function of the seeds.
-type executor interface {
-	exec(r *Request, c *machine.CPU, th *htm.Thread)
+type structure struct {
+	cfg    *Config
+	scheme string
+	mk     rwlock.Factory
+	exec   func(r *Request, c *machine.CPU, th *htm.Thread)
 }
 
-// memWords sizes simulated memory for the configured workload; totalOps
+// MemWords sizes simulated memory for the configured workload; totalOps
 // is the summed footprint of the whole schedule (order headroom for tpcc).
-func (c *Config) memWords(totalOps int64) int64 {
+func (s *structure) MemWords(totalOps int64) int64 {
+	c := s.cfg
 	switch c.Workload {
 	case "kyoto":
 		return kyoto.DefaultConfig().MemWords()
@@ -36,35 +41,42 @@ func (c *Config) memWords(totalOps int64) int64 {
 	}
 }
 
-// newExecutor builds and populates the protected structure. scheme is the
-// lock scheme name; kyoto mirrors the Fig. 9 convention of eliding the
-// inner slot mutexes only under HLE.
-func newExecutor(cfg *Config, m *machine.Machine, sys *htm.System, lock rwlock.Lock, scheme string) (executor, error) {
-	switch cfg.Workload {
+// Build makes the lock, then builds and populates the structure. Kyoto
+// mirrors the Fig. 9 convention of eliding the inner slot mutexes only
+// under HLE.
+func (s *structure) Build(m *machine.Machine, sys *htm.System) (machine.Tracer, error) {
+	lock := s.mk(sys)
+	switch s.cfg.Workload {
 	case "hashmap":
-		return newHashExec(cfg, m, sys, lock), nil
+		s.exec = newHashExec(s.cfg, m, sys, lock).exec
 	case "kyoto":
 		pol := kyoto.InnerReal
-		if scheme == "HLE" {
+		if s.scheme == "HLE" {
 			pol = kyoto.InnerElide
 		}
 		db := kyoto.New(m, kyoto.DefaultConfig())
 		db.Populate()
-		return &stepExec{
+		s.exec = (&stepExec{
 			lock:  lock,
 			write: &kyoto.Wicked{DB: db, WritePct: 100, Inner: pol},
 			read:  &kyoto.Wicked{DB: db, WritePct: 0, Inner: pol},
-		}, nil
+		}).exec
 	case "tpcc":
 		db := tpcc.Build(m, tpcc.DefaultConfig())
-		return &stepExec{
+		s.exec = (&stepExec{
 			lock:  lock,
 			write: &tpcc.Workload{DB: db, WritePct: 100},
 			read:  &tpcc.Workload{DB: db, WritePct: 0},
-		}, nil
+		}).exec
+	default:
+		return nil, fmt.Errorf("service: unknown workload %q (hashmap|kyoto|tpcc)", s.cfg.Workload)
 	}
-	return nil, fmt.Errorf("service: unknown workload %q (hashmap|kyoto|tpcc)", cfg.Workload)
+	return nil, nil
 }
+
+func (s *structure) Exec(r *Request, c *machine.CPU, th *htm.Thread) { s.exec(r, c, th) }
+
+func (s *structure) Finish(int64, []Request) {}
 
 // stepper is the shared shape of the kyoto and tpcc closed-loop drivers;
 // the service layer reuses them one Step per operation. The write/read

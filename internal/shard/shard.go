@@ -2,11 +2,12 @@
 // ROADMAP item 2: a sharded KV store over the virtual-time machine at
 // 64–256 simulated CPUs. Millions of keys are hash-partitioned across
 // 4–64 shards, each shard a chained hashmap protected by its own rwlock
-// instance; traffic comes from the open-loop arrival generator with a
-// seeded Zipfian hot-key sampler, plus a small fraction of cross-shard
-// multi-key transactions executed under ordered two-phase shard
-// acquisition (deadlock-free by construction, deterministic like
-// everything else in the simulator).
+// instance. The deployment is a service.Host: the service package's
+// open-system runner serves it arrivals drawn with a seeded Zipfian
+// hot-key sampler, plus a small fraction of cross-shard multi-key
+// transactions executed under ordered two-phase shard acquisition
+// (deadlock-free by construction, deterministic like everything else in
+// the simulator).
 //
 // Each shard can run a *different* lock scheme, and can change scheme
 // online: the per-shard adaptive controller (controller.go) watches the
@@ -31,7 +32,7 @@ import (
 	"hrwle/internal/obs"
 	"hrwle/internal/rwlock"
 	"hrwle/internal/service"
-	"hrwle/internal/stats"
+	"hrwle/internal/simsan"
 )
 
 // Scheme pairs a lock-scheme name with its factory. The harness supplies
@@ -99,11 +100,8 @@ func DefaultClasses() []service.Class {
 }
 
 // normalize validates and defaults the shard-specific fields (the
-// embedded service config normalizes itself).
+// service runner normalizes the embedded service config).
 func (c *Config) normalize() error {
-	if err := c.Config.Normalize(); err != nil {
-		return err
-	}
 	if c.Shards <= 0 {
 		c.Shards = 16
 	}
@@ -185,14 +183,15 @@ type srv struct {
 	gate gateWait // reused by every gate wait of this CPU
 }
 
-// deployment wires the machine, the shards and the telemetry together.
+// deployment is the sharded store as a service.Host: it builds the
+// shards, routes each request to them and feeds the per-shard telemetry
+// the controller votes on.
 type deployment struct {
 	cfg     *Config
-	names   []string
+	palette []Scheme
 	shards  []shardState
 	srvs    []srv
 	tl      *obs.ShardTimelines
-	q       *service.Queue
 	sw      []SwitchEvent
 	perU    uint64 // per-shard key universe
 	nshards uint64
@@ -216,14 +215,15 @@ func (d *deployment) route(rank int) (shard int, inKey uint64) {
 	return int(h % d.nshards), (h / d.nshards) % d.perU
 }
 
-// memWords sizes simulated memory: line-aligned nodes for every key,
-// bucket-head arrays, lock metadata per shard per palette entry (BRLock-
-// style schemes allocate a line per CPU, so budget generously), spare
-// nodes, and slack.
-func memWords(c *Config, palette int) int64 {
+// MemWords implements service.Host. It sizes simulated memory from the
+// store, not the schedule: line-aligned nodes for every key, bucket-head
+// arrays, lock metadata per shard per palette entry (BRLock-style schemes
+// allocate a line per CPU, so budget generously), spare nodes, and slack.
+func (d *deployment) MemWords(int64) int64 {
+	c := d.cfg
 	keys := int64(c.Keys.Universe)
 	buckets := keys/c.ItemsPerBucket + int64(c.Shards)*32
-	lockW := int64(c.Shards) * int64(palette) * int64(c.Servers+16) * 16
+	lockW := int64(c.Shards) * int64(len(d.palette)) * int64(c.Servers+16) * 16
 	return keys*16 + buckets + lockW + int64(c.Servers)*32 + 1<<16
 }
 
@@ -233,36 +233,49 @@ func memWords(c *Config, palette int) int64 {
 // machine before the run starts (tracer attachment; the shard timeline
 // router is composed with whatever it installs).
 func Run(cfg Config, palette []Scheme, observe func(*machine.Machine)) (*Result, error) {
+	res, _, err := run(cfg, palette, observe, nil, false)
+	return res, err
+}
+
+// run is Run with the service runner's profiler and sanitizer options.
+func run(cfg Config, palette []Scheme, observe func(*machine.Machine), prof *obs.Profile, sanitize bool) (*Result, *simsan.Report, error) {
 	if len(palette) == 0 {
-		return nil, fmt.Errorf("shard: empty scheme palette")
+		return nil, nil, fmt.Errorf("shard: empty scheme palette")
 	}
 	if err := cfg.normalize(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	reqs, err := service.GenerateSchedule(cfg.Config)
+	d := &deployment{cfg: &cfg, palette: palette}
+	label := palette[0].Name
+	if len(palette) > 1 {
+		label = "adaptive"
+	}
+	sm, _, rep, err := service.RunHost(&cfg.Config, label, d, observe, prof, sanitize)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	res := &Result{Service: sm, Switches: d.sw}
+	for i := range d.shards {
+		sh := &d.shards[i]
+		res.Shards = append(res.Shards, ShardStats{
+			Shard: i, Ops: sh.ops, Writes: sh.writes, CrossTx: sh.crossTx,
+			Switches: sh.switches, Final: d.palette[sh.active].Name,
+		})
+		res.CrossTx += sh.crossTx
+	}
+	res.CrossTx /= 2 // each cross-shard tx was counted by both shards
+	return res, rep, nil
+}
 
-	m := machine.New(machine.Config{
-		CPUs:     cfg.Servers,
-		MemWords: memWords(&cfg, len(palette)),
-		Seed:     cfg.Seed,
-	})
-	if observe != nil {
-		observe(m)
-	}
-	sys := htm.NewSystem(m, htm.Config{})
-
-	d := &deployment{
-		cfg:     &cfg,
-		shards:  make([]shardState, cfg.Shards),
-		srvs:    make([]srv, cfg.Servers),
-		nshards: uint64(cfg.Shards),
-	}
-	for _, s := range palette {
-		d.names = append(d.names, s.Name)
-	}
+// Build implements service.Host: it populates every shard's store, makes
+// each shard one lock per palette entry, gives every server its spare
+// node, and returns the shard timeline router — which drives the
+// controller, when there is one — as the late tracer.
+func (d *deployment) Build(m *machine.Machine, sys *htm.System) (machine.Tracer, error) {
+	cfg := d.cfg
+	d.shards = make([]shardState, cfg.Shards)
+	d.srvs = make([]srv, cfg.Servers)
+	d.nshards = uint64(cfg.Shards)
 	buckets := int64(cfg.Keys.Universe/cfg.Shards) / cfg.ItemsPerBucket
 	if buckets < 1 {
 		buckets = 1
@@ -276,8 +289,8 @@ func Run(cfg Config, palette []Scheme, observe func(*machine.Machine)) (*Result,
 		sh.h = hashmap.New(m, buckets)
 		sh.h.Populate(cfg.ItemsPerBucket)
 		sh.universe = uint64(buckets * cfg.ItemsPerBucket)
-		sh.locks = make([]rwlock.Lock, len(palette))
-		for j, s := range palette {
+		sh.locks = make([]rwlock.Lock, len(d.palette))
+		for j, s := range d.palette {
 			sh.locks[j] = s.Mk(sys)
 		}
 		sh.excl = -1
@@ -291,9 +304,8 @@ func Run(cfg Config, palette []Scheme, observe func(*machine.Machine)) (*Result,
 	}
 
 	d.tl = obs.NewShardTimelines(cfg.Window, cfg.Shards, len(cfg.Classes))
-	var ctrl *Controller
-	if len(palette) > 1 {
-		ctrl = NewController(cfg.Ctrl, len(palette), cfg.Shards, func(s, scheme int) {
+	if len(d.palette) > 1 {
+		ctrl := NewController(cfg.Ctrl, len(d.palette), cfg.Shards, func(s, scheme int) {
 			d.shards[s].pending = scheme
 		})
 		for s := range d.shards {
@@ -301,18 +313,24 @@ func Run(cfg Config, palette []Scheme, observe func(*machine.Machine)) (*Result,
 			d.tl.Shards[s].Subscribe(func(w obs.TimelineWindow) { ctrl.Observe(s, w) })
 		}
 	}
-	if t := m.Tracer(); t != nil {
-		m.SetTracer(machine.MultiTracer{t, d.tl})
-	} else {
-		m.SetTracer(d.tl)
-	}
 	d.tl.Start(m.Now(), cfg.Servers)
+	return d.tl, nil
+}
 
-	d.q = service.NewQueue(reqs, cfg.QueueCap, len(cfg.Classes))
-	cycles := m.Run(cfg.Servers, d.serve)
+// Exec implements service.Host: it routes the request by key, runs it
+// against the owning shard(s), and feeds the primary shard's timeline
+// live. That is safe because the watermark cannot have passed this CPU's
+// current instant (see Timeline.AddRequest), and nothing advances the
+// clock between here and the server loop's DoneAt stamp.
+func (d *deployment) Exec(r *service.Request, c *machine.CPU, th *htm.Thread) {
+	primary := d.request(c, th, r)
+	d.tl.Shards[primary].AddRequest(r.Class, r.ArriveAt, r.DequeueAt, c.Now(), false)
+}
 
-	// Dropped requests never reached a server: attribute them to their
-	// primary shard's timeline post-run (served ones were fed live).
+// Finish implements service.Host. Dropped requests never reached a
+// server: it attributes them to their primary shard's timeline (served
+// ones were fed live), then closes the timelines.
+func (d *deployment) Finish(now int64, reqs []service.Request) {
 	for i := range reqs {
 		r := &reqs[i]
 		if r.Dropped {
@@ -320,44 +338,12 @@ func Run(cfg Config, palette []Scheme, observe func(*machine.Machine)) (*Result,
 			d.tl.Shards[s].AddRequest(r.Class, r.ArriveAt, 0, 0, true)
 		}
 	}
-	d.tl.Finish(m.Now())
-
-	b := stats.Merge(sys.Stats(cfg.Servers), cycles)
-	label := palette[0].Name
-	if len(palette) > 1 {
-		label = "adaptive"
-	}
-	res := &Result{
-		Service:  service.Assemble(&cfg.Config, label, reqs, cycles, &b),
-		Switches: d.sw,
-	}
-	for i := range d.shards {
-		sh := &d.shards[i]
-		res.Shards = append(res.Shards, ShardStats{
-			Shard: i, Ops: sh.ops, Writes: sh.writes, CrossTx: sh.crossTx,
-			Switches: sh.switches, Final: d.names[sh.active],
-		})
-		res.CrossTx += sh.crossTx
-	}
-	res.CrossTx /= 2 // each cross-shard tx was counted by both shards
-	return res, nil
+	d.tl.Finish(now)
 }
 
-// serve runs one CPU of the shared service server loop: dispatch from the
-// shared queue, route by key, execute against the owning shard(s).
-func (d *deployment) serve(c *machine.CPU) {
-	th := d.srvs[c.ID].th
-	service.Serve(c, th, d.q, d.cfg.DispatchCycles, func(r *service.Request) {
-		primary := d.exec(c, th, r)
-		// Live telemetry: safe because the watermark cannot have passed
-		// this CPU's current instant (see Timeline.AddRequest). Nothing
-		// advances the clock between here and the loop's DoneAt stamp.
-		d.tl.Shards[primary].AddRequest(r.Class, r.ArriveAt, r.DequeueAt, c.Now(), false)
-	})
-}
-
-// exec runs one request's structure work and returns its primary shard.
-func (d *deployment) exec(c *machine.CPU, th *htm.Thread, r *service.Request) int {
+// request runs one request's structure work and returns its primary
+// shard.
+func (d *deployment) request(c *machine.CPU, th *htm.Thread, r *service.Request) int {
 	s1, in1 := d.route(r.Key)
 	if r.Key2 >= 0 {
 		if s2, in2 := d.route(r.Key2); s2 != s1 {
@@ -530,6 +516,6 @@ func (d *deployment) applySwitch(c *machine.CPU, sh *shardState, s int) {
 	sh.active = sh.pending
 	sh.switches++
 	d.sw = append(d.sw, SwitchEvent{
-		AtCycles: c.Now(), Shard: s, From: d.names[from], To: d.names[sh.active],
+		AtCycles: c.Now(), Shard: s, From: d.palette[from].Name, To: d.palette[sh.active].Name,
 	})
 }
