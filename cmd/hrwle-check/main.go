@@ -59,7 +59,7 @@ func main() {
 		os.Exit(runReplay(*replay))
 	}
 
-	// Validate names up front: buildLock panics on unknown schemes, and a
+	// Validate names up front: the scheme table panics on unknown names, and a
 	// typo'd -mutation would otherwise silently explore unmutated code.
 	if !*all && !slices.Contains(check.Schemes(), *scheme) {
 		cli.Usage(fmt.Errorf("unknown scheme %q (want one of %s)", *scheme, strings.Join(check.Schemes(), ", ")))

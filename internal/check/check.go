@@ -24,9 +24,8 @@ package check
 import (
 	"fmt"
 
-	"hrwle/internal/core"
+	"hrwle/internal/harness"
 	"hrwle/internal/htm"
-	"hrwle/internal/locks"
 	"hrwle/internal/machine"
 	"hrwle/internal/rwlock"
 )
@@ -38,15 +37,15 @@ const (
 	// MutLoseDoomAtResume forgets conflicts recorded while a transaction
 	// was suspended (htm.Config.UnsafeLoseDoomAtResume).
 	MutLoseDoomAtResume = "lose-doom-at-resume"
-	// MutSkipROTQuiesce drops the quiescence barrier on the ROT path
-	// (core.Options.UnsafeSkipROTQuiesce).
+	// MutSkipROTQuiesce drops the quiescence barrier on RW-LE's ROT path
+	// (htm.Config.UnsafeSkipROTQuiesce).
 	MutSkipROTQuiesce = "skip-rot-quiesce"
-	// MutLazySubscription reads the lock word only after the HTM critical
-	// section body ran (core.Options.UnsafeLazySubscription). Its unsafety
-	// is invisible to value-based oracles — the torn observation commits
-	// values a legal serialization could also produce — so this mutation is
-	// validated by the simsan race sanitizer (Config.Sanitize), not by the
-	// invariant oracles.
+	// MutLazySubscription reads the lock word only after RW-LE's HTM
+	// critical section body ran (htm.Config.UnsafeLazySubscription). Its
+	// unsafety is invisible to value-based oracles — the torn observation
+	// commits values a legal serialization could also produce — so this
+	// mutation is validated by the simsan race sanitizer (Config.Sanitize),
+	// not by the invariant oracles.
 	MutLazySubscription = "lazy-subscription"
 )
 
@@ -158,48 +157,14 @@ func (r Report) String() string {
 
 // buildSystem constructs a fresh machine, HTM system and lock instance for
 // one execution of cfg. Memory is small and paging is off: the checker
-// cares about interleavings, not timing.
+// cares about interleavings, not timing. The mutation knobs all live in
+// htm.Config, so the lock comes from the harness scheme table unchanged.
 func buildSystem(cfg Config) (*machine.Machine, *htm.System, rwlock.Lock) {
 	m := machine.New(machine.Config{CPUs: cfg.Threads, MemWords: 1 << 12, Seed: 1})
-	hcfg := htm.Config{UnsafeLoseDoomAtResume: cfg.Mutation == MutLoseDoomAtResume}
-	sys := htm.NewSystem(m, hcfg)
-	return m, sys, buildLock(sys, cfg)
-}
-
-// buildLock resolves cfg.Scheme, applying the mutation knobs that live in
-// core.Options. It parallels harness.SchemeFactory but needs direct access
-// to the options, which the harness factory does not expose.
-func buildLock(sys *htm.System, cfg Config) rwlock.Lock {
-	rot := cfg.Mutation == MutSkipROTQuiesce
-	lazy := cfg.Mutation == MutLazySubscription
-	mkCore := func(o core.Options) rwlock.Lock {
-		o.UnsafeSkipROTQuiesce = rot
-		o.UnsafeLazySubscription = lazy
-		return core.New(sys, o)
-	}
-	switch cfg.Scheme {
-	case "RW-LE_OPT":
-		return mkCore(core.Opt())
-	case "RW-LE_PES":
-		return mkCore(core.Pes())
-	case "RW-LE_FAIR":
-		o := core.Opt()
-		o.Fair = true
-		o.Name = "RW-LE_FAIR"
-		return mkCore(o)
-	case "RW-LE_SPLIT":
-		o := core.Opt()
-		o.SplitLocks = true
-		o.Name = "RW-LE_SPLIT"
-		return mkCore(o)
-	case "HLE":
-		return locks.NewHLE(sys)
-	case "BRLock":
-		return locks.NewBRLock(sys)
-	case "RWL":
-		return locks.NewRWL(sys)
-	case "SGL":
-		return locks.NewSGL(sys)
-	}
-	panic("check: unknown scheme " + cfg.Scheme)
+	sys := htm.NewSystem(m, htm.Config{
+		UnsafeLoseDoomAtResume: cfg.Mutation == MutLoseDoomAtResume,
+		UnsafeSkipROTQuiesce:   cfg.Mutation == MutSkipROTQuiesce,
+		UnsafeLazySubscription: cfg.Mutation == MutLazySubscription,
+	})
+	return m, sys, harness.SchemeFactory(cfg.Scheme)(sys)
 }

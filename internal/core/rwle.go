@@ -78,21 +78,6 @@ type Options struct {
 	// readers once the transaction cannot commit anyway — an extension
 	// the paper leaves on the table.
 	EarlyAbort bool
-	// UnsafeSkipROTQuiesce is a checker-validation knob: it drops the
-	// quiescence barrier on the ROT path, committing while readers may
-	// still be inside their sections — the exact simplification the paper
-	// shows to be unsound. internal/check must find a violation with this
-	// set. Never enable it outside checker self-tests.
-	UnsafeSkipROTQuiesce bool
-	// UnsafeLazySubscription is a sanitizer-validation knob: the HTM
-	// writer path reads the global lock word only *after* running the
-	// critical section, instead of eagerly subscribing before it (the
-	// unsafe lazy-subscription scheme of Dice et al., arXiv 1407.6968).
-	// A transaction can then run its whole body concurrently with a
-	// non-speculative lock holder and still commit, having observed the
-	// holder's unpublished intermediate state. The simsan race sanitizer
-	// must flag those accesses. Never enable it outside self-tests.
-	UnsafeLazySubscription bool
 	// Name overrides the reported scheme name.
 	Name string
 }
@@ -133,6 +118,10 @@ type RWLE struct {
 	snaps [][]uint64
 	// adapt, when Options.Adaptive is set, tunes the HTM budget.
 	adapt *adaptiveController
+	// skipROTQuiesce and lazySubscription are the system's checker
+	// mutations (htm.Config.UnsafeSkipROTQuiesce, UnsafeLazySubscription),
+	// copied at construction.
+	skipROTQuiesce, lazySubscription bool
 
 	// acqWaits[i] and syncWaits[i] are thread i's reusable engine-stepped
 	// waiters for lock acquisition and quiescence scans — host-side state,
@@ -161,6 +150,9 @@ func New(sys *htm.System, opts Options) *RWLE {
 		opts:     opts,
 		nthreads: m.Cfg.CPUs,
 		lineW:    machine.Addr(m.Cfg.LineWords),
+
+		skipROTQuiesce:   sys.Cfg.UnsafeSkipROTQuiesce,
+		lazySubscription: sys.Cfg.UnsafeLazySubscription,
 	}
 	l.wlock = m.AllocRawAligned(1)
 	if opts.SplitLocks {
@@ -379,17 +371,17 @@ func (l *RWLE) writeHTM(t *htm.Thread, cs func()) htm.Status {
 	// Let non-HTM writers finish before starting speculation (line 42).
 	t.AwaitWordBackoff(l.wlock, stateMask, lockFree, true, 0, 8)
 	return t.Try(false, func() {
-		if !l.opts.UnsafeLazySubscription {
+		if !l.lazySubscription {
 			if state(t.Load(l.wlock)) != lockFree { // subscribe (line 44)
 				t.Abort(stats.AbortLockBusy)
 			}
 		}
 		cs()
-		if l.opts.UnsafeLazySubscription {
+		if l.lazySubscription {
 			// Sanitizer-validation mutation: subscribe only after the body
 			// ran, so the transaction never entered the lock word into its
 			// read set while executing — a fallback writer acquiring
-			// mid-section goes unnoticed (see Options.UnsafeLazySubscription).
+			// mid-section goes unnoticed (see htm.Config.UnsafeLazySubscription).
 			if state(t.Load(l.wlock)) != lockFree {
 				t.Abort(stats.AbortLockBusy)
 			}
@@ -430,7 +422,7 @@ func (l *RWLE) writeROT(t *htm.Thread, cs func()) htm.Status {
 	myVer := l.acquire(t, lockWord, lockROT)
 	st := t.Try(true, func() {
 		cs()
-		if !l.opts.UnsafeSkipROTQuiesce {
+		if !l.skipROTQuiesce {
 			// Always drain every in-flight reader here, even in the fair
 			// variant. The version filter is only sound where later readers
 			// are *blocked* by the lock word (the NS path): a reader that

@@ -1,38 +1,5 @@
 package harness
 
-import (
-	"hrwle/internal/core"
-	"hrwle/internal/htm"
-	"hrwle/internal/locks"
-	"hrwle/internal/rwlock"
-)
-
-// extSchemeFactory resolves the extension schemes on top of the standard
-// registry.
-func extSchemeFactory(name string) rwlock.Factory {
-	switch name {
-	case "PRWL":
-		return func(s *htm.System) rwlock.Lock { return locks.NewPRWL(s) }
-	case "HLE-SCM":
-		return func(s *htm.System) rwlock.Lock { return locks.NewSCMHLE(s) }
-	case "RW-LE_ADAPT":
-		return func(s *htm.System) rwlock.Lock {
-			o := core.Opt()
-			o.Adaptive = true
-			o.Name = "RW-LE_ADAPT"
-			return core.New(s, o)
-		}
-	case "RW-LE_EARLY":
-		return func(s *htm.System) rwlock.Lock {
-			o := core.Opt()
-			o.EarlyAbort = true
-			o.Name = "RW-LE_EARLY"
-			return core.New(s, o)
-		}
-	}
-	return SchemeFactory(name)
-}
-
 // extensionFigure builds a hashmap-workload figure over extension schemes.
 func extensionFigure(id, title string, schemes []string, buckets, items int64, wpcts []int, baseOps int) *FigureSpec {
 	f := &FigureSpec{
@@ -49,7 +16,7 @@ func extensionFigure(id, title string, schemes []string, buckets, items int64, w
 			Threads: threads, TotalOps: int(float64(baseOps) * scale),
 			Seed: uint64(20000 + threads*13 + writePct),
 		}
-		return RunHashmap(ctx, p, extSchemeFactory(scheme))
+		return RunHashmap(ctx, p, SchemeFactory(scheme))
 	}
 	return f
 }

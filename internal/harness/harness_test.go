@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -19,10 +20,11 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestSchemeFactoryNames(t *testing.T) {
-	for _, name := range []string{"RW-LE_OPT", "RW-LE_PES", "RW-LE_FAIR", "RW-LE_SPLIT", "RW-LE_basic", "HLE", "BRLock", "RWL", "SGL"} {
-		if SchemeFactory(name) == nil {
-			t.Errorf("no factory for %s", name)
-		}
+	// The paper's menu (-schemes all, -list, CLI name validation) is the
+	// head of the scheme table; pin it so extension rows cannot leak in.
+	want := []string{"RW-LE_OPT", "RW-LE_PES", "RW-LE_FAIR", "RW-LE_SPLIT", "RW-LE_basic", "HLE", "BRLock", "RWL", "SGL"}
+	if got := AllSchemes(); !slices.Equal(got, want) {
+		t.Errorf("AllSchemes() = %v, want %v", got, want)
 	}
 	defer func() {
 		if recover() == nil {
@@ -99,7 +101,7 @@ func TestAdaptiveStateExposed(t *testing.T) {
 		Buckets: 1, Items: 200, WritePct: 50,
 		Threads: 8, TotalOps: 2000, Seed: 42,
 	}
-	r := RunHashmap(PointCtx{}, p, extSchemeFactory("RW-LE_ADAPT"))
+	r := RunHashmap(PointCtx{}, p, SchemeFactory("RW-LE_ADAPT"))
 	if r.Adaptive == nil {
 		t.Fatal("RW-LE_ADAPT point has no Adaptive state")
 	}

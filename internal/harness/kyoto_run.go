@@ -3,7 +3,6 @@ package harness
 import (
 	"hrwle/internal/htm"
 	"hrwle/internal/kyoto"
-	"hrwle/internal/locks"
 	"hrwle/internal/machine"
 	"hrwle/internal/rwlock"
 	"hrwle/internal/stats"
@@ -16,7 +15,7 @@ import (
 // real.
 func kyotoScheme(name string) (rwlock.Factory, kyoto.InnerPolicy) {
 	if name == "Orig" {
-		return func(s *htm.System) rwlock.Lock { return locks.NewRWL(s) }, kyoto.InnerReal
+		return SchemeFactory("RWL"), kyoto.InnerReal
 	}
 	pol := kyoto.InnerReal
 	if name == "HLE" {

@@ -3,8 +3,68 @@ package harness
 import (
 	"hrwle/internal/core"
 	"hrwle/internal/htm"
+	"hrwle/internal/locks"
 	"hrwle/internal/rwlock"
 )
+
+// schemeEntry is one row of the scheme table.
+type schemeEntry struct {
+	name string
+	mk   rwlock.Factory
+}
+
+// schemeTable is the only place a scheme name becomes a lock. The first
+// paperSchemes rows are the paper's menu, in AllSchemes order; the rest
+// are the extension schemes.
+var schemeTable = []schemeEntry{
+	rwle("RW-LE_OPT", core.Opt()),
+	rwle("RW-LE_PES", core.Pes()),
+	rwle("RW-LE_FAIR", core.Options{MaxHTM: 5, MaxROT: 5, Fair: true}),
+	rwle("RW-LE_SPLIT", core.Options{MaxHTM: 5, MaxROT: 5, SplitLocks: true}),
+	{"RW-LE_basic", func(s *htm.System) rwlock.Lock { return core.NewBasic(s) }},
+	{"HLE", func(s *htm.System) rwlock.Lock { return locks.NewHLE(s) }},
+	{"BRLock", func(s *htm.System) rwlock.Lock { return locks.NewBRLock(s) }},
+	{"RWL", func(s *htm.System) rwlock.Lock { return locks.NewRWL(s) }},
+	{"SGL", func(s *htm.System) rwlock.Lock { return locks.NewSGL(s) }},
+	{"PRWL", func(s *htm.System) rwlock.Lock { return locks.NewPRWL(s) }},
+	{"HLE-SCM", func(s *htm.System) rwlock.Lock { return locks.NewSCMHLE(s) }},
+	rwle("RW-LE_ADAPT", core.Options{MaxHTM: 5, MaxROT: 5, Adaptive: true}),
+	rwle("RW-LE_EARLY", core.Options{MaxHTM: 5, MaxROT: 5, EarlyAbort: true}),
+}
+
+// paperSchemes is the length of the paper's menu at the head of schemeTable.
+const paperSchemes = 9
+
+// rwle is a table row for an RW-LE variant; the lock reports the row's name.
+func rwle(name string, o core.Options) schemeEntry {
+	o.Name = name
+	return schemeEntry{name, func(s *htm.System) rwlock.Lock { return core.New(s, o) }}
+}
+
+// AllSchemes lists the paper's scheme menu (`-schemes all`), in menu order.
+func AllSchemes() []string { return tableNames(schemeTable[:paperSchemes]) }
+
+// TableSchemes lists every name in the scheme table, extensions included.
+func TableSchemes() []string { return tableNames(schemeTable) }
+
+func tableNames(rows []schemeEntry) []string {
+	names := make([]string, len(rows))
+	for i, e := range rows {
+		names[i] = e.name
+	}
+	return names
+}
+
+// SchemeFactory resolves any name in the scheme table to its lock factory.
+// It panics on any other name.
+func SchemeFactory(name string) rwlock.Factory {
+	for _, e := range schemeTable {
+		if e.name == name {
+			return e.mk
+		}
+	}
+	panic("harness: unknown scheme " + name)
+}
 
 // newCoreLock builds an RW-LE variant with explicit budgets; used by the
 // fairness and ablation figures.

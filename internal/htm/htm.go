@@ -69,7 +69,7 @@ func IsAbortSignal(r any) bool {
 	return ok
 }
 
-// Config holds the HTM capacity budget.
+// Config holds the HTM capacity budget and the checker-validation knobs.
 type Config struct {
 	// ReadCapLines is the read-set budget in cache lines (default 64,
 	// i.e. 8 KiB of 128 B lines — the POWER8 budget).
@@ -83,6 +83,22 @@ type Config struct {
 	// dooms, so internal/check must find a violation with this set. Never
 	// enable it outside checker self-tests.
 	UnsafeLoseDoomAtResume bool
+	// UnsafeSkipROTQuiesce is a checker-validation knob read by RW-LE
+	// (internal/core): it drops the quiescence barrier on the ROT path,
+	// committing while readers may still be inside their sections — the
+	// exact simplification the paper shows to be unsound. internal/check
+	// must find a violation with this set. Never enable it outside checker
+	// self-tests.
+	UnsafeSkipROTQuiesce bool
+	// UnsafeLazySubscription is a sanitizer-validation knob read by RW-LE:
+	// the HTM writer path reads the global lock word only *after* running
+	// the critical section, instead of eagerly subscribing before it (the
+	// unsafe lazy-subscription scheme of Dice et al., arXiv 1407.6968).
+	// A transaction can then run its whole body concurrently with a
+	// non-speculative lock holder and still commit, having observed the
+	// holder's unpublished intermediate state. The simsan race sanitizer
+	// must flag those accesses. Never enable it outside self-tests.
+	UnsafeLazySubscription bool
 }
 
 func (c *Config) applyDefaults() {

@@ -11,7 +11,6 @@ package locks
 import (
 	"hrwle/internal/htm"
 	"hrwle/internal/machine"
-	"hrwle/internal/rwlock"
 	"hrwle/internal/stats"
 )
 
@@ -212,11 +211,6 @@ func NewHLE(sys *htm.System) *HLE {
 	return &HLE{lock: sys.M.AllocRawAligned(1), maxRetries: 5}
 }
 
-// NewHLEWithRetries creates an HLE scheme with a custom retry budget.
-func NewHLEWithRetries(sys *htm.System, retries int) *HLE {
-	return &HLE{lock: sys.M.AllocRawAligned(1), maxRetries: retries}
-}
-
 // Name implements rwlock.Lock.
 func (l *HLE) Name() string { return "HLE" }
 
@@ -264,14 +258,4 @@ func (l *HLE) elide(t *htm.Thread, write bool, cs func()) {
 	spinRelease(t, l.lock)
 	t.St.Commits[stats.CommitSGL]++
 	t.C.Emit(machine.EvCSEnd, 0, machine.PackCS(write, uint64(stats.CommitSGL), failed))
-}
-
-// Factories returns the baseline lock factories keyed by scheme name.
-func Factories() map[string]rwlock.Factory {
-	return map[string]rwlock.Factory{
-		"SGL":    func(s *htm.System) rwlock.Lock { return NewSGL(s) },
-		"RWL":    func(s *htm.System) rwlock.Lock { return NewRWL(s) },
-		"BRLock": func(s *htm.System) rwlock.Lock { return NewBRLock(s) },
-		"HLE":    func(s *htm.System) rwlock.Lock { return NewHLE(s) },
-	}
 }

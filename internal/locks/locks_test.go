@@ -215,7 +215,8 @@ func TestHLERetryBudgetRespected(t *testing.T) {
 	// maxRetries transactions before the fallback.
 	m := machine.New(machine.Config{CPUs: 1, MemWords: 1 << 18, Seed: 10, Paging: machine.PagingConfig{Enabled: true, PageWords: 64, ResidentLimit: 2, TLBEntries: 2}})
 	sys := htm.NewSystem(m, htm.Config{})
-	lock := NewHLEWithRetries(sys, 3)
+	lock := NewHLE(sys)
+	lock.maxRetries = 3
 	sys.M.Run(1, func(c *machine.CPU) {
 		th := sys.Thread(0)
 		lock.Read(th, func() {
@@ -232,19 +233,5 @@ func TestHLERetryBudgetRespected(t *testing.T) {
 	}
 	if st.Commits[stats.CommitSGL] != 1 {
 		t.Errorf("commits = %v, want 1 SGL", st.Commits)
-	}
-}
-
-func TestFactoriesComplete(t *testing.T) {
-	fs := Factories()
-	for _, name := range []string{"SGL", "RWL", "BRLock", "HLE"} {
-		f, ok := fs[name]
-		if !ok {
-			t.Fatalf("missing factory %s", name)
-		}
-		sys := newSys(2, 1)
-		if got := f(sys).Name(); got != name {
-			t.Errorf("factory %s built lock named %s", name, got)
-		}
 	}
 }

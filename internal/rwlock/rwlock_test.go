@@ -9,19 +9,12 @@ import (
 	"hrwle/internal/rwlock"
 )
 
-// allSchemes is every name harness.SchemeFactory documents as resolvable.
-var allSchemes = []string{
-	"RW-LE_OPT", "RW-LE_PES", "RW-LE_FAIR", "RW-LE_SPLIT", "RW-LE_basic",
-	"HLE", "BRLock", "RWL", "SGL",
-}
-
-// TestFactoryContract instantiates every scheme on a fresh system and
+// TestFactoryContract instantiates every scheme-table entry on a fresh system and
 // checks the rwlock.Lock contract: a non-empty stable Name matching the
 // scheme, and Read/Write sections that run their bodies with mutual
 // exclusion effects visible afterwards.
 func TestFactoryContract(t *testing.T) {
-	for _, name := range allSchemes {
-		name := name
+	for _, name := range harness.TableSchemes() {
 		t.Run(name, func(t *testing.T) {
 			f := harness.SchemeFactory(name)
 			if f == nil {
