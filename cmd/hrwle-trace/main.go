@@ -123,21 +123,13 @@ func traceScheme(w io.Writer, name string) error {
 	}
 
 	cycles := m.Run(*threads, func(c *machine.CPU) {
-		th := sys.Thread(c.ID)
-		var spare machine.Addr
+		w := h.NewWorker(lock, sys.Thread(c.ID))
 		for i := 0; i < *ops; i++ {
 			key := uint64(c.Intn(200))
 			if c.Intn(100) < *writes {
-				if spare == 0 {
-					spare = h.PrepareNode(th)
-				}
-				used := false
-				lock.Write(th, func() { used = h.Insert(th, key, key, spare) })
-				if used {
-					spare = 0
-				}
+				w.Insert(key)
 			} else {
-				lock.Read(th, func() { h.Lookup(th, key) })
+				w.Lookup(key)
 			}
 		}
 	})

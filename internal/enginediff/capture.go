@@ -289,7 +289,8 @@ func captureShard(servers int) OpenCapture {
 }
 
 // captureFigure runs one figure's mini-sweep point by point, in the same
-// deterministic order as FigureSpec.Run, hashing each point's event stream.
+// deterministic order as FigureSpec.RunParallel, hashing each point's
+// event stream.
 func captureFigure(id string) FigureCapture {
 	spec := miniSpec(id)
 	fc := FigureCapture{ID: id}

@@ -96,7 +96,7 @@ func TestTracingDoesNotChangeResults(t *testing.T) {
 // determinism contract of EXPERIMENTS.md).
 func TestRunWithMetricsMatchesPlainRun(t *testing.T) {
 	spec := goldenSpec()
-	plain := spec.Run(0.02, nil)
+	plain := spec.RunParallel(0.02, nil, 1)
 
 	withMetrics, metrics1, _ := RunWithMetrics(spec, 0.02, nil, 1)
 	_, metrics2, _ := RunWithMetrics(spec, 0.02, nil, 1)

@@ -10,8 +10,10 @@ import (
 	"io"
 	"sort"
 
+	"hrwle/internal/htm"
 	"hrwle/internal/machine"
 	"hrwle/internal/obs"
+	"hrwle/internal/rwlock"
 	"hrwle/internal/stats"
 )
 
@@ -53,11 +55,45 @@ type PointCtx struct {
 	Observe func(*machine.Machine)
 }
 
-// observe notifies the per-point observer, if any.
-func (ctx PointCtx) observe(m *machine.Machine) {
+// opFunc runs one operation of a closed-system point on CPU c.
+type opFunc func(c *machine.CPU, th *htm.Thread)
+
+// runClosed is the one closed-system runner, the mirror of
+// service.RunHost: it builds the machine from mc, shows it to
+// ctx.Observe, builds the HTM system from hc and the lock from mk (no
+// lock when mk is nil), lets build populate the structure and return the
+// per-op body, runs totalOps operations split evenly across mc.CPUs
+// threads (at least one each), and merges the statistics. A lock with a
+// self-tuning controller reports its end-of-run state in Result.Adaptive.
+func runClosed(ctx PointCtx, mc machine.Config, hc htm.Config, totalOps int, mk rwlock.Factory,
+	build func(m *machine.Machine, sys *htm.System, lock rwlock.Lock) opFunc) Result {
+	m := machine.New(mc)
 	if ctx.Observe != nil {
 		ctx.Observe(m)
 	}
+	sys := htm.NewSystem(m, hc)
+	var lock rwlock.Lock
+	if mk != nil {
+		lock = mk(sys)
+	}
+	op := build(m, sys, lock)
+	threads := mc.CPUs
+	opsPerThread := max(totalOps/threads, 1)
+	cycles := m.Run(threads, func(c *machine.CPU) {
+		th := sys.Thread(c.ID)
+		for i := 0; i < opsPerThread; i++ {
+			op(c, th)
+		}
+	})
+	r := Result{Cycles: cycles, B: stats.Merge(sys.Stats(threads), cycles)}
+	if al, ok := lock.(interface {
+		AdaptiveState() (budget, winRate10 int, ok bool)
+	}); ok {
+		if budget, rate, on := al.AdaptiveState(); on {
+			r.Adaptive = &obs.AdaptiveState{Budget: budget, WinRate10: rate}
+		}
+	}
+	return r
 }
 
 // PointFunc produces one measurement point for a figure.
@@ -76,19 +112,12 @@ type FigureSpec struct {
 	Point     PointFunc
 }
 
-// Run sweeps the whole figure serially and returns all points in a
-// deterministic order. progress, if non-nil, receives one line per
-// completed point.
-func (f *FigureSpec) Run(scale float64, progress io.Writer) []Result {
-	return f.runPoints(scale, progress, 1, nil)
-}
-
 // RunParallel sweeps the figure on a bounded pool of workers goroutines
-// (workers <= 1 means serial). Every point builds its own machine, so
-// points are independent; the returned slice is in the same deterministic
-// order as Run and contains bit-identical Results — only wall-clock time
-// changes. Progress lines are emitted as points complete, so their order
-// varies under parallelism.
+// (workers <= 1 means serial) and returns all points in a deterministic
+// order. Every point builds its own machine, so points are independent and
+// the Results are bit-identical at any worker count — only wall-clock time
+// changes. progress, if non-nil, receives one line per completed point;
+// under parallelism their order varies.
 func (f *FigureSpec) RunParallel(scale float64, progress io.Writer, workers int) []Result {
 	return f.runPoints(scale, progress, workers, nil)
 }
@@ -98,7 +127,7 @@ func (f *FigureSpec) NumPoints() int {
 	return len(f.Schemes) * len(f.Threads) * len(f.WritePcts)
 }
 
-// runPoints is the shared sweep loop behind Run, RunParallel and
+// runPoints is the shared sweep loop behind RunParallel and
 // RunWithMetrics. Results are in write-ratio-major, then thread-count,
 // then scheme order. mkCtx, if non-nil, supplies the PointCtx for each
 // point index (RunWithMetrics uses it to give every point its own

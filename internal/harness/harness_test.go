@@ -67,7 +67,7 @@ func TestRunAndPrint(t *testing.T) {
 	spec.Threads = []int{2}
 	spec.WritePcts = []int{10}
 	spec.Schemes = []string{"RW-LE_OPT", "SGL"}
-	results := spec.Run(0.01, nil)
+	results := spec.RunParallel(0.01, nil, 1)
 	if len(results) != 2 {
 		t.Fatalf("got %d results", len(results))
 	}
@@ -94,8 +94,8 @@ func TestRWLEBeatsHLEOnCapacityWorkload(t *testing.T) {
 
 // TestAdaptiveStateExposed pins that the self-tuning scheme's controller
 // state reaches the Result (and from there the metrics JSON): an
-// RW-LE_ADAPT point reports a budget and win rate, a fixed-budget point
-// reports nothing.
+// RW-LE_ADAPT point reports a budget and win rate, on the hashmap and on
+// an application workload alike; a fixed-budget point reports nothing.
 func TestAdaptiveStateExposed(t *testing.T) {
 	p := HashmapParams{
 		Buckets: 1, Items: 200, WritePct: 50,
@@ -113,5 +113,8 @@ func TestAdaptiveStateExposed(t *testing.T) {
 	}
 	if r := RunHashmap(PointCtx{}, p, SchemeFactory("RW-LE_OPT")); r.Adaptive != nil {
 		t.Errorf("fixed-budget point reports adaptive state %+v", r.Adaptive)
+	}
+	if r := RunTPCC(PointCtx{}, 4, 50, 400, 42, SchemeFactory("RW-LE_ADAPT")); r.Adaptive == nil {
+		t.Error("RW-LE_ADAPT TPC-C point has no Adaptive state")
 	}
 }

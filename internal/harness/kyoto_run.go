@@ -5,52 +5,25 @@ import (
 	"hrwle/internal/kyoto"
 	"hrwle/internal/machine"
 	"hrwle/internal/rwlock"
-	"hrwle/internal/stats"
 )
 
-// kyotoScheme resolves the Fig. 9 scheme set: "Orig" is Kyoto Cabinet's
-// original locking (pthread-style outer RWL + real inner mutexes); HLE
-// elides both lock levels (inner mutexes become subscriptions); everything
-// else elides or implements the outer lock and keeps the inner mutexes
-// real.
-func kyotoScheme(name string) (rwlock.Factory, kyoto.InnerPolicy) {
-	if name == "Orig" {
-		return SchemeFactory("RWL"), kyoto.InnerReal
-	}
-	pol := kyoto.InnerReal
-	if name == "HLE" {
-		pol = kyoto.InnerElide
-	}
-	return SchemeFactory(name), pol
-}
-
-// RunKyoto measures one Fig. 9 point of the wicked workload.
+// RunKyoto measures one Fig. 9 point of the wicked workload. "Orig" is
+// Kyoto Cabinet's original locking: a pthread-style outer RWL over real
+// inner mutexes. Every other scheme elides or implements the outer lock,
+// with the inner mutexes as kyoto.InnerFor decides.
 func RunKyoto(ctx PointCtx, threads, writePct, totalOps int, seed uint64, scheme string) Result {
 	cfg := kyoto.DefaultConfig()
-	m := machine.New(machine.Config{
-		CPUs:     threads,
-		MemWords: cfg.MemWords(),
-		Seed:     seed,
-	})
-	ctx.observe(m)
-	sys := htm.NewSystem(m, htm.Config{})
-	mk, pol := kyotoScheme(scheme)
-	lock := mk(sys)
-	db := kyoto.New(m, cfg)
-	db.Populate()
-	w := &kyoto.Wicked{DB: db, WritePct: writePct, Inner: pol}
-
-	opsPerThread := totalOps / threads
-	if opsPerThread == 0 {
-		opsPerThread = 1
+	outer := scheme
+	if scheme == "Orig" {
+		outer = "RWL"
 	}
-	cycles := m.Run(threads, func(c *machine.CPU) {
-		th := sys.Thread(c.ID)
-		for i := 0; i < opsPerThread; i++ {
-			w.Step(lock, th, c)
-		}
+	mc := machine.Config{CPUs: threads, MemWords: cfg.MemWords(), Seed: seed}
+	return runClosed(ctx, mc, htm.Config{}, totalOps, SchemeFactory(outer), func(m *machine.Machine, _ *htm.System, lock rwlock.Lock) opFunc {
+		db := kyoto.New(m, cfg)
+		db.Populate()
+		w := &kyoto.Wicked{DB: db, WritePct: writePct, Inner: kyoto.InnerFor(scheme)}
+		return func(c *machine.CPU, th *htm.Thread) { w.Step(lock, th, c) }
 	})
-	return Result{Cycles: cycles, B: stats.Merge(sys.Stats(threads), cycles)}
 }
 
 func kyotoFigure() *FigureSpec {
@@ -68,5 +41,3 @@ func kyotoFigure() *FigureSpec {
 	}
 	return f
 }
-
-func init() { registerAppFigure(kyotoFigure()) }

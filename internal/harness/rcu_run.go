@@ -4,7 +4,7 @@ import (
 	"hrwle/internal/htm"
 	"hrwle/internal/machine"
 	"hrwle/internal/rcu"
-	"hrwle/internal/stats"
+	"hrwle/internal/rwlock"
 )
 
 // RunRCUHashmap measures the tailored-code RCU hashmap on the sensitivity
@@ -12,26 +12,12 @@ import (
 // unmodified hashmap (the paper's §2 point: RCU is the performance
 // yardstick that demands per-structure surgery; RW-LE chases it with none).
 func RunRCUHashmap(ctx PointCtx, p HashmapParams) Result {
-	m := machine.New(machine.Config{
-		CPUs:     p.Threads,
-		MemWords: p.memWords(),
-		Seed:     p.Seed,
-		Paging:   p.Paging,
-	})
-	ctx.observe(m)
-	sys := htm.NewSystem(m, p.HTM)
-	d := rcu.NewDomain(m)
-	h := rcu.NewMap(m, d, p.Buckets)
-	h.Populate(p.Items)
-
-	universe := int(p.Buckets * p.Items)
-	opsPerThread := p.TotalOps / p.Threads
-	if opsPerThread == 0 {
-		opsPerThread = 1
-	}
-	cycles := m.Run(p.Threads, func(c *machine.CPU) {
-		th := sys.Thread(c.ID)
-		for i := 0; i < opsPerThread; i++ {
+	mc := machine.Config{CPUs: p.Threads, MemWords: p.memWords(), Seed: p.Seed, Paging: p.Paging}
+	return runClosed(ctx, mc, p.HTM, p.TotalOps, nil, func(m *machine.Machine, _ *htm.System, _ rwlock.Lock) opFunc {
+		h := rcu.NewMap(m, rcu.NewDomain(m), p.Buckets)
+		h.Populate(p.Items)
+		universe := int(p.Buckets * p.Items)
+		return func(c *machine.CPU, th *htm.Thread) {
 			key := uint64(c.Intn(universe))
 			if c.Intn(100) < p.WritePct {
 				if c.Intn(2) == 0 {
@@ -45,7 +31,6 @@ func RunRCUHashmap(ctx PointCtx, p HashmapParams) Result {
 			th.St.Ops++
 		}
 	})
-	return Result{Cycles: cycles, B: stats.Merge(sys.Stats(p.Threads), cycles)}
 }
 
 func rcuFigure() *FigureSpec {

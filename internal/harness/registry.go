@@ -78,10 +78,8 @@ func Registry() map[string]*FigureSpec {
 	for _, f := range SensitivityFigures() {
 		figs[f.ID] = f
 	}
-	for _, f := range []*FigureSpec{FairnessFigure(), RetriesFigure(), SplitFigure()} {
-		figs[f.ID] = f
-	}
-	for _, f := range ApplicationFigures() {
+	for _, f := range []*FigureSpec{FairnessFigure(), RetriesFigure(), SplitFigure(),
+		stmbench7Figure(), kyotoFigure(), tpccFigure()} {
 		figs[f.ID] = f
 	}
 	for _, f := range ExtensionFigures() {

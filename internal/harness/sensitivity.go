@@ -1,12 +1,12 @@
 package harness
 
 import (
+	"fmt"
+
 	"hrwle/internal/hashmap"
 	"hrwle/internal/htm"
 	"hrwle/internal/machine"
-	"hrwle/internal/obs"
 	"hrwle/internal/rwlock"
-	"hrwle/internal/stats"
 )
 
 // HashmapParams configures one point of the §4.1 sensitivity study.
@@ -32,72 +32,32 @@ func (p *HashmapParams) memWords() int64 {
 
 // RunHashmap measures one sensitivity point under the given scheme.
 func RunHashmap(ctx PointCtx, p HashmapParams, mk rwlock.Factory) Result {
-	m := machine.New(machine.Config{
-		CPUs:     p.Threads,
-		MemWords: p.memWords(),
-		Seed:     p.Seed,
-		Paging:   p.Paging,
-	})
-	ctx.observe(m)
-	sys := htm.NewSystem(m, p.HTM)
-	lock := mk(sys)
-	h := hashmap.New(m, p.Buckets)
-	h.Populate(p.Items)
-
-	universe := int(p.Buckets * p.Items)
-	opsPerThread := p.TotalOps / p.Threads
-	if opsPerThread == 0 {
-		opsPerThread = 1
-	}
-	cycles := m.Run(p.Threads, func(c *machine.CPU) {
-		th := sys.Thread(c.ID)
-		// The critical-section closures are hoisted out of the op loop and
-		// communicate through captured locals: closures passed through the
-		// rwlock.Lock interface escape, so per-op literals would allocate on
-		// every operation of the sweep's hottest loop.
-		var spare, gone machine.Addr
-		var key uint64
-		used := false
-		insertCS := func() { used = h.Insert(th, key, key, spare) }
-		removeCS := func() { gone = h.Remove(th, key) }
-		lookupCS := func() { h.Lookup(th, key) }
-		for i := 0; i < opsPerThread; i++ {
-			key = uint64(c.Intn(universe))
+	mc := machine.Config{CPUs: p.Threads, MemWords: p.memWords(), Seed: p.Seed, Paging: p.Paging}
+	return runClosed(ctx, mc, p.HTM, p.TotalOps, mk, func(m *machine.Machine, sys *htm.System, lock rwlock.Lock) opFunc {
+		h := hashmap.New(m, p.Buckets)
+		h.Populate(p.Items)
+		ws := make([]*hashmap.Worker, p.Threads)
+		for i := range ws {
+			ws[i] = h.NewWorker(lock, sys.Thread(i))
+		}
+		universe := int(p.Buckets * p.Items)
+		return func(c *machine.CPU, th *htm.Thread) {
+			w := ws[c.ID]
+			key := uint64(c.Intn(universe))
 			if c.Intn(100) < p.WritePct {
 				// Write critical section: insert or remove, 50/50, to
 				// keep the population in steady state.
 				if c.Intn(2) == 0 {
-					if spare == 0 {
-						spare = h.PrepareNode(th)
-					}
-					used = false
-					lock.Write(th, insertCS)
-					if used {
-						spare = 0
-					}
+					w.Insert(key)
 				} else {
-					gone = 0
-					lock.Write(th, removeCS)
-					if gone != 0 {
-						h.Recycle(th, gone)
-					}
+					w.Remove(key)
 				}
 			} else {
-				lock.Read(th, lookupCS)
+				w.Lookup(key)
 			}
 			th.St.Ops++
 		}
 	})
-	b := stats.Merge(sys.Stats(p.Threads), cycles)
-	r := Result{Cycles: cycles, B: b}
-	if al, ok := lock.(interface {
-		AdaptiveState() (budget, winRate10 int, ok bool)
-	}); ok {
-		if budget, rate, on := al.AdaptiveState(); on {
-			r.Adaptive = &obs.AdaptiveState{Budget: budget, WinRate10: rate}
-		}
-	}
-	return r
 }
 
 // sensitivityFigure builds a figure spec for one capacity×contention
@@ -198,8 +158,10 @@ func FairnessFigure() *FigureSpec {
 func RetriesFigure() *FigureSpec {
 	budgets := []int{1, 2, 5, 8, 16}
 	schemes := make([]string, len(budgets))
+	budgetOf := make(map[string]int, len(budgets))
 	for i, b := range budgets {
-		schemes[i] = schemeForBudget(b)
+		schemes[i] = fmt.Sprintf("retry=%d", b)
+		budgetOf[schemes[i]] = b
 	}
 	f := &FigureSpec{
 		ID:        "retries",
@@ -210,12 +172,7 @@ func RetriesFigure() *FigureSpec {
 		TimeLabel: "execution time (s)",
 	}
 	f.Point = func(ctx PointCtx, scheme string, threads, writePct int, scale float64) Result {
-		budget := 0
-		for _, b := range budgets {
-			if schemeForBudget(b) == scheme {
-				budget = b
-			}
-		}
+		budget := budgetOf[scheme]
 		p := HashmapParams{
 			Buckets: lowContentionBuckets, Items: 200, WritePct: writePct,
 			Threads: threads, TotalOps: int(8000 * scale),
@@ -226,10 +183,6 @@ func RetriesFigure() *FigureSpec {
 		})
 	}
 	return f
-}
-
-func schemeForBudget(b int) string {
-	return map[int]string{1: "retry=1", 2: "retry=2", 5: "retry=5", 8: "retry=8", 16: "retry=16"}[b]
 }
 
 // SplitFigure returns the §3.3 split-lock ablation: the pseudo-code's

@@ -116,19 +116,37 @@ func (r *ServeReport) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "# open-system service sweep — %s (%s arrivals, %d servers, queue cap %d, %d requests, seed %d)\n",
 		r.Workload, r.Process, r.Servers, r.QueueCap, r.Requests, r.Seed)
 
-	header := func(title string) {
-		fmt.Fprintf(w, "\n## %s\n%12s", title, "offered/s")
-		for _, s := range r.Schemes {
+	rows := make([]string, len(r.RatesPerSec))
+	for ri, rate := range r.RatesPerSec {
+		rows[ri] = fmt.Sprintf("%12.0f", rate)
+	}
+	writeSaturation(w, fmt.Sprintf("%12s", "offered/s"), rows, r.Schemes,
+		func(ri, si int) *obs.ServiceMetrics { return r.point(si, ri) })
+
+	fmt.Fprintf(w, "\n## per-point detail\n")
+	for si := range r.Schemes {
+		for ri := range r.RatesPerSec {
+			r.point(si, ri).WriteText(w)
+		}
+	}
+}
+
+// writeSaturation prints the saturation panels the serve and shard
+// reports share: achieved throughput, drop rate and one p99 sojourn panel
+// per request class, with the rows labelled by rows (head labels the
+// label column) and one column per scheme. at returns the metrics of
+// (row, scheme).
+func writeSaturation(w io.Writer, head string, rows, schemes []string, at func(ri, si int) *obs.ServiceMetrics) {
+	panel := func(title string, cell func(m *obs.ServiceMetrics) float64, format string) {
+		fmt.Fprintf(w, "\n## %s\n%s", title, head)
+		for _, s := range schemes {
 			fmt.Fprintf(w, " %12s", s)
 		}
 		fmt.Fprintln(w)
-	}
-	panel := func(title string, cell func(m *obs.ServiceMetrics) float64, format string) {
-		header(title)
-		for ri, rate := range r.RatesPerSec {
-			fmt.Fprintf(w, "%12.0f", rate)
-			for si := range r.Schemes {
-				fmt.Fprintf(w, " "+format, cell(r.point(si, ri)))
+		for ri, label := range rows {
+			fmt.Fprint(w, label)
+			for si := range schemes {
+				fmt.Fprintf(w, " "+format, cell(at(ri, si)))
 			}
 			fmt.Fprintln(w)
 		}
@@ -140,20 +158,13 @@ func (r *ServeReport) WriteText(w io.Writer) {
 		func(m *obs.ServiceMetrics) float64 {
 			return 100 * float64(m.Dropped) / float64(m.Requests)
 		}, "%12.2f")
-	if len(r.Points) > 0 && r.Points[0] != nil {
-		for ci := range r.Points[0].Classes {
-			ci := ci
-			panel(fmt.Sprintf("%s sojourn p99 (us, priority %d)", r.Points[0].Classes[ci].Class, ci),
-				func(m *obs.ServiceMetrics) float64 {
-					return obs.Usec(m.Classes[ci].Sojourn.P99Cycles)
-				}, "%12.1f")
-		}
+	if len(rows) == 0 || len(schemes) == 0 {
+		return
 	}
-
-	fmt.Fprintf(w, "\n## per-point detail\n")
-	for si := range r.Schemes {
-		for ri := range r.RatesPerSec {
-			r.point(si, ri).WriteText(w)
-		}
+	for ci, cl := range at(0, 0).Classes {
+		panel(fmt.Sprintf("%s sojourn p99 (us, priority %d)", cl.Class, ci),
+			func(m *obs.ServiceMetrics) float64 {
+				return obs.Usec(m.Classes[ci].Sojourn.P99Cycles)
+			}, "%12.1f")
 	}
 }

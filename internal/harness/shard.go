@@ -144,41 +144,15 @@ func (r *ShardReport) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "# sharded scale-out sweep — %d servers, %d-key store, %d requests at %.3g/s, cross %d%%, queue cap %d, seed %d\n",
 		r.Servers, r.Universe, r.Requests, r.RatePerSec, r.CrossPct, r.QueueCap, r.Seed)
 
-	header := func(title string) {
-		fmt.Fprintf(w, "\n## %s\n%8s %6s", title, "shards", "skew")
-		for _, s := range r.Schemes {
-			fmt.Fprintf(w, " %12s", s)
-		}
-		fmt.Fprintln(w)
-	}
-	panel := func(title string, cell func(p *ShardPoint) float64, format string) {
-		header(title)
-		for ci, sc := range r.ShardCounts {
-			for ki, sk := range r.Skews {
-				fmt.Fprintf(w, "%8d %6.1f", sc, sk)
-				for si := range r.Schemes {
-					fmt.Fprintf(w, " "+format, cell(r.point(si, ci, ki)))
-				}
-				fmt.Fprintln(w)
-			}
+	var rows []string
+	for _, sc := range r.ShardCounts {
+		for _, sk := range r.Skews {
+			rows = append(rows, fmt.Sprintf("%8d %6.1f", sc, sk))
 		}
 	}
-
-	panel("achieved throughput (req/s)",
-		func(p *ShardPoint) float64 { return p.Result.Service.AchievedPerSec }, "%12.0f")
-	panel("drop rate (% of arrivals)",
-		func(p *ShardPoint) float64 {
-			return 100 * float64(p.Result.Service.Dropped) / float64(p.Result.Service.Requests)
-		}, "%12.2f")
-	if len(r.Points) > 0 && r.Points[0] != nil {
-		for ci := range r.Points[0].Result.Service.Classes {
-			ci := ci
-			panel(fmt.Sprintf("%s sojourn p99 (us, priority %d)", r.Points[0].Result.Service.Classes[ci].Class, ci),
-				func(p *ShardPoint) float64 {
-					return obs.Usec(p.Result.Service.Classes[ci].Sojourn.P99Cycles)
-				}, "%12.1f")
-		}
-	}
+	nk := len(r.Skews)
+	writeSaturation(w, fmt.Sprintf("%8s %6s", "shards", "skew"), rows, r.Schemes,
+		func(ri, si int) *obs.ServiceMetrics { return r.point(si, ri/nk, ri%nk).Result.Service })
 
 	fmt.Fprintf(w, "\n## adaptive settling (per-shard final schemes)\n")
 	for si, s := range r.Schemes {

@@ -4,7 +4,6 @@ import (
 	"hrwle/internal/htm"
 	"hrwle/internal/machine"
 	"hrwle/internal/rwlock"
-	"hrwle/internal/stats"
 	"hrwle/internal/stmbench7"
 )
 
@@ -13,28 +12,12 @@ import (
 // update operations under the write lock.
 func RunSTMBench7(ctx PointCtx, threads, writePct, totalOps int, seed uint64, mk rwlock.Factory) Result {
 	cfg := stmbench7.DefaultConfig()
-	m := machine.New(machine.Config{
-		CPUs:     threads,
-		MemWords: cfg.MemWords(),
-		Seed:     seed,
+	mc := machine.Config{CPUs: threads, MemWords: cfg.MemWords(), Seed: seed}
+	return runClosed(ctx, mc, htm.Config{}, totalOps, mk, func(m *machine.Machine, _ *htm.System, lock rwlock.Lock) opFunc {
+		b := stmbench7.Build(m, cfg)
+		mix := stmbench7.NewMix(writePct)
+		return func(c *machine.CPU, th *htm.Thread) { mix.Step(b, lock, th, c) }
 	})
-	ctx.observe(m)
-	sys := htm.NewSystem(m, htm.Config{})
-	lock := mk(sys)
-	b := stmbench7.Build(m, cfg)
-	mix := stmbench7.NewMix(writePct)
-
-	opsPerThread := totalOps / threads
-	if opsPerThread == 0 {
-		opsPerThread = 1
-	}
-	cycles := m.Run(threads, func(c *machine.CPU) {
-		th := sys.Thread(c.ID)
-		for i := 0; i < opsPerThread; i++ {
-			mix.Step(b, lock, th, c)
-		}
-	})
-	return Result{Cycles: cycles, B: stats.Merge(sys.Stats(threads), cycles)}
 }
 
 func stmbench7Figure() *FigureSpec {
@@ -52,5 +35,3 @@ func stmbench7Figure() *FigureSpec {
 	}
 	return f
 }
-
-func init() { registerAppFigure(stmbench7Figure()) }

@@ -6,7 +6,6 @@ import (
 	"hrwle/internal/htm"
 	"hrwle/internal/machine"
 	"hrwle/internal/rwlock"
-	"hrwle/internal/stats"
 	"hrwle/internal/tpcc"
 )
 
@@ -14,28 +13,11 @@ import (
 // transactions over an in-memory store.
 func RunTPCC(ctx PointCtx, threads, writePct, totalOps int, seed uint64, mk rwlock.Factory) Result {
 	cfg := tpcc.DefaultConfig()
-	m := machine.New(machine.Config{
-		CPUs:     threads,
-		MemWords: cfg.MemWords(int64(totalOps)),
-		Seed:     seed,
+	mc := machine.Config{CPUs: threads, MemWords: cfg.MemWords(int64(totalOps)), Seed: seed}
+	return runClosed(ctx, mc, htm.Config{}, totalOps, mk, func(m *machine.Machine, _ *htm.System, lock rwlock.Lock) opFunc {
+		wl := &tpcc.Workload{DB: tpcc.Build(m, cfg), WritePct: writePct}
+		return func(c *machine.CPU, th *htm.Thread) { wl.Step(lock, th, c) }
 	})
-	ctx.observe(m)
-	sys := htm.NewSystem(m, htm.Config{})
-	lock := mk(sys)
-	db := tpcc.Build(m, cfg)
-	wl := &tpcc.Workload{DB: db, WritePct: writePct}
-
-	opsPerThread := totalOps / threads
-	if opsPerThread == 0 {
-		opsPerThread = 1
-	}
-	cycles := m.Run(threads, func(c *machine.CPU) {
-		th := sys.Thread(c.ID)
-		for i := 0; i < opsPerThread; i++ {
-			wl.Step(lock, th, c)
-		}
-	})
-	return Result{Cycles: cycles, B: stats.Merge(sys.Stats(threads), cycles)}
 }
 
 // tpccFigure reports speedup relative to SGL at one thread (the paper's
@@ -80,5 +62,3 @@ func tpccFigure() *FigureSpec {
 	}
 	return f
 }
-
-func init() { registerAppFigure(tpccFigure()) }

@@ -58,6 +58,16 @@ const (
 	InnerElide
 )
 
+// InnerFor returns the slot-mutex policy of the named lock scheme: HLE
+// elides the inner mutexes along with the outer lock; every other scheme
+// elides or implements only the outer lock and keeps them real.
+func InnerFor(scheme string) InnerPolicy {
+	if scheme == "HLE" {
+		return InnerElide
+	}
+	return InnerReal
+}
+
 // Config sizes the database.
 type Config struct {
 	Slots          int64 // Kyoto Cabinet's SLOTNUM is 16

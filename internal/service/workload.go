@@ -41,19 +41,15 @@ func (s *structure) MemWords(totalOps int64) int64 {
 	}
 }
 
-// Build makes the lock, then builds and populates the structure. Kyoto
-// mirrors the Fig. 9 convention of eliding the inner slot mutexes only
-// under HLE.
+// Build makes the lock, then builds and populates the structure. Kyoto's
+// inner slot mutexes follow kyoto.InnerFor, as in Fig. 9.
 func (s *structure) Build(m *machine.Machine, sys *htm.System) (machine.Tracer, error) {
 	lock := s.mk(sys)
 	switch s.cfg.Workload {
 	case "hashmap":
 		s.exec = newHashExec(s.cfg, m, sys, lock).exec
 	case "kyoto":
-		pol := kyoto.InnerReal
-		if s.scheme == "HLE" {
-			pol = kyoto.InnerElide
-		}
+		pol := kyoto.InnerFor(s.scheme)
 		db := kyoto.New(m, kyoto.DefaultConfig())
 		db.Populate()
 		s.exec = (&stepExec{
@@ -102,42 +98,18 @@ func (e *stepExec) exec(r *Request, c *machine.CPU, th *htm.Thread) {
 	}
 }
 
-// hashSrv is one server's hashmap op state. The critical-section closures
-// are hoisted here and communicate through the struct fields: closures
-// passed through the rwlock.Lock interface escape, so per-op literals
-// would allocate on every operation (the RunHashmap pattern).
-type hashSrv struct {
-	th    *htm.Thread
-	key   uint64
-	spare machine.Addr
-	used  bool
-	gone  machine.Addr
-
-	insertCS, removeCS, lookupCS func()
-}
-
+// hashExec serves hashmap requests: one hashmap.Worker per server.
 type hashExec struct {
-	h        *hashmap.Map
-	lock     rwlock.Lock
 	universe int
-	srv      []hashSrv
+	ws       []*hashmap.Worker
 }
 
 func newHashExec(cfg *Config, m *machine.Machine, sys *htm.System, lock rwlock.Lock) *hashExec {
 	h := hashmap.New(m, cfg.HashBuckets)
 	h.Populate(cfg.HashItems)
-	e := &hashExec{
-		h:        h,
-		lock:     lock,
-		universe: int(cfg.HashBuckets * cfg.HashItems),
-		srv:      make([]hashSrv, cfg.Servers),
-	}
-	for i := range e.srv {
-		v := &e.srv[i]
-		v.th = sys.Thread(i)
-		v.insertCS = func() { v.used = e.h.Insert(v.th, v.key, v.key, v.spare) }
-		v.removeCS = func() { v.gone = e.h.Remove(v.th, v.key) }
-		v.lookupCS = func() { e.h.Lookup(v.th, v.key) }
+	e := &hashExec{universe: int(cfg.HashBuckets * cfg.HashItems), ws: make([]*hashmap.Worker, cfg.Servers)}
+	for i := range e.ws {
+		e.ws[i] = h.NewWorker(lock, sys.Thread(i))
 	}
 	return e
 }
@@ -147,30 +119,19 @@ func (e *hashExec) exec(r *Request, c *machine.CPU, th *htm.Thread) {
 	// time: the work a request performs does not depend on which server
 	// picks it up.
 	s := machine.NewStream(r.Seed)
-	v := &e.srv[c.ID]
+	w := e.ws[c.ID]
 	for i := 0; i < r.Footprint; i++ {
-		v.key = uint64(s.Intn(e.universe))
+		key := uint64(s.Intn(e.universe))
 		if r.IsWrite {
 			// Insert or remove, 50/50, keeping the population in steady
-			// state; spare-node protocol as in RunHashmap.
+			// state.
 			if s.Intn(2) == 0 {
-				if v.spare == 0 {
-					v.spare = e.h.PrepareNode(th)
-				}
-				v.used = false
-				e.lock.Write(th, v.insertCS)
-				if v.used {
-					v.spare = 0
-				}
+				w.Insert(key)
 			} else {
-				v.gone = 0
-				e.lock.Write(th, v.removeCS)
-				if v.gone != 0 {
-					e.h.Recycle(th, v.gone)
-				}
+				w.Remove(key)
 			}
 		} else {
-			e.lock.Read(th, v.lookupCS)
+			w.Lookup(key)
 		}
 		th.St.Ops++
 	}

@@ -106,7 +106,7 @@ func (t *txState) subscribe(a machine.Addr) {
 
 type analysis struct {
 	n       int
-	vcs     [][]uint64              // vcs[c] is CPU c's vector clock
+	vcs     [][]uint64                // vcs[c] is CPU c's vector clock
 	locks   map[machine.Addr][]uint64 // release clocks of sync words
 	shadows map[machine.Addr]*shadow
 	sync    map[machine.Addr]bool

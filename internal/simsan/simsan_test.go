@@ -198,7 +198,7 @@ func TestLazySubscriptionShapeCaught(t *testing.T) {
 	s.cas(0, lockA)   // holder acquires
 	s.write(0, dataA) // holder's mid-section store
 	s.begin(1)
-	s.read(1, dataA) // tx reads unpublished intermediate state
+	s.read(1, dataA)  // tx reads unpublished intermediate state
 	s.write(0, lockA) // holder releases
 	s.read(1, lockA)  // lazy subscription: sees the lock free, joins holder
 	s.commit(1)       // commits — the eager verdict surfaces
@@ -450,7 +450,7 @@ func TestStalePointerAfterFreeStillRaces(t *testing.T) {
 func TestQuiesceDrainSettlesEagerVerdict(t *testing.T) {
 	// ROT shape: inline quiescence between the body and the commit.
 	var s stream
-	s.write(1, clkA) // reader enters (clock word store = release)
+	s.write(1, clkA)  // reader enters (clock word store = release)
 	s.write(1, dataA) // reader's mid-section store
 	s.begin(0)
 	s.read(0, dataA) // eager verdict: unordered at read time
