@@ -9,9 +9,11 @@
 //
 //	hrwle-check -all
 //
-// Validate the checker against a seeded bug (must find a violation):
+// Validate the checker against a seeded bug (must find a violation): the
+// skip-rot-quiesce row of the seeded-mutation catalogue switches the bug on
+// and runs hrwle-check -scheme RW-LE_PES against it:
 //
-//	hrwle-check -scheme RW-LE_PES -mutation skip-rot-quiesce
+//	bash scripts/mutations.sh skip-rot-quiesce
 //
 // Race-check a litmus shape with the happens-before sanitizer attached
 // (litmus program names are accepted wherever closed programs are):
@@ -47,11 +49,9 @@ func main() {
 		preemptions = flag.Int("preemptions", 0, "DFS preemption bound (0 = default)")
 		walkPct     = flag.Int("walk-pct", 0, "random-walk preemption probability in percent (0 = default)")
 		seed        = flag.Uint64("seed", 0, "base seed for the random-walk sweep (0 = default)")
-		mutation    = flag.String("mutation", "", "seeded bug to validate against: "+
-			check.MutLoseDoomAtResume+", "+check.MutSkipROTQuiesce+", "+check.MutLazySubscription)
-		replay = flag.String("replay", "", "replay a violation token instead of exploring")
-		all    = flag.Bool("all", false, "sweep every scheme × program combination")
-		shared = cli.Register("sanitize")
+		replay      = flag.String("replay", "", "replay a violation token instead of exploring")
+		all         = flag.Bool("all", false, "sweep every scheme × program combination")
+		shared      = cli.Register("sanitize")
 	)
 	flag.Parse()
 
@@ -59,20 +59,13 @@ func main() {
 		os.Exit(runReplay(*replay))
 	}
 
-	// Validate names up front: the scheme table panics on unknown names, and a
-	// typo'd -mutation would otherwise silently explore unmutated code.
+	// Validate names up front: the scheme table panics on unknown names.
 	if !*all && !slices.Contains(check.Schemes(), *scheme) {
 		cli.Usage(fmt.Errorf("unknown scheme %q (want one of %s)", *scheme, strings.Join(check.Schemes(), ", ")))
 	}
 	programs := append(check.Programs(), check.LitmusPrograms()...)
 	if !slices.Contains(programs, *program) {
 		cli.Usage(fmt.Errorf("unknown program %q (want one of %s)", *program, strings.Join(programs, ", ")))
-	}
-	switch *mutation {
-	case "", check.MutLoseDoomAtResume, check.MutSkipROTQuiesce, check.MutLazySubscription:
-	default:
-		cli.Usage(fmt.Errorf("unknown mutation %q (want %s, %s or %s)",
-			*mutation, check.MutLoseDoomAtResume, check.MutSkipROTQuiesce, check.MutLazySubscription))
 	}
 
 	base := check.Config{
@@ -84,7 +77,6 @@ func main() {
 		Preemptions:    *preemptions,
 		WalkPreemptPct: *walkPct,
 		Seed:           *seed,
-		Mutation:       *mutation,
 		Sanitize:       shared.Sanitize,
 	}
 
