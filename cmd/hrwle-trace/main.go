@@ -119,7 +119,7 @@ func traceScheme(w io.Writer, name string) error {
 	}
 	m.SetTracer(tracers)
 	if prof != nil {
-		prof.Start(m.Now(), *threads)
+		prof.Start(m, *threads)
 	}
 
 	cycles := m.Run(*threads, func(c *machine.CPU) {

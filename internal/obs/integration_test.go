@@ -45,7 +45,7 @@ func contended(seed uint64, prof *obs.Profile) (*obs.Collector, int64) {
 	m.SetTracer(collector)
 	if prof != nil {
 		m.SetTracer(machine.MultiTracer{collector, prof})
-		prof.Start(m.Now(), threads)
+		prof.Start(m, threads)
 	}
 
 	cycles := m.Run(threads, func(c *machine.CPU) {

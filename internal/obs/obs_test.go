@@ -254,7 +254,7 @@ func TestTimelineMultipleSubscribers(t *testing.T) {
 			got[i] = append(got[i], w)
 		})
 	}
-	prof.Start(0, cpus)
+	prof.Start(machine.New(machine.Config{CPUs: cpus, MemWords: 64}), cpus)
 
 	emit := func(cpu int, at int64, kind machine.EventKind, aux uint64) {
 		fed[cpu] = at
@@ -347,7 +347,7 @@ func TestDecoderEdgePolicy(t *testing.T) {
 	} {
 		c := NewCollector()
 		prof := NewProfile(0, 0)
-		prof.Start(0, 1)
+		prof.Start(machine.New(machine.Config{CPUs: 1, MemWords: 64}), 1)
 		for _, e := range tc.feed {
 			c.Event(e)
 			prof.Event(e)

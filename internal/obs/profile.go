@@ -13,7 +13,7 @@ import (
 // machine.Tracer. It is a one-shard ShardTimelines, with every CPU
 // attributed to the shard, whose decoder also feeds the attribution.
 // Install it (alone or inside a MultiTracer) right before machine.Run,
-// bracketed by Start/Finish with the machine's time.
+// bracketed by Start/Finish around the run.
 type Profile struct {
 	Cycles   *CycleProf
 	Timeline *Timeline
@@ -30,10 +30,10 @@ func NewProfile(windowCycles int64, classes int) *Profile {
 	return &Profile{Cycles: set.cycles, Timeline: set.Shards[0], set: set}
 }
 
-// Start fixes both views' origin. Call with machine.Now() right before
-// machine.Run.
-func (p *Profile) Start(base int64, cpus int) {
-	p.set.Start(base, cpus)
+// Start fixes both views' origin at m's current time. Call it right
+// before m.Run.
+func (p *Profile) Start(m *machine.Machine, cpus int) {
+	p.set.Start(m, cpus)
 	for id := 0; id < cpus; id++ {
 		p.set.SetShard(id, 0)
 	}

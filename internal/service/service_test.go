@@ -155,7 +155,7 @@ func TestQueueDropsAndConservation(t *testing.T) {
 		{ArriveAt: 40, Class: 0}, // arrives when queue is full → dropped
 		{ArriveAt: 500, Class: 0},
 	}
-	q := newQueue(reqs, 3, 2)
+	q := newQueue(reqs, 3, 2, 1)
 
 	// At t=45 the first three arrivals fill the cap-3 queue; the fourth is
 	// dropped at its own arrival time.

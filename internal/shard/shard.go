@@ -313,7 +313,7 @@ func (d *deployment) Build(m *machine.Machine, sys *htm.System) (machine.Tracer,
 			d.tl.Shards[s].Subscribe(func(w obs.TimelineWindow) { ctrl.Observe(s, w) })
 		}
 	}
-	d.tl.Start(m.Now(), cfg.Servers)
+	d.tl.Start(m, cfg.Servers)
 	return d.tl, nil
 }
 
