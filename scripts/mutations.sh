@@ -191,6 +191,23 @@ catalogue() {
 		internal/service/run.go $'\tif idx, ok := w.q.Pop(c.Now()); ok {' $'\tif idx, ok := w.idx, w.idx >= 0; ok {' \
 		internal/service/run.go $'\t\tc.Await(w)\n' $'\t\tw.idx, _ = q.Pop(c.Now())\n\t\tc.Await(w)\n' \
 		-- go run ./cmd/hrwle-vet ./internal/shard/ ./internal/service/
+	# Wake-one dispatch. The dispatcher never blocks an idle server, as
+	# before wake-one dispatch: every result stays the same, and only the
+	# engine's work counters (and the idle-event stream) move.
+	row block-skip 'engine counters' \
+		internal/service/run.go $'\tif w.q.lowestIdle() != c.ID {\n\t\tc.Block()\n\t}\n' '' \
+		-- go test ./internal/shard -run TestShard256Pinned
+	# The shard timelines count blocked servers in their watermark: their
+	# stale last events hold windows back, and the controller's switches
+	# come late or not at all.
+	row watermark-blocked 'shard64/adaptive diverged' \
+		internal/obs/shardtl.go $'\t\tif t < mark && !st.m.CPU(id).Blocked() {' $'\t\tif t < mark && st.m.CPU(id) != nil {' \
+		-- go test ./internal/enginediff -run TestEngineEquivalence
+	# A server takes a request without waking the next idle server, which
+	# then sleeps through the rest of the run.
+	row wake-skip 'still blocked at run end' \
+		internal/service/run.go $'\t\tw.idx = idx\n\t\tw.q.leave(c)\n' $'\t\tw.idx = idx\n\t\tw.q.idle.Del(c.ID)\n' \
+		-- go test ./internal/service
 	# Recycled blocks handed out without clearing them.
 	row alloc-clear '--- FAIL' \
 		internal/machine/alloc.go $'\tif recycled {\n\t\tclear(m.words[addr : addr+Addr(size)])\n\t}\n' $'\t_, _ = size, recycled\n' \
