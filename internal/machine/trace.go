@@ -33,8 +33,9 @@ const (
 	// Profiler-support events. EvLockWait is an instant event emitted
 	// after a spin/backoff wait completes: Addr is the polled word and
 	// Aux the virtual cycles spent waiting (the wait occupies
-	// [Time-Aux, Time]). EvIdle is emitted by CPU.IdleUntil with Aux =
-	// the cycles the CPU slept with no work to do.
+	// [Time-Aux, Time]). EvIdle is emitted by CPU.IdleUntil, and by
+	// CPU.Wake for the CPU it wakes, with Aux = the cycles the CPU slept
+	// with no work to do (the sleep occupies [Time-Aux, Time]).
 	EvLockWait
 	EvIdle
 	// Allocator events (emitted by internal/htm, only while per-access
