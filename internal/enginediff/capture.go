@@ -1,8 +1,8 @@
-// Package enginediff is the differential equivalence harness that pins the
-// simulator engine's observable behavior across engine rewrites. It runs a
-// mini version of every figure sweep plus the internal/check DFS and
-// random-walk explorations, and folds three kinds of observables into a
-// committed golden capture (testdata/engine_golden.json):
+// Package enginediff is the one equivalence pin: every byte-identity claim
+// about the simulator rests on its committed capture
+// (testdata/engine_golden.json). It runs a mini version of every figure
+// sweep, the internal/check DFS and random-walk explorations, and a set of
+// open-system points, and records:
 //
 //   - the complete trace-event stream of every measurement point and every
 //     explored schedule, fingerprinted event by event (time, CPU, kind,
@@ -10,20 +10,20 @@
 //   - the formatted figure tables (Print bytes);
 //   - the checker's reports and violation replay tokens, including the two
 //     seeded mutations that must keep producing the identical token;
-//   - the open-system event streams — every serve workload's scheme set at
-//     its knee load on a short schedule, a 256-CPU adaptive shard point and
-//     a 64-CPU one that switches schemes live — each fingerprinted with a
-//     sha256 over every event.
+//   - every serve workload's schemes at their knee load, a 256-CPU adaptive
+//     shard point and a 64-CPU one that switches schemes live, each by
+//     sha256s of its event stream and result JSON and by its engine
+//     counters;
+//   - the obs exports: fig5's RunMetrics JSON, and one serve knee point's
+//     ProfileReport JSON and Chrome trace.
 //
-// The figure, checker and mutation captures in testdata were recorded on
-// the goroutine-per-CPU token-passing engine immediately before it was
-// replaced by the inline coroutine scheduler loop; the open-system
-// captures were recorded on the two open-coded dispatch loops immediately
-// before they were folded into one engine-stepped server loop. The test
-// suite asserts the current engine reproduces all of them bit for bit.
-// Regenerate with `go test ./internal/enginediff -update` ONLY when an
-// intentional simulation-semantics change (never a pure engine change)
-// alters results.
+// The figure, checker and mutation captures date from the engine before
+// the coroutine scheduler loop; no engine since has moved them. Event
+// streams of open-system points and engine counters move with engine work
+// that changes no result; such a move is regenerated in its own declared
+// commit, with every cycles and result sha256 unchanged. Regenerate with
+// `go test ./internal/enginediff -update` only then, or for an intended
+// simulation-semantics change, and review the diff.
 package enginediff
 
 import (
@@ -35,10 +35,13 @@ import (
 	"fmt"
 	"hash"
 	"sort"
+	"strings"
 
 	"hrwle/internal/check"
 	"hrwle/internal/harness"
+	"hrwle/internal/htm"
 	"hrwle/internal/machine"
+	"hrwle/internal/obs"
 	"hrwle/internal/service"
 	"hrwle/internal/shard"
 )
@@ -155,14 +158,21 @@ type MutationCapture struct {
 }
 
 // OpenCapture is the observable record of one open-system point: its
-// makespan and the sha256 fingerprint of its whole event stream, plus, for
-// a shard point that switches schemes, the sha256 of its Result JSON.
+// makespan, the sha256 fingerprints of its whole event stream and of its
+// result JSON, and the engine's work counters.
 type OpenCapture struct {
-	Point     string `json:"point"`
-	Cycles    int64  `json:"cycles"`
-	Events    int64  `json:"events"`
-	SHA256    string `json:"sha256"`
-	ResultSHA string `json:"result_sha256,omitempty"`
+	Point     string                 `json:"point"`
+	Cycles    int64                  `json:"cycles"`
+	Events    int64                  `json:"events"`
+	SHA256    string                 `json:"sha256"`
+	ResultSHA string                 `json:"result_sha256,omitempty"`
+	Engine    machine.EngineCounters `json:"engine_counters"`
+}
+
+// ExportCapture pins one obs export by the sha256 of its bytes.
+type ExportCapture struct {
+	Export string `json:"export"`
+	SHA256 string `json:"sha256"`
 }
 
 // Capture is the full golden record.
@@ -171,10 +181,48 @@ type Capture struct {
 	Explorations []ExploreCapture  `json:"explorations"`
 	Mutations    []MutationCapture `json:"mutations"`
 	Open         []OpenCapture     `json:"open_system"`
+	Exports      []ExportCapture   `json:"exports"`
 }
 
-// miniScale is the work multiplier of the per-figure mini-sweeps. It
-// matches the harness golden test's scale so the sweeps stay CI-cheap.
+// The deadlines of the machines the capture builds: a few times the
+// largest makespan it records (2,370,254 cycles at a figure point,
+// 7,850,214 at an open-system one), so a livelock panics in seconds, not
+// at the default 1e14 cycles. A run that ends below its deadline never
+// acts on it.
+const (
+	figureDeadline = 10_000_000
+	openDeadline   = 30_000_000
+)
+
+// instrument gives a machine the capture builds its deadline and tracer t.
+func instrument(m *machine.Machine, deadline int64, t machine.Tracer) {
+	m.Cfg.Deadline = deadline
+	m.SetTracer(t)
+}
+
+// bounded runs fn and returns its error or, as an error, its panic (a
+// deadline livelock among them), so a failing point is recorded under its
+// name and the capture goes on. An HTM abort signal is not a point's
+// failure but an escape from htm.Thread.Try; it is re-raised.
+func bounded(fn func() error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			if htm.IsAbortSignal(r) {
+				panic(r)
+			}
+			err = fmt.Errorf("panic: %v", r)
+		}
+	}()
+	return fn()
+}
+
+func sha256Hex(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
+// miniScale is the work multiplier of the capture's figure sweeps, small
+// enough for CI.
 const miniScale = 0.02
 
 // miniSpec shrinks a figure to a differential mini-sweep: two thread
@@ -204,7 +252,7 @@ func CaptureAll() *Capture {
 	}
 	sort.Strings(ids)
 	for _, id := range ids {
-		cap.Figures = append(cap.Figures, captureFigure(id))
+		cap.Figures = append(cap.Figures, captureFigure(miniSpec(id)))
 	}
 
 	for _, scheme := range check.Schemes() {
@@ -222,6 +270,8 @@ func CaptureAll() *Capture {
 		cap.Open = append(cap.Open, captureServe(wl)...)
 	}
 	cap.Open = append(cap.Open, captureShard(256), captureShard(64))
+	cap.Exports = append(cap.Exports, captureMetrics())
+	cap.Exports = append(cap.Exports, captureProfile("hashmap")...)
 	return cap
 }
 
@@ -229,9 +279,28 @@ func CaptureAll() *Capture {
 // to reach the knee's queueing and idle behaviour, short enough for CI.
 const openRequests = 400
 
-// captureServe runs every default scheme of one serve workload at its
-// calibrated knee load, fingerprinting each point's event stream.
-func captureServe(workload string) []OpenCapture {
+// captureOpen runs one open-system point under openDeadline: run runs it
+// with the given observer and returns its service metrics and result.
+func captureOpen(point string, run func(observe func(*machine.Machine)) (*obs.ServiceMetrics, any, error)) OpenCapture {
+	h := newStreamSHA()
+	var m *machine.Machine
+	var sm *obs.ServiceMetrics
+	var res any
+	err := bounded(func() (err error) {
+		sm, res, err = run(func(mm *machine.Machine) { m = mm; instrument(m, openDeadline, h) })
+		return err
+	})
+	if err != nil {
+		return OpenCapture{Point: point, SHA256: "ERROR: " + err.Error()}
+	}
+	b, _ := json.Marshal(res) // plain fields only: cannot fail
+	return OpenCapture{Point: point, Cycles: sm.MakespanCycles, Events: h.events, SHA256: h.hex(),
+		ResultSHA: sha256Hex(b), Engine: m.EngineCounters()}
+}
+
+// kneeConfig is workload's calibrated serve knee point on the capture's
+// short schedule.
+func kneeConfig(workload string) (harness.ProfSpec, service.Config) {
 	spec, err := harness.DefaultProfSpec(workload)
 	if err != nil {
 		panic(err) // ServeWorkloads and DefaultProfSpec share one list
@@ -239,26 +308,29 @@ func captureServe(workload string) []OpenCapture {
 	cfg := spec.Base
 	cfg.Arrivals.RatePerSec = spec.RatePerSec
 	cfg.Requests = openRequests
+	return spec, cfg
+}
+
+// captureServe runs every default scheme of one serve workload at its
+// calibrated knee load.
+func captureServe(workload string) []OpenCapture {
+	spec, cfg := kneeConfig(workload)
 	var out []OpenCapture
 	for _, scheme := range spec.Schemes {
-		h := newStreamSHA()
-		m, _, err := service.RunPoint(cfg, scheme, harness.SchemeFactory(scheme), func(m *machine.Machine) { m.SetTracer(h) })
-		oc := OpenCapture{Point: "serve/" + workload + "/" + scheme}
-		if err != nil {
-			oc.SHA256 = "ERROR: " + err.Error()
-		} else {
-			oc.Cycles, oc.Events, oc.SHA256 = m.MakespanCycles, h.events, h.hex()
-		}
-		out = append(out, oc)
+		out = append(out, captureOpen("serve/"+workload+"/"+scheme, func(observe func(*machine.Machine)) (*obs.ServiceMetrics, any, error) {
+			m, _, err := service.RunPoint(cfg, scheme, harness.SchemeFactory(scheme), observe)
+			return m, m, err
+		}))
 	}
 	return out
 }
 
-// captureShard fingerprints one adaptive shard point. The 256-CPU point is
-// the one internal/shard's TestShard256Pinned pins by result; it makes no
-// switch. The 64-CPU point switches schemes live (twice at seed 1), so it
-// must switch, and the sha256 of its Result JSON pins its switch trace and
-// per-shard stats as well.
+// captureShard captures one adaptive shard point. The 256-CPU point makes
+// no switch; it is the capture's machine with more than 64 CPUs, so it
+// exercises the four-word coherence and conflict bitmaps, and its engine
+// counters pin the scheduler work of 256 mostly idle servers. The 64-CPU
+// point switches schemes live (twice at seed 1), so it must switch, and
+// its result JSON pins its switch trace and per-shard stats.
 func captureShard(servers int) OpenCapture {
 	cfg := shard.DefaultConfig()
 	cfg.Servers = servers
@@ -269,45 +341,105 @@ func captureShard(servers int) OpenCapture {
 	} else {
 		cfg.Shards, cfg.Requests, cfg.Keys.Skew, cfg.Arrivals.RatePerSec = 16, 600, 1.2, 2e7
 	}
-	h := newStreamSHA()
-	res, err := shard.Run(cfg, harness.ShardPalette(), func(m *machine.Machine) { m.SetTracer(h) })
-	if err == nil && switching && len(res.Switches) == 0 {
-		err = fmt.Errorf("no scheme switch")
-	}
-	oc := OpenCapture{Point: fmt.Sprintf("shard%d/%s", servers, harness.ShardAdaptive)}
-	if err != nil {
-		oc.SHA256 = "ERROR: " + err.Error()
-		return oc
-	}
-	oc.Cycles, oc.Events, oc.SHA256 = res.Service.MakespanCycles, h.events, h.hex()
-	if switching {
-		b, _ := json.Marshal(res) // plain fields only: cannot fail
-		sum := sha256.Sum256(b)
-		oc.ResultSHA = hex.EncodeToString(sum[:])
-	}
-	return oc
+	return captureOpen(fmt.Sprintf("shard%d/%s", servers, harness.ShardAdaptive), func(observe func(*machine.Machine)) (*obs.ServiceMetrics, any, error) {
+		res, err := shard.Run(cfg, harness.ShardPalette(), observe)
+		if err == nil && switching && len(res.Switches) == 0 {
+			err = fmt.Errorf("no scheme switch")
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		return res.Service, res, nil
+	})
 }
 
-// captureFigure runs one figure's mini-sweep point by point, in the same
-// deterministic order as FigureSpec.RunParallel, hashing each point's
-// event stream.
-func captureFigure(id string) FigureCapture {
-	spec := miniSpec(id)
-	fc := FigureCapture{ID: id}
+// export pins export name by the sha256 of b, or records err.
+func export(name string, b []byte, err error) ExportCapture {
+	if err != nil {
+		return ExportCapture{name, "ERROR: " + err.Error()}
+	}
+	return ExportCapture{name, sha256Hex(b)}
+}
+
+// metricsSpec is the fig5 sweep whose RunMetrics JSON the capture pins:
+// the 10%-write points the mini-sweep's extreme write ratios leave out,
+// which the harness's zero-cost guard tests sweep too.
+func metricsSpec() *harness.FigureSpec {
+	spec := *harness.Registry()["fig5"]
+	spec.Threads, spec.WritePcts = []int{2, 4}, []int{10}
+	spec.Schemes = []string{"RW-LE_OPT", "RW-LE_PES", "SGL"}
+	return &spec
+}
+
+// captureMetrics pins metricsSpec's RunMetrics JSON. RunWithMetrics takes
+// no observer, so its machines keep the default deadline; it runs only
+// once every point has finished under figureDeadline.
+func captureMetrics() ExportCapture {
+	spec := metricsSpec()
+	for _, p := range captureFigure(spec).Points {
+		if strings.HasPrefix(p.StreamHash, "ERROR") {
+			return export("metrics/"+spec.ID, nil, fmt.Errorf("not run: %s n=%d w=%d%% failed", p.Scheme, p.Threads, p.WritePct))
+		}
+	}
+	_, metrics, _ := harness.RunWithMetrics(spec, miniScale, nil, 1)
+	b, err := json.Marshal(metrics)
+	return export("metrics/"+spec.ID, b, err)
+}
+
+// captureProfile pins two exports of the first default scheme at
+// workload's serve knee: its ProfileReport JSON, built as hrwle-serve
+// -prof builds it, and the Chrome trace of its event stream.
+func captureProfile(workload string) []ExportCapture {
+	spec, cfg := kneeConfig(workload)
+	scheme := spec.Schemes[0]
+	prof := obs.NewProfile(spec.WindowCycles, len(cfg.Classes))
+	var log machine.LogTracer
+	var profJSON []byte
+	var chrome bytes.Buffer
+	err := bounded(func() error {
+		m, _, _, err := service.RunPointObserved(cfg, scheme, harness.SchemeFactory(scheme),
+			func(m *machine.Machine) { instrument(m, openDeadline, &log) }, prof, false)
+		if err != nil {
+			return err
+		}
+		rep := prof.Report(scheme, cfg.Workload)
+		rep.Service = m
+		if profJSON, err = json.Marshal(rep); err != nil {
+			return err
+		}
+		return obs.WriteChromeTrace(&chrome, log.Events)
+	})
+	name := workload + "/" + scheme
+	return []ExportCapture{export("profile/"+name, profJSON, err), export("chrome/"+name, chrome.Bytes(), err)}
+}
+
+// captureFigure runs one figure sweep point by point, in the same
+// deterministic order as FigureSpec.RunParallel and under figureDeadline,
+// hashing each point's event stream.
+func captureFigure(spec *harness.FigureSpec) FigureCapture {
+	fc := FigureCapture{ID: spec.ID}
 	var results []harness.Result
 	for _, w := range spec.WritePcts {
 		for _, n := range spec.Threads {
 			for _, s := range spec.Schemes {
 				h := newStreamHash()
-				ctx := harness.PointCtx{Observe: func(m *machine.Machine) { m.SetTracer(h) }}
-				r := spec.Point(ctx, s, n, w, miniScale)
+				ctx := harness.PointCtx{Observe: func(m *machine.Machine) { instrument(m, figureDeadline, h) }}
+				var r harness.Result
+				err := bounded(func() error {
+					r = spec.Point(ctx, s, n, w, miniScale)
+					return nil
+				})
 				r.Figure, r.Scheme, r.Threads, r.WritePct = spec.ID, s, n, w
 				results = append(results, r)
-				fc.Points = append(fc.Points, PointCapture{
+				pc := PointCapture{
 					Scheme: s, Threads: n, WritePct: w,
 					Cycles: r.Cycles, Ops: r.B.Ops,
 					Events: h.events, StreamHash: h.hex(),
-				})
+				}
+				if err != nil {
+					pc.StreamHash = "ERROR: " + err.Error()
+				}
+				fc.Points = append(fc.Points, pc)
 			}
 		}
 	}

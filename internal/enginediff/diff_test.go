@@ -3,8 +3,8 @@ package enginediff
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -12,11 +12,13 @@ var updateGolden = flag.Bool("update", false, "rewrite the engine golden capture
 
 const goldenPath = "testdata/engine_golden.json"
 
-// TestEngineEquivalence asserts that the current engine reproduces, bit for
-// bit, the capture recorded on the previous engine: every figure point's
-// cycles and event stream, every Print table, every checker exploration and
-// both seeded-mutation replay tokens. A failure here means the engine
-// changed *simulation semantics*, not just its execution machinery.
+// TestEngineEquivalence asserts that the current tree reproduces the
+// committed capture bit for bit: every figure point's cycles and event
+// stream, every Print table, every checker exploration, both
+// seeded-mutation replay tokens, every open-system point's streams, result
+// and engine counters, and the obs exports. A failure names each entry
+// that diverged; a point that panicked, a livelock past its deadline among
+// them, diverges with the panic in place of its fingerprint.
 func TestEngineEquivalence(t *testing.T) {
 	got := CaptureAll()
 
@@ -26,9 +28,6 @@ func TestEngineEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		data = append(data, '\n')
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(goldenPath, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -53,46 +52,30 @@ func TestEngineEquivalence(t *testing.T) {
 		if gf.ID != wf.ID {
 			t.Fatalf("figure order drifted at %d: got %s, want %s", i, gf.ID, wf.ID)
 		}
-		if len(gf.Points) != len(wf.Points) {
-			t.Errorf("%s: point count drifted: got %d, want %d", gf.ID, len(gf.Points), len(wf.Points))
-			continue
-		}
-		for j, wp := range wf.Points {
-			gp := gf.Points[j]
-			if gp != wp {
-				t.Errorf("%s point %d (%s n=%d w=%d%%) diverged:\n  got  %+v\n  want %+v",
-					gf.ID, j, wp.Scheme, wp.Threads, wp.WritePct, gp, wp)
-			}
-		}
+		compare(t, gf.ID+" point", gf.Points, wf.Points, func(p PointCapture) string {
+			return fmt.Sprintf("(%s n=%d w=%d%%)", p.Scheme, p.Threads, p.WritePct)
+		})
 		if gf.Print != wf.Print {
 			t.Errorf("%s: Print bytes diverged\n--- got ---\n%s\n--- want ---\n%s", gf.ID, gf.Print, wf.Print)
 		}
 	}
+	compare(t, "exploration", got.Explorations, want.Explorations, func(e ExploreCapture) string { return e.Scheme + "/" + e.Program })
+	compare(t, "mutation", got.Mutations, want.Mutations, func(m MutationCapture) string { return m.Scheme + "/" + m.Mutation })
+	compare(t, "open-system point", got.Open, want.Open, func(o OpenCapture) string { return o.Point })
+	compare(t, "export", got.Exports, want.Exports, func(e ExportCapture) string { return e.Export })
+}
 
-	if len(got.Explorations) != len(want.Explorations) {
-		t.Fatalf("exploration count drifted: got %d, want %d", len(got.Explorations), len(want.Explorations))
+// compare reports every entry of one capture section that differs from
+// the recorded one, labelled by name.
+func compare[T comparable](t *testing.T, section string, got, want []T, name func(T) string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Errorf("%s count drifted: got %d, want %d", section, len(got), len(want))
+		return
 	}
-	for i, we := range want.Explorations {
-		if ge := got.Explorations[i]; ge != we {
-			t.Errorf("exploration %s/%s diverged:\n  got  %+v\n  want %+v", we.Scheme, we.Program, ge, we)
-		}
-	}
-
-	if len(got.Mutations) != len(want.Mutations) {
-		t.Fatalf("mutation count drifted: got %d, want %d", len(got.Mutations), len(want.Mutations))
-	}
-	for i, wm := range want.Mutations {
-		if gm := got.Mutations[i]; gm != wm {
-			t.Errorf("mutation %s/%s diverged:\n  got  %+v\n  want %+v", wm.Scheme, wm.Mutation, gm, wm)
-		}
-	}
-
-	if len(got.Open) != len(want.Open) {
-		t.Fatalf("open-system point count drifted: got %d, want %d", len(got.Open), len(want.Open))
-	}
-	for i, wo := range want.Open {
-		if g := got.Open[i]; g != wo {
-			t.Errorf("open-system point %s diverged:\n  got  %+v\n  want %+v", wo.Point, g, wo)
+	for i, w := range want {
+		if got[i] != w {
+			t.Errorf("%s %s diverged:\n  got  %+v\n  want %+v", section, name(w), got[i], w)
 		}
 	}
 }
@@ -102,7 +85,7 @@ func TestEngineEquivalence(t *testing.T) {
 // mismatch could be blamed on the engine when the harness is at fault.
 // Figure fig5 alone keeps the double run cheap.
 func TestCaptureIsDeterministic(t *testing.T) {
-	a, b := captureFigure("fig5"), captureFigure("fig5")
+	a, b := captureFigure(miniSpec("fig5")), captureFigure(miniSpec("fig5"))
 	if a.Print != b.Print || len(a.Points) != len(b.Points) {
 		t.Fatal("repeated capture diverged in shape")
 	}

@@ -94,22 +94,6 @@ func TestParallelMetricsMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestBenchSpecShape pins the wall-clock benchmark's sweep definition: the
-// recorded numbers in results/BENCH_*.json are only comparable across PRs
-// if the sweep itself never drifts.
-func TestBenchSpecShape(t *testing.T) {
-	spec := BenchSpec()
-	if spec.ID != "fig5" {
-		t.Errorf("bench sweep figure = %s, want fig5", spec.ID)
-	}
-	if got, want := spec.NumPoints(), 24; got != want {
-		t.Errorf("bench sweep points = %d, want %d", got, want)
-	}
-	if BenchScale != 0.25 {
-		t.Errorf("bench scale = %v, want 0.25", BenchScale)
-	}
-}
-
 // TestForEachPlacesByIndex: every index runs exactly once and its result
 // lands in its own slot, serially, on a pool, and with more workers than
 // indices.

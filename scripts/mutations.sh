@@ -44,9 +44,6 @@ pin() {
 	pin_cmds+=("$(printf '%q ' "$@")")
 }
 pin equiv go test ./internal/enginediff -run TestEngineEquivalence
-pin golden go test ./internal/harness -run TestGoldenFigureOutput
-pin cycles go test ./internal/harness -run TestBenchCyclesMatchBaseline
-pin shard256 go test ./internal/shard -run TestShard256Pinned
 for w in fig5-hotline fig4-capacity serve-knee shard-256; do
 	pin "${w%%-*}" bash bench/run.sh -workload "$w" -seconds 1 -trace 0
 done
@@ -194,9 +191,9 @@ catalogue() {
 	# Wake-one dispatch. The dispatcher never blocks an idle server, as
 	# before wake-one dispatch: every result stays the same, and only the
 	# engine's work counters (and the idle-event stream) move.
-	row block-skip 'engine counters' \
+	row block-skip 'shard256/adaptive diverged' \
 		internal/service/run.go $'\tif w.q.lowestIdle() != c.ID {\n\t\tc.Block()\n\t}\n' '' \
-		-- go test ./internal/shard -run TestShard256Pinned
+		-- go test ./internal/enginediff -run TestEngineEquivalence
 	# The shard timelines count blocked servers in their watermark: their
 	# stale last events hold windows back, and the controller's switches
 	# come late or not at all.
