@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"hrwle/internal/harness"
 )
 
 // runGo executes `go run pkg args...` from the repo root and returns the
@@ -150,38 +152,44 @@ func TestBenchCLISmoke(t *testing.T) {
 	}
 }
 
-// TestBenchCLIList checks the figure listing knows every registered figure.
+// TestBenchCLIList checks the figure listing names every registered
+// figure.
 func TestBenchCLIList(t *testing.T) {
 	out := runGo(t, "./cmd/hrwle-bench", "-list")
-	for _, want := range []string{"fig3", "fig10", "retries", "split"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("hrwle-bench -list missing %q:\n%s", want, out)
+	for _, id := range harness.SortedIDs(harness.Registry()) {
+		if !strings.Contains(out, "\n  "+id+" ") {
+			t.Errorf("hrwle-bench -list missing %q:\n%s", id, out)
 		}
 	}
 }
 
-// TestBenchCLIParallelIdentical sweeps the same tiny figure at -j 1 and
+// TestBenchCLIParallelIdentical sweeps the same tiny figures at -j 1 and
 // -j 8 through the real CLI and requires identical tables: the parallel
-// harness must never change virtual-time results.
+// harness must never change virtual-time results. fig10 is the figure
+// whose points share state (the SGL@1 baseline cache).
 func TestBenchCLIParallelIdentical(t *testing.T) {
-	// Compare the -o files, not process output: stderr carries wall-clock
-	// chatter that legitimately differs between runs.
-	dir := t.TempDir()
-	serialPath := filepath.Join(dir, "serial.txt")
-	parallelPath := filepath.Join(dir, "parallel.txt")
-	args := []string{"-fig", "fig3", "-scale", "0.01", "-threads", "2,4", "-q"}
-	runGo(t, "./cmd/hrwle-bench", append([]string{"-j", "1", "-o", serialPath}, args...)...)
-	runGo(t, "./cmd/hrwle-bench", append([]string{"-j", "8", "-o", parallelPath}, args...)...)
-	serial, err := os.ReadFile(serialPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := os.ReadFile(parallelPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(serial, parallel) {
-		t.Errorf("-j changed figure output\n--- -j1 ---\n%s\n--- -j8 ---\n%s", serial, parallel)
+	for _, fig := range []string{"fig3", "fig10"} {
+		t.Run(fig, func(t *testing.T) {
+			// Compare the -o files, not process output: stderr carries
+			// wall-clock chatter that legitimately differs between runs.
+			dir := t.TempDir()
+			serialPath := filepath.Join(dir, "serial.txt")
+			parallelPath := filepath.Join(dir, "parallel.txt")
+			args := []string{"-fig", fig, "-scale", "0.01", "-threads", "2,4", "-q"}
+			runGo(t, "./cmd/hrwle-bench", append([]string{"-j", "1", "-o", serialPath}, args...)...)
+			runGo(t, "./cmd/hrwle-bench", append([]string{"-j", "8", "-o", parallelPath}, args...)...)
+			serial, err := os.ReadFile(serialPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parallel, err := os.ReadFile(parallelPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(serial, parallel) {
+				t.Errorf("-j changed figure output\n--- -j1 ---\n%s\n--- -j8 ---\n%s", serial, parallel)
+			}
+		})
 	}
 }
 

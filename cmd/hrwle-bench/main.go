@@ -32,7 +32,7 @@ import (
 
 func main() {
 	var (
-		fig        = flag.String("fig", "", "figure to regenerate (fig3..fig10, retries, split, or 'all')")
+		fig        = flag.String("fig", "", "figure to regenerate: an ID that -list prints, or 'all'")
 		scale      = flag.Float64("scale", 1.0, "work multiplier per measurement point")
 		list       = flag.Bool("list", false, "list available figures")
 		threads    = flag.String("threads", "", "override thread counts, e.g. 2,8,32")
@@ -87,7 +87,7 @@ func main() {
 		if *metricsDir != "" {
 			var metrics []*obs.RunMetrics
 			var events int64
-			results, metrics, events = harness.RunWithMetrics(spec, *scale, progress, shared.Jobs)
+			results, metrics, events = harness.RunWithMetrics(harness.PointCtx{}, spec, *scale, progress, shared.Jobs)
 			for _, rm := range metrics {
 				if err := cli.WriteJSON(filepath.Join(*metricsDir, harness.MetricsFileName(rm.Figure, rm.Scheme)), rm); err != nil {
 					cli.Fatal(err)

@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"hash"
 	"sort"
-	"strings"
 
 	"hrwle/internal/check"
 	"hrwle/internal/harness"
@@ -371,18 +370,17 @@ func metricsSpec() *harness.FigureSpec {
 	return &spec
 }
 
-// captureMetrics pins metricsSpec's RunMetrics JSON. RunWithMetrics takes
-// no observer, so its machines keep the default deadline; it runs only
-// once every point has finished under figureDeadline.
+// captureMetrics pins metricsSpec's RunMetrics JSON, its machines under
+// figureDeadline.
 func captureMetrics() ExportCapture {
 	spec := metricsSpec()
-	for _, p := range captureFigure(spec).Points {
-		if strings.HasPrefix(p.StreamHash, "ERROR") {
-			return export("metrics/"+spec.ID, nil, fmt.Errorf("not run: %s n=%d w=%d%% failed", p.Scheme, p.Threads, p.WritePct))
-		}
-	}
-	_, metrics, _ := harness.RunWithMetrics(spec, miniScale, nil, 1)
-	b, err := json.Marshal(metrics)
+	var b []byte
+	err := bounded(func() (err error) {
+		ctx := harness.PointCtx{Observe: func(m *machine.Machine) { m.Cfg.Deadline = figureDeadline }}
+		_, metrics, _ := harness.RunWithMetrics(ctx, spec, miniScale, nil, 1)
+		b, err = json.Marshal(metrics)
+		return err
+	})
 	return export("metrics/"+spec.ID, b, err)
 }
 

@@ -14,17 +14,16 @@ import (
 // so after set-up and a short run every word from HeapUsed() to the end
 // of memory must still read zero.
 func TestFreshMemoryStaysZero(t *testing.T) {
-	rwle := SchemeFactory("RW-LE_OPT")
 	hm := HashmapParams{Buckets: 16, Items: 20, WritePct: 50, Threads: 4, TotalOps: 400, Seed: 1}
 	points := []struct {
 		name string
 		run  func(observe func(*machine.Machine))
 	}{
-		{"hashmap", func(o func(*machine.Machine)) { RunHashmap(PointCtx{Observe: o}, hm, rwle) }},
-		{"kyoto", func(o func(*machine.Machine)) { RunKyoto(PointCtx{Observe: o}, 4, 20, 400, 1, "RW-LE_OPT") }},
-		{"tpcc", func(o func(*machine.Machine)) { RunTPCC(PointCtx{Observe: o}, 4, 50, 200, 1, rwle) }},
-		{"stmbench7", func(o func(*machine.Machine)) { RunSTMBench7(PointCtx{Observe: o}, 4, 50, 100, 1, rwle) }},
-		{"rcu", func(o func(*machine.Machine)) { RunRCUHashmap(PointCtx{Observe: o}, hm) }},
+		{"hashmap", func(o func(*machine.Machine)) { RunHashmap(PointCtx{Observe: o}, hm, SchemeFactory("RW-LE_OPT")) }},
+		{"kyoto", func(o func(*machine.Machine)) { runKyoto(PointCtx{Observe: o}, "RW-LE_OPT", 4, 20, 400, 1) }},
+		{"tpcc", func(o func(*machine.Machine)) { runTPCC(PointCtx{Observe: o}, "RW-LE_OPT", 4, 50, 200, 1) }},
+		{"stmbench7", func(o func(*machine.Machine)) { runSTMBench7(PointCtx{Observe: o}, "RW-LE_OPT", 4, 50, 100, 1) }},
+		{"rcu", func(o func(*machine.Machine)) { runRCUHashmap(PointCtx{Observe: o}, hm) }},
 		{"shard", func(o func(*machine.Machine)) {
 			cfg := shard.DefaultConfig()
 			cfg.Servers = 8

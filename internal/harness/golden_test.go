@@ -3,6 +3,8 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"strings"
 	"testing"
 
 	"hrwle/internal/machine"
@@ -66,8 +68,8 @@ func TestRunWithMetricsMatchesPlainRun(t *testing.T) {
 	spec := goldenSpec()
 	plain := spec.RunParallel(0.02, nil, 1)
 
-	withMetrics, metrics1, _ := RunWithMetrics(spec, 0.02, nil, 1)
-	_, metrics2, _ := RunWithMetrics(spec, 0.02, nil, 1)
+	withMetrics, metrics1, _ := RunWithMetrics(PointCtx{}, spec, 0.02, nil, 1)
+	_, metrics2, _ := RunWithMetrics(PointCtx{}, spec, 0.02, nil, 1)
 
 	if len(withMetrics) != len(plain) {
 		t.Fatalf("result counts differ: %d vs %d", len(withMetrics), len(plain))
@@ -88,6 +90,26 @@ func TestRunWithMetricsMatchesPlainRun(t *testing.T) {
 	if a, b := metricsJSON(t, metrics1), metricsJSON(t, metrics2); !bytes.Equal(a, b) {
 		t.Error("repeated export not identical")
 	}
+}
+
+// TestRunWithMetricsUnderCallerCtx checks that the metrics exporter shows
+// every machine to the caller's PointCtx first: the collectors join the
+// tracer it installs, which sees every event they count, and the deadline
+// it sets bounds the run.
+func TestRunWithMetricsUnderCallerCtx(t *testing.T) {
+	spec := goldenSpec()
+	var counted machine.CountTracer
+	ctx := PointCtx{Observe: func(m *machine.Machine) { m.SetTracer(&counted) }}
+	if _, _, events := RunWithMetrics(ctx, spec, 0.02, nil, 1); events == 0 || counted.Total() != events {
+		t.Errorf("caller's tracer saw %d events, the collectors %d", counted.Total(), events)
+	}
+
+	defer func() {
+		if r := recover(); !strings.Contains(fmt.Sprint(r), "deadline") {
+			t.Errorf("run past the caller's deadline: got panic %v, want a deadline panic", r)
+		}
+	}()
+	RunWithMetrics(PointCtx{Observe: func(m *machine.Machine) { m.Cfg.Deadline = 1000 }}, spec, 0.02, nil, 1)
 }
 
 // metricsJSON encodes metrics for byte comparison.

@@ -114,7 +114,7 @@ func TestAdaptiveStateExposed(t *testing.T) {
 	if r := RunHashmap(PointCtx{}, p, SchemeFactory("RW-LE_OPT")); r.Adaptive != nil {
 		t.Errorf("fixed-budget point reports adaptive state %+v", r.Adaptive)
 	}
-	if r := RunTPCC(PointCtx{}, 4, 50, 400, 42, SchemeFactory("RW-LE_ADAPT")); r.Adaptive == nil {
+	if r := runTPCC(PointCtx{}, "RW-LE_ADAPT", 4, 50, 400, 42); r.Adaptive == nil {
 		t.Error("RW-LE_ADAPT TPC-C point has no Adaptive state")
 	}
 }

@@ -9,12 +9,15 @@ import (
 )
 
 // RunWithMetrics sweeps figure f like FigureSpec.RunParallel while
-// collecting obs telemetry for every point. It returns the sweep results,
-// one RunMetrics per scheme in the figure's scheme order (hrwle-bench
-// writes each to the file MetricsFileName names) and the total number of
-// events traced. The metrics are deterministic regardless of workers:
-// identical seeds produce identical metrics.
-func RunWithMetrics(f *FigureSpec, scale float64, progress io.Writer, workers int) ([]Result, []*obs.RunMetrics, int64) {
+// collecting obs telemetry for every point. Each machine is shown to
+// ctx.Observe first, if set (from several workers at once when workers >
+// 1); the point's collector then joins whatever tracer it installed. It
+// returns the sweep results, one RunMetrics per scheme in the figure's
+// scheme order (hrwle-bench writes each to the file MetricsFileName
+// names) and the total number of events traced. The metrics are
+// deterministic regardless of workers: identical seeds produce identical
+// metrics.
+func RunWithMetrics(ctx PointCtx, f *FigureSpec, scale float64, progress io.Writer, workers int) ([]Result, []*obs.RunMetrics, int64) {
 	// One collector slot per point: a point may build more than one machine
 	// (e.g. fig10's lazily computed baseline) and only the last one built is
 	// the measured run, matching the serial exporter's semantics. Slots are
@@ -23,9 +26,12 @@ func RunWithMetrics(f *FigureSpec, scale float64, progress io.Writer, workers in
 	collectors := make([]*obs.Collector, f.NumPoints())
 	mkCtx := func(idx int) PointCtx {
 		return PointCtx{Observe: func(m *machine.Machine) {
+			if ctx.Observe != nil {
+				ctx.Observe(m)
+			}
 			c := obs.NewCollector()
 			collectors[idx] = c
-			m.SetTracer(machine.MultiTracer{c})
+			m.SetTracer(machine.MultiTracer{m.Tracer(), c})
 		}}
 	}
 	results := f.runPoints(scale, progress, workers, mkCtx)

@@ -10,26 +10,34 @@ import (
 // TestParallelMatchesSerial is the determinism contract of RunParallel:
 // the same sweep on a worker pool must return bit-identical Results in the
 // same order, and render byte-identical figure output. Only wall-clock
-// time may differ.
+// time may differ. A fresh fig10 sweep per run makes its points fill the
+// shared SGL@1 baseline cache concurrently.
 func TestParallelMatchesSerial(t *testing.T) {
-	spec := goldenSpec()
-	serial := spec.RunParallel(0.02, nil, 1)
-	for _, workers := range []int{2, 4, 16} {
-		parallel := spec.RunParallel(0.02, nil, workers)
-		if len(parallel) != len(serial) {
-			t.Fatalf("workers=%d: %d results, want %d", workers, len(parallel), len(serial))
-		}
-		for i := range serial {
-			if parallel[i] != serial[i] {
-				t.Errorf("workers=%d point %d: parallel result diverged\nserial:   %+v\nparallel: %+v",
-					workers, i, serial[i], parallel[i])
+	fig10 := func() *FigureSpec {
+		spec := *Registry()["fig10"]
+		spec.Threads, spec.WritePcts = []int{2, 4}, []int{1, 50}
+		return &spec
+	}
+	for _, mk := range []func() *FigureSpec{goldenSpec, fig10} {
+		spec := mk()
+		serial := spec.RunParallel(0.02, nil, 1)
+		for _, workers := range []int{2, 4, 16} {
+			parallel := mk().RunParallel(0.02, nil, workers)
+			if len(parallel) != len(serial) {
+				t.Fatalf("%s workers=%d: %d results, want %d", spec.ID, workers, len(parallel), len(serial))
 			}
-		}
-		var a, b bytes.Buffer
-		Print(&a, spec, serial)
-		Print(&b, spec, parallel)
-		if !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Errorf("workers=%d: printed figure differs from serial output", workers)
+			for i := range serial {
+				if parallel[i] != serial[i] {
+					t.Errorf("%s workers=%d point %d: parallel result diverged\nserial:   %+v\nparallel: %+v",
+						spec.ID, workers, i, serial[i], parallel[i])
+				}
+			}
+			var a, b bytes.Buffer
+			Print(&a, spec, serial)
+			Print(&b, spec, parallel)
+			if !bytes.Equal(a.Bytes(), b.Bytes()) {
+				t.Errorf("%s workers=%d: printed figure differs from serial output", spec.ID, workers)
+			}
 		}
 	}
 }
@@ -75,8 +83,8 @@ func TestParallelPanicPropagates(t *testing.T) {
 // the serial one: same Results, identical per-scheme metrics.
 func TestParallelMetricsMatchesSerial(t *testing.T) {
 	spec := goldenSpec()
-	serial, serialMetrics, serialEvents := RunWithMetrics(spec, 0.02, nil, 1)
-	parallel, parallelMetrics, parallelEvents := RunWithMetrics(spec, 0.02, nil, 4)
+	serial, serialMetrics, serialEvents := RunWithMetrics(PointCtx{}, spec, 0.02, nil, 1)
+	parallel, parallelMetrics, parallelEvents := RunWithMetrics(PointCtx{}, spec, 0.02, nil, 4)
 
 	for i := range serial {
 		if parallel[i] != serial[i] {

@@ -32,7 +32,20 @@ fi
 want=("$@")
 
 work=$(mktemp -d)
-trap 'rm -rf "$work"' EXIT
+# running is the pid of the attempt's timeout, if one runs. timeout leads
+# a process group of its own, which a signal to the script never reaches,
+# so the trap signals it; it passes the signal on to its group.
+running=
+stop() {
+	if [[ -n $running ]]; then
+		kill -TERM "$running" 2>/dev/null || true
+		wait "$running" || true
+	fi
+	rm -rf "$work"
+}
+trap stop EXIT
+trap 'exit 130' INT
+trap 'exit 143' TERM
 tree=$work/tree
 mkdir -p "$tree" "$work/orig"
 tar -cf - --exclude=./.git --exclude=./.bench_build . | tar -xf - -C "$tree"
@@ -54,9 +67,16 @@ pin simsan go run ./cmd/hrwle-check -sanitize -all -budget 300
 timeout=120
 
 # attempt CMD runs the quoted command CMD in the copy, its output in
-# $work/out, and returns its exit status (124 or 137 past $timeout).
+# $work/out, and returns its exit status (124 or 137 past $timeout). It
+# waits for the command in the background, so a signal to the script is
+# trapped at once, not when the command ends.
 attempt() {
-	(cd "$tree" && eval "timeout -k 10 $timeout $1") >"$work/out" 2>&1
+	local st=0
+	(cd "$tree" && eval "exec timeout -k 10 $timeout $1") >"$work/out" 2>&1 &
+	running=$!
+	wait "$running" || st=$?
+	running=
+	return "$st"
 }
 
 # apply applies the current row's edits, saving each file it changes
