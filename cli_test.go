@@ -62,7 +62,7 @@ func TestCLIRejectsUnknownScheme(t *testing.T) {
 		{"./cmd/hrwle-serve", []string{"-workload", "hashmap", "-schemes", "FOO"}},
 		{"./cmd/hrwle-serve", []string{"-prof", "-workload", "hashmap", "-schemes", "SGL,FOO"}},
 		{"./cmd/hrwle-trace", []string{"-scheme", "FOO,SGL", "-j", "2"}},
-		{"./cmd/hrwle-shard", []string{"-schemes", "adaptive,FOO"}},
+		{"./cmd/hrwle-serve", []string{"-workload", "shard", "-schemes", "adaptive,FOO"}},
 	} {
 		out := runGoUsageError(t, tc.pkg, tc.args...)
 		if !strings.Contains(out, `unknown scheme "FOO"`) {
@@ -72,9 +72,11 @@ func TestCLIRejectsUnknownScheme(t *testing.T) {
 }
 
 // TestSharedFlags runs the flags several commands share through each
-// command that takes them: the float profiling -window, "-json -" as
-// stdout (parseable JSON there, no file named "-"), and the removed
-// hrwle-vet -cache flag as a usage error.
+// command that takes them: -window in whole cycles written as a float (and
+// below one cycle a usage error), "-json -" as stdout (parseable JSON
+// there, no file named "-"), the sharded store's flags only on -workload
+// shard and with one offered load, and the removed hrwle-vet -cache flag
+// as a usage error.
 func TestSharedFlags(t *testing.T) {
 	goBin, err := exec.LookPath("go")
 	if err != nil {
@@ -82,11 +84,13 @@ func TestSharedFlags(t *testing.T) {
 	}
 	bin := t.TempDir()
 	build := exec.Command(goBin, "build", "-o", bin+"/",
-		"./cmd/hrwle-trace", "./cmd/hrwle-serve", "./cmd/hrwle-shard", "./cmd/hrwle-vet")
+		"./cmd/hrwle-trace", "./cmd/hrwle-serve", "./cmd/hrwle-vet")
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 	serve := []string{"-workload", "hashmap", "-requests", "100", "-schemes", "SGL", "-q", "-o", "report.txt"}
+	shard := []string{"-workload", "shard", "-servers", "16", "-requests", "100", "-shards", "4", "-skews", "0",
+		"-schemes", "SGL", "-universe", "16384", "-q", "-o", "report.txt"}
 	for _, tc := range []struct {
 		cmd      string
 		args     []string
@@ -96,8 +100,13 @@ func TestSharedFlags(t *testing.T) {
 		{"hrwle-trace", []string{"-ops", "5", "-q", "-window", "1e6", "-timeline", "t.json"}, 0, false},
 		{"hrwle-serve", append([]string{"-prof", "-servers", "2", "-window", "1e6"}, serve...), 0, false},
 		{"hrwle-serve", append([]string{"-rates", "1e5", "-json", "-"}, serve...), 0, true},
-		{"hrwle-shard", []string{"-servers", "16", "-requests", "100", "-shards", "4", "-skews", "0",
-			"-schemes", "SGL", "-rate", "3e6", "-universe", "16384", "-q", "-o", "report.txt", "-json", "-"}, 0, true},
+		{"hrwle-serve", append([]string{"-prof", "-window", "0"}, serve...), 2, false},
+		{"hrwle-serve", append([]string{"-timeline", "t.json", "-rates", "1e5", "-window", "0.5"}, serve...), 2, false},
+		{"hrwle-trace", []string{"-ops", "5", "-q", "-window", "-5", "-timeline", "t.json"}, 2, false},
+		{"hrwle-serve", append([]string{"-rates", "3e6", "-json", "-"}, shard...), 0, true},
+		{"hrwle-serve", append([]string{"-rates", "3e6", "-sanitize", "-json", "-"}, shard...), 0, true},
+		{"hrwle-serve", append([]string{"-rates", "1e6,3e6"}, shard...), 2, false},
+		{"hrwle-serve", append([]string{"-shards", "4"}, serve...), 2, false},
 		{"hrwle-trace", []string{"-ops", "5", "-q", "-json", "-"}, 0, true},
 		{"hrwle-vet", []string{"-cache=false", "./..."}, 2, false},
 	} {

@@ -27,6 +27,7 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
@@ -108,7 +109,7 @@ func traceScheme(w io.Writer, name string) error {
 	}
 	var prof *obs.Profile
 	if shared.Timeline != "" {
-		prof = obs.NewProfile(int64(shared.Window), 0)
+		prof = obs.NewProfile(cmp.Or(shared.Window, harness.DefaultProfWindow), 0)
 		tracers = append(tracers, prof)
 	}
 	var san *simsan.Sanitizer

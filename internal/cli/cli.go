@@ -6,9 +6,11 @@ package cli
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -17,26 +19,19 @@ import (
 	"strings"
 
 	"hrwle/internal/harness"
-	"hrwle/internal/service"
 )
 
 // Flags holds the values of the shared flags. A flag the command did not
 // register keeps its zero value.
 type Flags struct {
-	Jobs     int     // -j
-	Quiet    bool    // -q
-	Out      string  // -o
-	JSON     string  // -json
-	Schemes  string  // -schemes
-	Chrome   string  // -chrome
-	Timeline string  // -timeline
-	Window   float64 // -window
-	Sanitize bool    // -sanitize
-
-	// -servers, -requests, -queue-cap and -seed override the open-system
-	// service config when non-zero; see ApplyService.
-	Servers, Requests, QueueCap int
-	Seed                        uint64
+	Jobs     int    // -j
+	Quiet    bool   // -q
+	Out      string // -o
+	JSON     string // -json
+	Chrome   string // -chrome
+	Timeline string // -timeline
+	Window   int64  // -window; 0 when not given
+	Sanitize bool   // -sanitize
 }
 
 // Register declares the named shared flags on the command line and
@@ -54,46 +49,27 @@ func Register(names ...string) *Flags {
 			flag.StringVar(&f.Out, name, "", "write the text report to this file (default stdout)")
 		case "json":
 			flag.StringVar(&f.JSON, name, "", "write the report JSON to this file ('-' for stdout)")
-		case "schemes":
-			flag.StringVar(&f.Schemes, name, "", "comma-separated scheme list, or 'all' (default: see -list)")
 		case "chrome":
 			flag.StringVar(&f.Chrome, name, "", "write a Chrome trace_event file of the run, for Perfetto or chrome://tracing ('-' for stdout)")
 		case "timeline":
 			flag.StringVar(&f.Timeline, name, "", "write the virtual-time profile JSON of the run to this file ('-' for stdout)")
 		case "window":
-			flag.Float64Var(&f.Window, name, harness.DefaultProfWindow, "profiling window width in virtual cycles")
+			flag.Func(name, fmt.Sprintf("virtual-time window width, whole cycles >= 1 (default %d; on hrwle-serve -workload shard, the adaptive controller's window, default 50000, which the profiler then shares)", harness.DefaultProfWindow),
+				func(s string) error {
+					v, err := strconv.ParseFloat(s, 64)
+					if err != nil || v < 1 || v != math.Trunc(v) || v > math.MaxInt64 {
+						return errors.New("want a whole number of cycles >= 1")
+					}
+					f.Window = int64(v)
+					return nil
+				})
 		case "sanitize":
 			flag.BoolVar(&f.Sanitize, name, false, "attach the simsan happens-before race detector (exit 1 on any race)")
-		case "servers":
-			flag.IntVar(&f.Servers, name, 0, "serving CPUs (0: the command's default)")
-		case "requests":
-			flag.IntVar(&f.Requests, name, 0, "arrivals per point (0: the command's default)")
-		case "queue-cap":
-			flag.IntVar(&f.QueueCap, name, 0, "dispatch queue bound (0: the command's default)")
-		case "seed":
-			flag.Uint64Var(&f.Seed, name, 0, "schedule and machine seed (default 1)")
 		default:
 			panic("cli: no shared flag -" + name)
 		}
 	}
 	return f
-}
-
-// ApplyService sets the non-zero -servers, -requests, -queue-cap and
-// -seed values on cfg.
-func (f *Flags) ApplyService(cfg *service.Config) {
-	if f.Servers > 0 {
-		cfg.Servers = f.Servers
-	}
-	if f.Requests > 0 {
-		cfg.Requests = f.Requests
-	}
-	if f.QueueCap > 0 {
-		cfg.QueueCap = f.QueueCap
-	}
-	if f.Seed != 0 {
-		cfg.Seed = f.Seed
-	}
 }
 
 // Fatal prints err to stderr and exits 1: a requested run failed.

@@ -390,7 +390,7 @@ func captureMetrics() ExportCapture {
 func captureProfile(workload string) []ExportCapture {
 	spec, cfg := kneeConfig(workload)
 	scheme := spec.Schemes[0]
-	prof := obs.NewProfile(spec.WindowCycles, len(cfg.Classes))
+	prof := obs.NewProfile(harness.DefaultProfWindow, len(cfg.Classes))
 	var log machine.LogTracer
 	var profJSON []byte
 	var chrome bytes.Buffer

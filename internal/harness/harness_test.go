@@ -118,3 +118,18 @@ func TestAdaptiveStateExposed(t *testing.T) {
 		t.Error("RW-LE_ADAPT TPC-C point has no Adaptive state")
 	}
 }
+
+// TestFig10BaselineKeyedByScale: fig10 shares its SGL@1 baseline between
+// points, so a spec whose Point runs at a second scale must not divide by
+// the first scale's baseline. SGL at one thread is its own baseline, so
+// its speedup must match a fresh spec's at every scale.
+func TestFig10BaselineKeyedByScale(t *testing.T) {
+	shared := Registry()["fig10"]
+	for _, scale := range []float64{0.02, 0.04} {
+		got := shared.Point(PointCtx{}, "SGL", 1, 10, scale).Speedup
+		want := Registry()["fig10"].Point(PointCtx{}, "SGL", 1, 10, scale).Speedup
+		if got != want {
+			t.Errorf("scale %v: SGL@1 speedup %.4f on a reused spec, %.4f on a fresh one", scale, got, want)
+		}
+	}
+}

@@ -1,8 +1,6 @@
 package harness
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"reflect"
 	"strings"
@@ -227,29 +225,22 @@ func TestTimelineQueueAccounting(t *testing.T) {
 	}
 }
 
-// TestRunProfDeterministic pins byte-identical reports across runs and
-// worker counts.
+// TestRunProfDeterministic pins byte-identical profile reports across runs
+// and worker counts.
 func TestRunProfDeterministic(t *testing.T) {
-	spec, err := DefaultProfSpec("hashmap")
+	spec, err := DefaultServeSpec("hashmap")
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec.Base.Requests = 200
 	spec.Base.Servers = 4
 	spec.Schemes = []string{"RW-LE_OPT", "HLE", "SGL"}
+	spec.Rates = spec.Rates[3:4]
 
 	render := func(workers int) (string, string) {
-		rep, err := RunProf(spec, workers, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var txt bytes.Buffer
-		rep.WriteText(&txt)
-		js, err := json.Marshal(rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return txt.String(), string(js)
+		_, rep := runReport(t, spec, Attach{Prof: true}, workers, true)
+		js, txt := renderReport(t, rep)
+		return txt, js
 	}
 	t1, j1 := render(1)
 	t2, j2 := render(4)

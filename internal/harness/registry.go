@@ -198,25 +198,27 @@ func (h hashmapFig) run(ctx PointCtx, scheme string, threads, writePct, totalOps
 // 1, seeded like point): throughput as a speedup over SGL at one thread
 // (seeded base + w), the paper's Fig. 10 normalization, since absolute
 // throughput differs by over an order of magnitude across the write
-// mixes. The baseline is computed lazily once per write ratio and shared
-// by every point of the figure. Under a parallel sweep several points may
-// ask for it at once, so the map is mutex-guarded; the value is
-// deterministic (own machine, fixed seed), whichever worker computes it.
+// mixes. The baseline is computed lazily once per (write ratio, scaled op
+// count), everything it depends on, and shared by every point of the
+// figure. Under a parallel sweep several points may ask for it at once, so
+// the map is mutex-guarded; the value is deterministic (own machine, fixed
+// seed), whichever worker computes it.
 //
 //simlint:allow determinism baselineMu only guards the lazily computed SGL@1 baseline cache under a parallel sweep; the cached value is deterministic (own machine, fixed seed) regardless of which worker computes it
 func tpccSpeedup(ops, base int) PointFunc {
 	var baselineMu sync.Mutex
-	baseline := map[int]float64{} // writePct → SGL@1 ops/s
+	baseline := map[[2]int]float64{} // (writePct, scaled ops) → SGL@1 ops/s
 	measure := point(ops, base, runTPCC)
 	return func(ctx PointCtx, scheme string, threads, writePct int, scale float64) Result {
+		k := [2]int{writePct, int(float64(ops) * scale)}
 		baselineMu.Lock()
-		b, ok := baseline[writePct]
+		b, ok := baseline[k]
 		if !ok {
 			// The baseline machine reports to this point's observer too;
 			// the measured run below replaces it, matching the serial
 			// exporter's last-machine-wins behavior.
-			b = runTPCC(ctx, "SGL", 1, writePct, int(float64(ops)*scale), uint64(base+writePct)).Throughput()
-			baseline[writePct] = b
+			b = runTPCC(ctx, "SGL", 1, writePct, k[1], uint64(base+writePct)).Throughput()
+			baseline[k] = b
 		}
 		baselineMu.Unlock()
 		r := measure(ctx, scheme, threads, writePct, scale)

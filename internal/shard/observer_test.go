@@ -28,7 +28,7 @@ func TestShardObserversChangeNothing(t *testing.T) {
 		return b
 	}
 
-	plain, _, err := run(cfg, palette(), nil, nil, false)
+	plain, _, _, err := RunObserved(cfg, palette(), nil, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,18 +36,18 @@ func TestShardObserversChangeNothing(t *testing.T) {
 		t.Fatal("switching point made no scheme switch")
 	}
 	prof := obs.NewProfile(cfg.Window, len(cfg.Classes))
-	profiled, _, err := run(cfg, palette(), nil, prof, false)
+	profiled, _, _, err := RunObserved(cfg, palette(), nil, prof, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(prof.Timeline.Report().Windows) == 0 {
 		t.Fatal("profile recorded no timeline window")
 	}
-	sanitized, rep, err := run(cfg, palette(), nil, nil, true)
+	sanitized, _, rep, err := RunObserved(cfg, palette(), nil, nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rep2, err := run(cfg, palette(), nil, nil, true)
+	_, _, rep2, err := RunObserved(cfg, palette(), nil, nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestShardObserversChangeNothing(t *testing.T) {
 func TestShardSanitizerCleanFixed(t *testing.T) {
 	for _, s := range palette() {
 		t.Run(s.Name, func(t *testing.T) {
-			_, rep, err := run(testConfig(), []Scheme{s}, nil, nil, true)
+			_, _, rep, err := RunObserved(testConfig(), []Scheme{s}, nil, nil, true)
 			if err != nil {
 				t.Fatal(err)
 			}

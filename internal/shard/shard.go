@@ -233,26 +233,28 @@ func (d *deployment) MemWords(int64) int64 {
 // machine before the run starts (tracer attachment; the shard timeline
 // router is composed with whatever it installs).
 func Run(cfg Config, palette []Scheme, observe func(*machine.Machine)) (*Result, error) {
-	res, _, err := run(cfg, palette, observe, nil, false)
+	res, _, _, err := RunObserved(cfg, palette, observe, nil, false)
 	return res, err
 }
 
-// run is Run with the service runner's profiler and sanitizer options.
-func run(cfg Config, palette []Scheme, observe func(*machine.Machine), prof *obs.Profile, sanitize bool) (*Result, *simsan.Report, error) {
+// RunObserved is Run with service.RunHost's profiler and sanitizer
+// options; it also returns the served schedule (for Chrome counter tracks)
+// and the sanitizer's report. No observer changes the Result.
+func RunObserved(cfg Config, palette []Scheme, observe func(*machine.Machine), prof *obs.Profile, sanitize bool) (*Result, []service.Request, *simsan.Report, error) {
 	if len(palette) == 0 {
-		return nil, nil, fmt.Errorf("shard: empty scheme palette")
+		return nil, nil, nil, fmt.Errorf("shard: empty scheme palette")
 	}
 	if err := cfg.normalize(); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	d := &deployment{cfg: &cfg, palette: palette}
 	label := palette[0].Name
 	if len(palette) > 1 {
 		label = "adaptive"
 	}
-	sm, _, rep, err := service.RunHost(&cfg.Config, label, d, observe, prof, sanitize)
+	sm, reqs, rep, err := service.RunHost(&cfg.Config, label, d, observe, prof, sanitize)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	res := &Result{Service: sm, Switches: d.sw}
 	for i := range d.shards {
@@ -264,7 +266,7 @@ func run(cfg Config, palette []Scheme, observe func(*machine.Machine), prof *obs
 		res.CrossTx += sh.crossTx
 	}
 	res.CrossTx /= 2 // each cross-shard tx was counted by both shards
-	return res, rep, nil
+	return res, reqs, rep, nil
 }
 
 // Build implements service.Host: it populates every shard's store, makes

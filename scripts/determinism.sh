@@ -76,10 +76,25 @@ gate sanitize hrwle-serve -workload hashmap -requests 400 \
 	-o @OUT@/san.txt -json @OUT@/san.json
 # Sharded sweep: schedule, Zipfian routing, per-shard adaptive switching
 # and cross-shard transactions.
-gate shard hrwle-shard -servers 16 -requests 600 -shards 4,8 \
-	-skews 0,1.2 -schemes adaptive,SGL -rate 3e6 -universe 16384 -q \
+gate shard hrwle-serve -workload shard -servers 16 -requests 600 -shards 4,8 \
+	-skews 0,1.2 -schemes adaptive,SGL -rates 3e6 -universe 16384 -q \
 	-j @J@ -o @OUT@/shard.txt -json @OUT@/shard.json
 # 256 CPUs: four-word coherence and conflict bitmaps in every line record.
-gate shard-256 hrwle-shard -servers 256 -shards 16 -requests 600 \
+gate shard-256 hrwle-serve -workload shard -servers 256 -shards 16 -requests 600 \
 	-universe 16384 -skews 1.2 -schemes adaptive,SGL -q \
 	-j @J@ -o @OUT@/shard256.txt -json @OUT@/shard256.json
+# Virtual-time profiler on the sharded store, adaptive and fixed schemes.
+gate shard-prof hrwle-serve -workload shard -prof -servers 16 -requests 600 \
+	-shards 4 -skews 1.2 -schemes adaptive,HLE,SGL -rates 3e6 -universe 16384 \
+	-q -j @J@ -o @OUT@/prof.txt -json @OUT@/prof.json
+# One adaptive switching point: its timeline export and Chrome trace.
+gate shard-timeline hrwle-serve -workload shard -servers 8 -requests 1500 \
+	-queue-cap 4096 -shards 4 -skews 1.2 -cross 6 -window 20000 \
+	-schemes adaptive -rates 3e6 -universe 16384 -q -o @OUT@/point.txt \
+	-timeline @OUT@/timeline.json -chrome @OUT@/chrome.json
+# The same point on one fixed scheme under the race sanitizer: clean (the
+# switching point still reports two races; see EXPERIMENTS.md).
+gate shard-sanitize hrwle-serve -workload shard -servers 8 -requests 1500 \
+	-queue-cap 4096 -shards 4 -skews 1.2 -cross 6 -window 20000 \
+	-schemes HLE -rates 3e6 -universe 16384 -sanitize -q \
+	-o @OUT@/san.txt -json @OUT@/san.json

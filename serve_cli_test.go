@@ -25,10 +25,12 @@ func TestServeCLISmoke(t *testing.T) {
 	}
 }
 
-// TestServeCLIList checks the workload listing.
+// TestServeCLIList checks the workload listing, the sharded store's row
+// included.
 func TestServeCLIList(t *testing.T) {
 	out := runGo(t, "./cmd/hrwle-serve", "-list")
-	for _, want := range []string{"hashmap", "kyoto", "tpcc", "RW-LE_OPT"} {
+	for _, want := range []string{"hashmap", "kyoto", "tpcc", "RW-LE_OPT",
+		"\n  shard    2e+07  knee 2e+07  schemes adaptive,RW-LE_OPT,HLE,SGL  × shards 4,16,64 × skews 0,0.9,1.2"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("hrwle-serve -list missing %q:\n%s", want, out)
 		}
