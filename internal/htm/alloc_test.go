@@ -67,6 +67,48 @@ func TestFastPathsDoNotAllocate(t *testing.T) {
 		assertZeroAllocs(t, "non-tx load/store", func() {
 			th.Store(base, th.Load(base)+1)
 		})
+		assertZeroAllocs(t, "stream load", func() {
+			th.Try(false, func() { th.LoadStream(base) })
+			th.LoadStream(base)
+		})
+		assertZeroAllocs(t, "cas", func() {
+			v := th.Load(base)
+			th.CAS(base, v, v+1)
+		})
+	})
+}
+
+// TestConflictAbortDoesNotAllocate pins the conflict doom and the abort it
+// ends in: CPU 1 keeps storing to the line CPU 0's transactions write, so
+// every measured transaction is doomed and aborts at commit.
+func TestConflictAbortDoesNotAllocate(t *testing.T) {
+	m := machine.New(machine.Config{CPUs: 2, MemWords: 1 << 16})
+	sys := NewSystem(m, Config{})
+	var base machine.Addr
+	m.Run(1, func(c *machine.CPU) { base = c.AllocAligned(64) })
+	done := false
+	m.Run(2, func(c *machine.CPU) {
+		th := sys.Thread(c.ID)
+		if c.ID == 1 {
+			for !done {
+				th.Store(base, 1)
+				c.Tick(20)
+			}
+			return
+		}
+		conflict := func() {
+			th.Try(false, func() {
+				th.Store(base, 2)
+				c.Tick(200)
+			})
+		}
+		conflict() // warm the abort path
+		before := th.St.Aborts[stats.AbortConflictNonTx]
+		assertZeroAllocs(t, "conflict doom+abort", conflict)
+		if n := th.St.Aborts[stats.AbortConflictNonTx] - before; n != 201 {
+			t.Errorf("%d conflict aborts in 201 transactions, want every one", n)
+		}
+		done = true
 	})
 }
 
