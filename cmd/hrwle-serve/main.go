@@ -13,8 +13,9 @@
 // EXPERIMENTS.md), attributing every simulated cycle to a category.
 // -sanitize, -chrome and -timeline run one point with the simsan race
 // detector (exit 1 on any race), a Chrome trace with queue-depth and
-// in-flight counter tracks, or the timeline profile. No observer changes
-// a result.
+// in-flight counter tracks, or the timeline profile; on such a point
+// -json writes the race report, so it needs -sanitize. No observer
+// changes a result.
 //
 // Usage:
 //
@@ -73,6 +74,9 @@ func main() {
 	flag.Func("arrivals", "arrival process, poisson or mmpp (default poisson)",
 		func(s string) (err error) { process, err = service.ParseProcess(s); return err })
 	flag.Parse()
+	if *servers < 0 || *requests < 0 || *queueCap < 0 {
+		cli.Usage(errors.New("-servers, -requests and -queue-cap take a count >= 0 (0: the workload's default)"))
+	}
 
 	if *list || *workload == "" {
 		printList()
@@ -150,6 +154,9 @@ func main() {
 	if singlePoint && (*profile || len(specs) != 1 || specs[0].NumPoints() != 1) {
 		cli.Usage(errors.New("-sanitize, -chrome and -timeline run one point: one workload, -schemes entry and -rates entry (on -workload shard, one -shards and -skews entry), and no -prof"))
 	}
+	if singlePoint && !shared.Sanitize && shared.JSON != "" {
+		cli.Usage(errors.New("-json on a -chrome or -timeline point holds the -sanitize report; without -sanitize there is none"))
+	}
 
 	w, closeOut := cli.Output(shared.Out)
 	defer closeOut()
@@ -178,7 +185,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "%s done in %.1fs wall\n", spec.Base.Workload, time.Since(start).Seconds())
 	}
 
-	if shared.JSON != "" && docs != nil {
+	if shared.JSON != "" {
 		if err := cli.WriteJSON(shared.JSON, docs...); err != nil {
 			cli.Fatal(err)
 		}
