@@ -1,7 +1,6 @@
 // Command hrwle-vet runs the simlint static-analysis suite — the
-// determinism, abortflow, eventpairs, txdiscipline, syncpoint and hotpath
-// analyzers — over the module and exits non-zero if any invariant is
-// violated.
+// determinism, abortflow, txdiscipline and syncpoint analyzers — over the
+// module and exits non-zero if any invariant is violated.
 //
 // Usage:
 //

@@ -212,8 +212,6 @@ func (t *Thread) doomFromEnvironment() {
 // conflicting access came from inside another transaction; killer is the
 // CPU that performed it (-1 for VM-subsystem dooms) and a its address, both
 // preserved so the eventual abort can be attributed.
-//
-//simlint:hotpath
 func (t *Thread) setDoom(sourceTx bool, killer int, a machine.Addr) {
 	if t.doom >= 0 {
 		return
@@ -270,8 +268,6 @@ func (t *Thread) checkDoom() {
 }
 
 // abort rolls back the current transaction and unwinds to Try.
-//
-//simlint:hotpath
 func (t *Thread) abort(cause stats.AbortCause, persistent bool) {
 	if t.mode == ModeNone {
 		panic("htm: abort outside transaction")
@@ -291,8 +287,6 @@ func (t *Thread) abort(cause stats.AbortCause, persistent bool) {
 }
 
 // rollback discards speculative state and deregisters from the directory.
-//
-//simlint:hotpath
 func (t *Thread) rollback() {
 	m, id := t.C.Machine(), t.C.ID
 	for _, l := range t.readLines {

@@ -11,8 +11,6 @@ import (
 // Begin never fails in this model (hardware tbegin reports failures of
 // *prior* attempts through the handler; here failures surface at the first
 // conflicting access or at commit).
-//
-//simlint:hotpath
 func (t *Thread) Begin(rot bool) {
 	if t.mode != ModeNone {
 		panic("htm: nested Begin (nesting is not modelled; flatten in the caller)")
@@ -71,8 +69,6 @@ func (t *Thread) Resume() {
 // transactions and, as the paper verified empirically for POWER8 chips,
 // provided for ROTs as well). On a pending conflict the abort fires
 // instead.
-//
-//simlint:hotpath
 func (t *Thread) Commit() {
 	t.mustBeActive("Commit")
 	costs := t.C.Costs()
@@ -130,8 +126,6 @@ func (t *Thread) Try(rot bool, fn func()) (status Status) {
 // plain non-transactional read. Any speculative writer of the line other
 // than t is doomed (requester wins), which is how an uninstrumented RW-LE
 // reader kills a conflicting writer.
-//
-//simlint:hotpath
 func (t *Thread) Load(a machine.Addr) uint64 {
 	t.C.AccessRead(a)
 	v := t.loadData(a)
@@ -145,8 +139,6 @@ func (t *Thread) Load(a machine.Addr) uint64 {
 // (memory-level parallelism discount; see machine.AccessReadStream). Use it
 // only for sweeps over independent addresses — e.g. the quiescence scan of
 // per-thread reader clocks — never for pointer chasing.
-//
-//simlint:hotpath
 func (t *Thread) LoadStream(a machine.Addr) uint64 {
 	t.C.AccessReadStream(a)
 	v := t.loadData(a)
@@ -158,8 +150,6 @@ func (t *Thread) LoadStream(a machine.Addr) uint64 {
 
 // loadData performs the conflict-directory and data part of a load, after
 // the timing has been charged.
-//
-//simlint:hotpath
 func (t *Thread) loadData(a machine.Addr) uint64 {
 	m, id := t.C.Machine(), t.C.ID
 	line := m.LineOf(a)
@@ -203,8 +193,6 @@ func (t *Thread) loadData(a machine.Addr) uint64 {
 // speculating reader or writer of the line. While suspended or outside a
 // transaction the store is non-transactional: it dooms every transaction
 // speculating on the line and hits memory directly.
-//
-//simlint:hotpath
 func (t *Thread) Store(a machine.Addr, v uint64) {
 	t.C.AccessWrite(a)
 	m, id := t.C.Machine(), t.C.ID
@@ -248,8 +236,6 @@ func (t *Thread) Store(a machine.Addr, v uint64) {
 // speculation or while suspended), dooming every transaction speculating
 // on the line — this is what makes lock acquisition in a fallback path
 // abort subscribed transactions.
-//
-//simlint:hotpath
 func (t *Thread) CAS(a machine.Addr, old, new uint64) bool {
 	if t.mode != ModeNone && !t.suspended {
 		panic("htm: CAS inside active transaction (use Load+Store)")

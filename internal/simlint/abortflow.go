@@ -5,8 +5,6 @@ import (
 	"go/types"
 )
 
-const htmPath = "hrwle/internal/htm"
-
 // MayAbortFact marks a function that may panic with the HTM abort signal
 // (*htm.abortSignal), directly or through anything it calls. It is
 // exported on function objects so reachability propagates across packages.

@@ -10,16 +10,20 @@
 //     a pooled *abortSignal that htm.Thread.Try recovers). Every other
 //     recover() on a path that may see that panic must classify and
 //     re-raise it, and must not retain the pooled payload past the handler.
-//   - eventpairs: trace events come in pairs (EvCSBegin/EvCSEnd,
-//     EvQuiesceStart/EvQuiesceEnd); a function emitting a Begin must emit
-//     the matching End on every return path, and code that can run inside a
-//     transaction must close the pair from a defer so the abort unwind
-//     cannot orphan it.
 //   - txdiscipline: critical-section bodies execute speculatively and may
 //     re-run after an abort, so they must touch simulated memory only
 //     through the htm.Thread API — never machine.Peek/Poke or the raw
 //     allocator — and must not perform non-restartable mutations of
 //     captured host state.
+//   - syncpoint: host-side shared state in internal/service and
+//     internal/shard is mutated only by a server loop that holds the
+//     virtual-time floor (after CPU.Sync or CPU.Await, or inside a
+//     waiter's Step).
+//
+// Two contracts have no analyzer because running tests catch their
+// violations: the pairing of critical-section and quiescence trace events
+// (the engine capture's event fingerprints, TestEngineEquivalence) and the
+// zero-allocation htm fast paths (the htm alloc tests).
 //
 // The suite is a self-contained reimplementation of the golang.org/x/tools
 // go/analysis surface (Analyzer, Pass, object Facts, an analysistest-style
@@ -42,6 +46,12 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+)
+
+// Import paths of the simulator packages whose API the analyzers match.
+const (
+	htmPath        = "hrwle/internal/htm"
+	machinePkgPath = "hrwle/internal/machine"
 )
 
 // Analyzer describes one static check, mirroring

@@ -101,13 +101,6 @@ func TestAbortFlowFixture(t *testing.T) {
 	}
 }
 
-func TestEventPairsFixture(t *testing.T) {
-	suite := runFixture(t, "hrwle/evfix")
-	if suite.Suppressed == 0 {
-		t.Errorf("expected the //simlint:allow case to be counted as suppressed")
-	}
-}
-
 func TestTxDisciplineFixture(t *testing.T) {
 	suite := runFixture(t, "hrwle/txfix")
 	if suite.Suppressed == 0 {
@@ -117,13 +110,6 @@ func TestTxDisciplineFixture(t *testing.T) {
 
 func TestSyncpointFixture(t *testing.T) {
 	suite := runFixture(t, "hrwle/internal/shard")
-	if suite.Suppressed == 0 {
-		t.Errorf("expected the //simlint:allow case to be counted as suppressed")
-	}
-}
-
-func TestHotpathFixture(t *testing.T) {
-	suite := runFixture(t, "hrwle/hotfix")
 	if suite.Suppressed == 0 {
 		t.Errorf("expected the //simlint:allow case to be counted as suppressed")
 	}

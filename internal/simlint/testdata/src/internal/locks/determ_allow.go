@@ -11,4 +11,4 @@ func allowedWallClock() int64 {
 	return time.Now().UnixNano()
 }
 
-//simlint:allow-file eventpairs fixture: demonstrates the whole-file form for an analyzer this package never trips
+//simlint:allow-file txdiscipline fixture: demonstrates the whole-file form for an analyzer this package never trips

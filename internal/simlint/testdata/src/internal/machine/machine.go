@@ -6,18 +6,7 @@ package machine
 
 type Addr uint64
 
-type EventKind uint8
-
-const (
-	EvCSBegin EventKind = iota
-	EvCSEnd
-	EvQuiesceStart
-	EvQuiesceEnd
-)
-
 type CPU struct{ ID int }
-
-func (c *CPU) Emit(kind EventKind, a Addr, aux uint64) {}
 
 func (c *CPU) Intn(n int) int { return 0 }
 
