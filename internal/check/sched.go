@@ -31,7 +31,7 @@ type choicePoint struct {
 // becomes the minimum).
 type ctrl struct {
 	spec       schedule
-	rng        splitmix
+	rng        *machine.Stream
 	preemptPct int
 	maxSteps   int
 
@@ -44,7 +44,7 @@ type ctrl struct {
 func newCtrl(cfg Config, spec schedule) *ctrl {
 	return &ctrl{
 		spec:       spec,
-		rng:        splitmix{state: spec.Seed},
+		rng:        machine.NewStream(spec.Seed),
 		preemptPct: cfg.WalkPreemptPct,
 		maxSteps:   cfg.MaxSteps,
 		preferred:  -1,
@@ -76,7 +76,7 @@ func (s *ctrl) Pick(current *machine.CPU, runnable []*machine.CPU) *machine.CPU 
 		// inside a reader's critical section, and vice versa — uniform
 		// per-step coin flips almost never produce them.
 		ch = -1
-		if s.preferred >= 0 && int(s.rng.next()%100) >= s.preemptPct {
+		if s.preferred >= 0 && s.rng.Intn(100) >= s.preemptPct {
 			for i, c := range runnable {
 				if c.ID == s.preferred {
 					ch = i
@@ -85,7 +85,7 @@ func (s *ctrl) Pick(current *machine.CPU, runnable []*machine.CPU) *machine.CPU 
 			}
 		}
 		if ch < 0 {
-			ch = int(s.rng.next() % uint64(len(runnable)))
+			ch = s.rng.Intn(len(runnable))
 			s.preferred = runnable[ch].ID
 		}
 	}
@@ -104,16 +104,4 @@ func minTimeIdx(runnable []*machine.CPU) int {
 		}
 	}
 	return best
-}
-
-// splitmix is a SplitMix64 stream for walk decisions, independent of the
-// machine's own RNGs so walk schedules are a pure function of the seed.
-type splitmix struct{ state uint64 }
-
-func (r *splitmix) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }

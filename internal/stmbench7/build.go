@@ -5,24 +5,11 @@ import (
 	"hrwle/internal/machine"
 )
 
-// buildRNG is a private SplitMix64 used only during construction so the
-// database layout is a pure function of Config.Seed.
-type buildRNG struct{ s uint64 }
-
-func (r *buildRNG) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-func (r *buildRNG) intn(n int) int { return int(r.next() % uint64(n)) }
-
 // Build constructs the database with raw stores (setup time, no virtual
 // cycles) and returns the benchmark handle.
 func Build(m *machine.Machine, cfg Config) *Bench {
 	b := &Bench{Cfg: cfg, M: m}
-	rng := buildRNG{s: cfg.Seed*2654435761 + 1}
+	rng := machine.NewStream(cfg.Seed*2654435761 + 1)
 
 	// Atomic parts and their per-composite graphs, composites, documents.
 	totalParts := cfg.Composites * cfg.PartsPerComposite
@@ -41,9 +28,9 @@ func Build(m *machine.Machine, cfg Config) *Bench {
 			id := nextID
 			nextID++
 			m.Poke(p+apID, id)
-			m.Poke(p+apX, uint64(rng.intn(1000)))
-			m.Poke(p+apY, uint64(rng.intn(1000)))
-			m.Poke(p+apBuildDate, uint64(1000+rng.intn(1000)))
+			m.Poke(p+apX, uint64(rng.Intn(1000)))
+			m.Poke(p+apY, uint64(rng.Intn(1000)))
+			m.Poke(p+apBuildDate, uint64(1000+rng.Intn(1000)))
 			m.Poke(p+apPartOf, uint64(comp))
 			parts[i] = p
 			b.AtomicParts = append(b.AtomicParts, p)
@@ -62,18 +49,18 @@ func Build(m *machine.Machine, cfg Config) *Bench {
 				if k == 0 {
 					dest = parts[(i+1)%len(parts)]
 				} else {
-					dest = parts[rng.intn(len(parts))]
+					dest = parts[rng.Intn(len(parts))]
 				}
 				base := p + apConnBase + machine.Addr(k*apConnStep)
 				m.Poke(base, uint64(dest))
-				m.Poke(base+1, uint64(1+rng.intn(100)))
+				m.Poke(base+1, uint64(1+rng.Intn(100)))
 			}
 		}
 		// Document.
 		doc := m.AllocRawAligned(16)
 		text := m.AllocRawAligned(int64(cfg.DocWords))
 		for w := 0; w < cfg.DocWords; w++ {
-			m.Poke(text+machine.Addr(w), rng.next()%65536)
+			m.Poke(text+machine.Addr(w), rng.Next()%65536)
 		}
 		m.Poke(doc+docID, uint64(c+1))
 		m.Poke(doc+docTitle, uint64(c)*2654435761)
@@ -86,7 +73,7 @@ func Build(m *machine.Machine, cfg Config) *Bench {
 			m.Poke(partsArr+machine.Addr(i), uint64(p))
 		}
 		m.Poke(comp+cpID, uint64(c+1))
-		m.Poke(comp+cpBuildDate, uint64(1000+rng.intn(1000)))
+		m.Poke(comp+cpBuildDate, uint64(1000+rng.Intn(1000)))
 		m.Poke(comp+cpRootPart, uint64(parts[0]))
 		m.Poke(comp+cpDocument, uint64(doc))
 		m.Poke(comp+cpNParts, uint64(len(parts)))
@@ -95,13 +82,13 @@ func Build(m *machine.Machine, cfg Config) *Bench {
 	}
 
 	// Assembly tree: complex assemblies down to base assemblies.
-	root := b.buildAssembly(m, &rng, cfg.AssmLevels, 0)
+	root := b.buildAssembly(m, rng, cfg.AssmLevels, 0)
 
 	// Module and manual.
 	manual := m.AllocRawAligned(16)
 	mtext := m.AllocRawAligned(int64(cfg.ManualWords))
 	for w := 0; w < cfg.ManualWords; w++ {
-		m.Poke(mtext+machine.Addr(w), rng.next()%256)
+		m.Poke(mtext+machine.Addr(w), rng.Next()%256)
 	}
 	m.Poke(manual+manID, 1)
 	m.Poke(manual+manTextLen, uint64(cfg.ManualWords))
@@ -127,24 +114,24 @@ func (b *Bench) indexBucketLink(node machine.Addr, id uint64) {
 // buildAssembly recursively constructs the assembly tree. Level 1 builds a
 // base assembly that references AssmFanout random composite parts
 // (composites are shared between base assemblies, as in STMBench7).
-func (b *Bench) buildAssembly(m *machine.Machine, rng *buildRNG, level int, super machine.Addr) machine.Addr {
+func (b *Bench) buildAssembly(m *machine.Machine, rng *machine.Stream, level int, super machine.Addr) machine.Addr {
 	cfg := b.Cfg
 	if level == 1 {
 		ba := m.AllocRawAligned(16)
 		m.Poke(ba+baID, uint64(len(b.BaseAssemblies)+1))
-		m.Poke(ba+baBuildDate, uint64(1000+rng.intn(1000)))
+		m.Poke(ba+baBuildDate, uint64(1000+rng.Intn(1000)))
 		m.Poke(ba+baSuper, uint64(super))
 		m.Poke(ba+baNComp, uint64(cfg.AssmFanout))
 		for k := 0; k < cfg.AssmFanout; k++ {
-			comp := b.CompositeParts[rng.intn(len(b.CompositeParts))]
+			comp := b.CompositeParts[rng.Intn(len(b.CompositeParts))]
 			m.Poke(ba+baCompBase+machine.Addr(k), uint64(comp))
 		}
 		b.BaseAssemblies = append(b.BaseAssemblies, ba)
 		return ba
 	}
 	ca := m.AllocRawAligned(16)
-	m.Poke(ca+caID, uint64(level)<<32|rng.next()%1000000)
-	m.Poke(ca+caBuildDate, uint64(1000+rng.intn(1000)))
+	m.Poke(ca+caID, uint64(level)<<32|rng.Next()%1000000)
+	m.Poke(ca+caBuildDate, uint64(1000+rng.Intn(1000)))
 	m.Poke(ca+caSuper, uint64(super))
 	m.Poke(ca+caLevel, uint64(level))
 	m.Poke(ca+caNSub, uint64(cfg.AssmFanout))

@@ -176,19 +176,19 @@ func (db *DB) stockOf(w, i int64) machine.Addr { return db.stock[w*db.Cfg.Items+
 // Build constructs and populates the database with raw stores.
 func Build(m *machine.Machine, cfg Config) *DB {
 	db := &DB{Cfg: cfg, M: m, seen: make([]itemSet, m.Cfg.CPUs)}
-	rng := buildRNG{s: cfg.Seed*0x9e3779b97f4a7c15 + 3}
+	rng := machine.NewStream(cfg.Seed*0x9e3779b97f4a7c15 + 3)
 
 	for w := int64(0); w < cfg.Warehouses; w++ {
 		wh := m.AllocRawAligned(3)
 		m.Poke(wh+whID, uint64(w+1))
-		m.Poke(wh+whTax, uint64(rng.intn(2000)))
+		m.Poke(wh+whTax, uint64(rng.Intn(2000)))
 		db.warehouses = append(db.warehouses, wh)
 
 		for d := int64(0); d < cfg.DistrictsPerWH; d++ {
 			di := m.AllocRawAligned(diWords)
 			m.Poke(di+diID, uint64(d+1))
 			m.Poke(di+diWID, uint64(w+1))
-			m.Poke(di+diTax, uint64(rng.intn(2000)))
+			m.Poke(di+diTax, uint64(rng.Intn(2000)))
 			m.Poke(di+diNextOID, 1)
 			db.districts = append(db.districts, di)
 			for c := int64(0); c < cfg.CustomersPerDist; c++ {
@@ -209,7 +209,7 @@ func Build(m *machine.Machine, cfg Config) *DB {
 	for i := int64(0); i < cfg.Items; i++ {
 		it := m.AllocRawAligned(2)
 		m.Poke(it+itID, uint64(i+1))
-		m.Poke(it+itPrice, uint64(100+rng.intn(9900))) // cents
+		m.Poke(it+itPrice, uint64(100+rng.Intn(9900))) // cents
 		db.items = append(db.items, it)
 	}
 	for w := int64(0); w < cfg.Warehouses; w++ {
@@ -217,7 +217,7 @@ func Build(m *machine.Machine, cfg Config) *DB {
 			st := m.AllocRawAligned(6)
 			m.Poke(st+stIID, uint64(i+1))
 			m.Poke(st+stWID, uint64(w+1))
-			m.Poke(st+stQty, uint64(10+rng.intn(91)))
+			m.Poke(st+stQty, uint64(10+rng.Intn(91)))
 			db.stock = append(db.stock, st)
 		}
 	}
@@ -248,7 +248,7 @@ func Build(m *machine.Machine, cfg Config) *DB {
 	for w := int64(0); w < cfg.Warehouses; w++ {
 		for d := int64(0); d < cfg.DistrictsPerWH; d++ {
 			for o := int64(0); o < cfg.InitialOrdersPerD; o++ {
-				db.rawPreloadOrder(&rng, w, d)
+				db.rawPreloadOrder(rng, w, d)
 			}
 		}
 	}
@@ -258,15 +258,15 @@ func Build(m *machine.Machine, cfg Config) *DB {
 // rawPreloadOrder builds one populated order block and installs it in the
 // district's bookkeeping (next-o-id, recent ring, customer last-order; odd
 // preloaded orders stay in the new-order queue as undelivered).
-func (db *DB) rawPreloadOrder(rng *buildRNG, w, d int64) {
+func (db *DB) rawPreloadOrder(rng *machine.Stream, w, d int64) {
 	m := db.M
 	cfg := db.Cfg
 	di := db.district(w, d)
 	block := m.AllocRawAligned(orderBlockWords)
 	oid := m.Peek(di + diNextOID)
 	m.Poke(di+diNextOID, oid+1)
-	cid := int64(rng.intn(int(cfg.CustomersPerDist)))
-	olCnt := 5 + rng.intn(MaxOrderLines-5+1)
+	cid := int64(rng.Intn(int(cfg.CustomersPerDist)))
+	olCnt := 5 + rng.Intn(MaxOrderLines-5+1)
 	m.Poke(block+orID, oid)
 	m.Poke(block+orCID, uint64(cid+1))
 	m.Poke(block+orDID, uint64(d+1))
@@ -275,13 +275,13 @@ func (db *DB) rawPreloadOrder(rng *buildRNG, w, d int64) {
 	m.Poke(block+orEntryD, oid)
 	delivered := oid%2 == 0
 	if delivered {
-		m.Poke(block+orCarrier, uint64(1+rng.intn(10)))
+		m.Poke(block+orCarrier, uint64(1+rng.Intn(10)))
 	}
 	for l := 0; l < olCnt; l++ {
 		ol := block + machine.Addr((l+1)*16)
-		iid := int64(rng.intn(int(cfg.Items)))
+		iid := int64(rng.Intn(int(cfg.Items)))
 		price := m.Peek(db.item(iid) + itPrice)
-		qty := uint64(1 + rng.intn(10))
+		qty := uint64(1 + rng.Intn(10))
 		m.Poke(ol+olIID, uint64(iid+1))
 		m.Poke(ol+olSupplyW, uint64(w+1))
 		m.Poke(ol+olQty, qty)
@@ -310,14 +310,3 @@ func (db *DB) rawPreloadOrder(rng *buildRNG, w, d int64) {
 
 // negCents encodes a negative cent amount in a word (two's complement).
 func negCents(c int64) uint64 { return uint64(-c) }
-
-type buildRNG struct{ s uint64 }
-
-func (r *buildRNG) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-func (r *buildRNG) intn(n int) int { return int(r.next() % uint64(n)) }
