@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"hrwle/internal/harness"
+	"hrwle/internal/obs"
 )
 
 // runGo executes `go run pkg args...` from the repo root and returns the
@@ -61,7 +64,7 @@ func TestCLIRejectsUnknownScheme(t *testing.T) {
 	}{
 		{"./cmd/hrwle-serve", []string{"-workload", "hashmap", "-schemes", "FOO"}},
 		{"./cmd/hrwle-serve", []string{"-prof", "-workload", "hashmap", "-schemes", "SGL,FOO"}},
-		{"./cmd/hrwle-trace", []string{"-scheme", "FOO,SGL", "-j", "2"}},
+		{"./cmd/hrwle-bench", []string{"-fig", "fig5", "-schemes", "FOO,SGL", "-threads", "2", "-writes", "10", "-events", "5"}},
 		{"./cmd/hrwle-serve", []string{"-workload", "shard", "-schemes", "adaptive,FOO"}},
 	} {
 		out := runGoUsageError(t, tc.pkg, tc.args...)
@@ -73,10 +76,11 @@ func TestCLIRejectsUnknownScheme(t *testing.T) {
 
 // TestSharedFlags runs the flags several commands share through each
 // command that takes them: -window in whole cycles written as a float (and
-// below one cycle a usage error), "-json -" as stdout (parseable JSON
-// there, no file named "-"), the sharded store's flags only on -workload
-// shard and with one offered load, and the removed hrwle-vet -cache flag
-// as a usage error.
+// below one cycle a usage error), "-json -" and "-chrome -" as stdout
+// (parseable JSON there, no file named "-"), the sharded store's flags
+// only on -workload shard, with one offered load and with keys every point
+// can run on, every single-point flag of hrwle-bench only on one figure
+// point, and the removed hrwle-vet -cache flag as a usage error.
 func TestSharedFlags(t *testing.T) {
 	goBin, err := exec.LookPath("go")
 	if err != nil {
@@ -84,28 +88,36 @@ func TestSharedFlags(t *testing.T) {
 	}
 	bin := t.TempDir()
 	build := exec.Command(goBin, "build", "-o", bin+"/",
-		"./cmd/hrwle-trace", "./cmd/hrwle-serve", "./cmd/hrwle-vet")
+		"./cmd/hrwle-bench", "./cmd/hrwle-serve", "./cmd/hrwle-vet")
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 	serve := []string{"-workload", "hashmap", "-requests", "100", "-schemes", "SGL", "-q", "-o", "report.txt"}
 	shard := []string{"-workload", "shard", "-servers", "16", "-requests", "100", "-shards", "4", "-skews", "0",
 		"-schemes", "SGL", "-universe", "16384", "-q", "-o", "report.txt"}
-	for _, tc := range []struct {
+	point := []string{"-fig", "fig5", "-scale", "0.01", "-schemes", "SGL", "-threads", "2", "-writes", "10", "-q", "-o", "report.txt"}
+	twoPoints := []string{"-fig", "fig5", "-scale", "0.01", "-schemes", "SGL", "-threads", "2,4", "-writes", "10", "-q", "-o", "report.txt"}
+	type row struct {
 		cmd      string
 		args     []string
 		exit     int
 		jsonOnly bool // stdout must start with one JSON document
-	}{
-		{"hrwle-trace", []string{"-ops", "5", "-q", "-window", "1e6", "-timeline", "t.json"}, 0, false},
+	}
+	rows := []row{
+		{"hrwle-bench", append([]string{"-window", "1e6", "-timeline", "t.json"}, point...), 0, false},
 		{"hrwle-serve", append([]string{"-prof", "-servers", "2", "-window", "1e6"}, serve...), 0, false},
 		{"hrwle-serve", append([]string{"-rates", "1e5", "-json", "-"}, serve...), 0, true},
 		{"hrwle-serve", append([]string{"-prof", "-window", "0"}, serve...), 2, false},
 		{"hrwle-serve", append([]string{"-timeline", "t.json", "-rates", "1e5", "-window", "0.5"}, serve...), 2, false},
-		{"hrwle-trace", []string{"-ops", "5", "-q", "-window", "-5", "-timeline", "t.json"}, 2, false},
+		{"hrwle-bench", append([]string{"-window", "-5", "-timeline", "t.json"}, point...), 2, false},
 		{"hrwle-serve", append([]string{"-rates", "3e6", "-json", "-"}, shard...), 0, true},
 		{"hrwle-serve", append([]string{"-rates", "3e6", "-sanitize", "-json", "-"}, shard...), 0, true},
 		{"hrwle-serve", append([]string{"-rates", "1e6,3e6"}, shard...), 2, false},
+		// Later flags win: these override the shard point's own keys.
+		{"hrwle-serve", append(slices.Clone(shard), "-rates", "3e6", "-universe", "-5"), 2, false},
+		{"hrwle-serve", append(slices.Clone(shard), "-rates", "3e6", "-universe", "0"), 2, false},
+		{"hrwle-serve", append(slices.Clone(shard), "-rates", "3e6", "-cross", "150"), 2, false},
+		{"hrwle-serve", append(slices.Clone(shard), "-rates", "3e6", "-universe", "8", "-shards", "4,16"), 2, false},
 		{"hrwle-serve", append([]string{"-shards", "4"}, serve...), 2, false},
 		{"hrwle-serve", append([]string{"-timeline", "t.json", "-rates", "1e5", "-json", "x.json"}, serve...), 2, false},
 		{"hrwle-serve", append([]string{"-chrome", "t.json", "-rates", "1e5", "-json", "x.json"}, serve...), 2, false},
@@ -113,9 +125,15 @@ func TestSharedFlags(t *testing.T) {
 		{"hrwle-serve", []string{"-workload", "hashmap", "-requests", "-1"}, 2, false},
 		{"hrwle-serve", append([]string{"-queue-cap", "-1"}, serve...), 2, false},
 		{"hrwle-serve", append([]string{"-servers", "0", "-queue-cap", "0", "-rates", "1e5"}, serve...), 0, false},
-		{"hrwle-trace", []string{"-ops", "5", "-q", "-json", "-"}, 0, true},
+		{"hrwle-bench", append([]string{"-chrome", "-"}, point...), 0, true},
+		{"hrwle-bench", append([]string{"-events", "-1"}, point...), 2, false},
 		{"hrwle-vet", []string{"-cache=false", "./..."}, 2, false},
-	} {
+	}
+	for _, flag := range [][]string{{"-events", "5"}, {"-matrix"}, {"-hist"}, {"-chrome", "c.json"},
+		{"-timeline", "t.json"}, {"-window", "1e6"}, {"-sanitize"}} {
+		rows = append(rows, row{"hrwle-bench", append(flag, twoPoints...), 2, false})
+	}
+	for _, tc := range rows {
 		dir := t.TempDir()
 		cmd := exec.Command(filepath.Join(bin, tc.cmd), tc.args...)
 		cmd.Dir = dir
@@ -208,14 +226,129 @@ func TestBenchCLIParallelIdentical(t *testing.T) {
 	}
 }
 
-// TestTraceCLIMultiScheme traces two schemes in one invocation and checks
-// both reports arrive in the order given.
+// TestTraceCLIMultiScheme: a trace is of one figure point, so a trace
+// flag on two schemes is a usage error, while the same two schemes sweep
+// as table columns in the order given.
 func TestTraceCLIMultiScheme(t *testing.T) {
-	out := runGo(t, "./cmd/hrwle-trace", "-scheme", "RW-LE_OPT,SGL", "-q", "-ops", "5")
-	i := strings.Index(out, "scheme=RW-LE_OPT")
-	j := strings.Index(out, "scheme=SGL")
+	args := []string{"-fig", "fig5", "-scale", "0.01", "-schemes", "SGL,RW-LE_OPT", "-threads", "2", "-writes", "10", "-q"}
+	out := runGoUsageError(t, "./cmd/hrwle-bench", append(args, "-events", "5")...)
+	if !strings.Contains(out, "run one point") {
+		t.Errorf("message does not name the one-point rule:\n%s", out)
+	}
+	out = runGo(t, "./cmd/hrwle-bench", args...)
+	i, j := strings.Index(out, " SGL"), strings.Index(out, " RW-LE_OPT")
 	if i < 0 || j < 0 || j < i {
-		t.Errorf("multi-scheme trace reports missing or out of order:\n%s", out)
+		t.Errorf("scheme columns missing or out of the order given:\n%s", out)
+	}
+}
+
+// buildBench builds hrwle-bench into a temporary directory and returns
+// the binary's path.
+func buildBench(t *testing.T) string {
+	t.Helper()
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go tool not on PATH")
+	}
+	bin := filepath.Join(t.TempDir(), "hrwle-bench")
+	if out, err := exec.Command(goBin, "build", "-o", bin, "./cmd/hrwle-bench").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// runBench runs the hrwle-bench binary in dir and returns its stdout.
+func runBench(t *testing.T, bin, dir string, args ...string) []byte {
+	t.Helper()
+	cmd := exec.Command(bin, args...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("hrwle-bench %v: %v\n%s", args, err, stderr.Bytes())
+	}
+	return out
+}
+
+// TestBenchPointMatchesSweep pins the one closed-system code path: a
+// figure point run alone with the trace flags writes the same RunMetrics
+// as that point's entry in the full -metrics-dir sweep of its figure.
+// (-sanitize is left out: it turns on per-access events, which the event
+// totals then count.)
+// fig10's points build two machines (the SGL@1 baseline, then the
+// measured run); the measured run's metrics must win in both.
+func TestBenchPointMatchesSweep(t *testing.T) {
+	bin := buildBench(t)
+	dir := t.TempDir()
+	runBench(t, bin, dir, "-fig", "fig10", "-scale", "0.01", "-q", "-o", "sweep.txt", "-metrics-dir", "sweep")
+	runBench(t, bin, dir, "-fig", "fig10", "-scale", "0.01", "-schemes", "RW-LE_OPT", "-threads", "4", "-writes", "10",
+		"-q", "-o", "point.txt", "-metrics-dir", "point", "-events", "10", "-matrix", "-hist",
+		"-chrome", "c.json", "-timeline", "t.json")
+	read := func(path string) *obs.RunMetrics {
+		t.Helper()
+		b, err := os.ReadFile(filepath.Join(dir, path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rm obs.RunMetrics
+		if err := json.Unmarshal(b, &rm); err != nil {
+			t.Fatal(err)
+		}
+		return &rm
+	}
+	name := harness.MetricsFileName("fig10", "RW-LE_OPT")
+	sweep, point := read(filepath.Join("sweep", name)), read(filepath.Join("point", name))
+	if len(point.Points) != 1 {
+		t.Fatalf("one-point run wrote %d points", len(point.Points))
+	}
+	for _, p := range sweep.Points {
+		if p.Threads == 4 && p.WritePct == 10 {
+			if a, b := metricsJSONOf(t, p), metricsJSONOf(t, point.Points[0]); !bytes.Equal(a, b) {
+				t.Errorf("one-point metrics differ from the sweep's:\nsweep %s\npoint %s", a, b)
+			}
+			return
+		}
+	}
+	t.Fatal("the sweep has no n=4 w=10% point")
+}
+
+func metricsJSONOf(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestBenchEventsAreLogTail: the -events N dump is the last N records of
+// the event log the -chrome file is written from. The test runs the point
+// through the harness with the log attached and requires the CLI's Chrome
+// file to be that log's trace and its dump that log's tail.
+func TestBenchEventsAreLogTail(t *testing.T) {
+	bin := buildBench(t)
+	dir := t.TempDir()
+	const n = 40
+	out := runBench(t, bin, dir, "-fig", "fig5", "-scale", "0.01", "-schemes", "RW-LE_PES", "-threads", "4",
+		"-writes", "90", "-q", "-events", fmt.Sprint(n), "-chrome", "c.json")
+
+	spec := harness.Registry()["fig5"]
+	spec.Schemes, spec.Threads, spec.WritePcts = []string{"RW-LE_PES"}, []int{4}, []int{90}
+	log := harness.RunClosed(spec, 0.01, harness.Attach{Log: true}, 1, nil)[0].Observed.Log.Events
+	if len(log) < n {
+		t.Fatalf("the point logged %d events, fewer than %d", len(log), n)
+	}
+	var chrome, dump bytes.Buffer
+	if err := obs.WriteChromeTrace(&chrome, log); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(filepath.Join(dir, "c.json")); err != nil || !bytes.Equal(got, chrome.Bytes()) {
+		t.Errorf("-chrome file is not the point's event log (err %v)", err)
+	}
+	obs.WriteEvents(&dump, log[len(log)-n:])
+	if !bytes.Contains(out, dump.Bytes()) {
+		t.Errorf("-events %d dump is not the log's tail; want\n%s\nin\n%s", n, dump.Bytes(), out)
 	}
 }
 

@@ -171,8 +171,8 @@ func main() {
 		}
 		if singlePoint {
 			raced = writePoint(w, pts[0], shared)
-			if pts[0].Races != nil {
-				docs = append(docs, pts[0].Races)
+			if races := pts[0].Observed.Races; races != nil {
+				docs = append(docs, races)
 			}
 			continue
 		}
@@ -224,20 +224,21 @@ func writePoint(w io.Writer, p *harness.OpenPoint, shared *cli.Flags) error {
 			cli.Fatal(err)
 		}
 	}
-	if p.Events != nil {
+	o := p.Observed
+	if o.Log != nil {
 		if err := cli.WriteFile(shared.Chrome, func(f io.Writer) error {
-			return obs.WriteChromeTraceCounters(f, p.Events, service.CounterTracks(p.Requests))
+			return obs.WriteChromeTraceCounters(f, o.Log.Events, service.CounterTracks(p.Requests))
 		}); err != nil {
 			cli.Fatal(err)
 		}
 	}
-	if p.Races == nil {
+	if o.Races == nil {
 		return nil
 	}
 	fmt.Fprintln(w)
-	p.Races.WriteText(w)
-	if p.Races.Racy() {
-		return fmt.Errorf("simsan: %d race(s) under %s/%s", p.Races.Total, p.Scheme, p.Service.Workload)
+	o.Races.WriteText(w)
+	if o.Races.Racy() {
+		return fmt.Errorf("simsan: %d race(s) under %s/%s", o.Races.Total, p.Scheme, p.Service.Workload)
 	}
 	return nil
 }

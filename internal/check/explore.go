@@ -2,7 +2,7 @@ package check
 
 import (
 	"hrwle/internal/machine"
-	"hrwle/internal/simsan"
+	"hrwle/internal/obs"
 )
 
 // TraceHook, when non-nil, supplies a fresh tracer for every controlled
@@ -19,31 +19,19 @@ func runOne(cfg Config, sc *ctrl) (outcome, violation string, points int, trunca
 	ctx := &runCtx{cfg: cfg, m: m, sys: sys, lock: lock}
 	p := programFor(cfg.Program)
 	p.setup(ctx)
-	var san *simsan.Sanitizer
-	if cfg.Sanitize {
-		san = simsan.New(simsan.Options{CPUs: cfg.Threads})
-		sys.SetTraceAccesses(true)
-	}
 	var hook machine.Tracer
 	if TraceHook != nil {
 		hook = TraceHook()
 	}
-	switch {
-	case san != nil && hook != nil:
-		m.SetTracer(machine.MultiTracer{san, hook})
-	case san != nil:
-		m.SetTracer(san)
-	case hook != nil:
-		m.SetTracer(hook)
-	}
+	o := obs.Attach{Sanitize: cfg.Sanitize}.Install(m, sys, cfg.Threads, 0, hook)
 	m.SetScheduler(sc)
 	m.Run(cfg.Threads, func(c *machine.CPU) {
 		p.body(ctx, sys.Thread(c.ID), c)
 	})
 	p.check(ctx)
-	if san != nil {
-		rep := san.Finish()
-		for _, r := range rep.Races {
+	o.Finish(m.Now())
+	if o.Races != nil {
+		for _, r := range o.Races.Races {
 			ctx.violate("simsan: %s", r)
 		}
 	}

@@ -42,7 +42,7 @@ func Register(names ...string) *Flags {
 	for _, name := range names {
 		switch name {
 		case "j":
-			flag.IntVar(&f.Jobs, name, runtime.GOMAXPROCS(0), "measurement points (or traced schemes) to run concurrently")
+			flag.IntVar(&f.Jobs, name, runtime.GOMAXPROCS(0), "measurement points to run concurrently")
 		case "q":
 			flag.BoolVar(&f.Quiet, name, false, "suppress per-point progress")
 		case "o":
@@ -158,6 +158,11 @@ func ParseInts(s string) ([]int, error) {
 	return parseList(s, strconv.Atoi, func(v int) bool { return v > 0 }, "count", "positive integer")
 }
 
+// ParsePcts parses a comma-separated list of percentages, 0 to 100.
+func ParsePcts(s string) ([]int, error) {
+	return parseList(s, strconv.Atoi, func(v int) bool { return v >= 0 && v <= 100 }, "percentage", "integer 0-100")
+}
+
 // ParseRates parses a comma-separated list of positive offered loads.
 func ParseRates(s string) ([]float64, error) {
 	return parseList(s, parseFloat, func(v float64) bool { return v > 0 }, "rate", "positive req/s")
@@ -200,12 +205,16 @@ func FormatFloats(vs []float64) string {
 	return strings.Join(parts, ",")
 }
 
-// ParseSchemes resolves a -schemes flag. The empty string gives def; "all"
-// gives extra followed by every harness scheme; anything else is a
-// comma-separated list whose names must each be a harness scheme or one
-// of extra.
+// ParseSchemes resolves a -schemes flag against extra followed by every
+// harness scheme, as ParseSchemesOf does.
 func ParseSchemes(s string, def []string, extra ...string) ([]string, error) {
-	valid := append(slices.Clone(extra), harness.AllSchemes()...)
+	return ParseSchemesOf(s, def, append(slices.Clone(extra), harness.AllSchemes()...))
+}
+
+// ParseSchemesOf resolves a -schemes flag against the scheme names valid.
+// The empty string gives def; "all" gives valid; anything else is a
+// comma-separated list whose names must each be in valid.
+func ParseSchemesOf(s string, def, valid []string) ([]string, error) {
 	switch s {
 	case "":
 		return def, nil

@@ -374,11 +374,15 @@ func metricsSpec() *harness.FigureSpec {
 // figureDeadline.
 func captureMetrics() ExportCapture {
 	spec := metricsSpec()
+	point := spec.Point
+	spec.Point = func(ctx harness.PointCtx, scheme string, threads, writePct int, scale float64) harness.Result {
+		ctx.Observe = func(m *machine.Machine) { m.Cfg.Deadline = figureDeadline }
+		return point(ctx, scheme, threads, writePct, scale)
+	}
 	var b []byte
 	err := bounded(func() (err error) {
-		ctx := harness.PointCtx{Observe: func(m *machine.Machine) { m.Cfg.Deadline = figureDeadline }}
-		_, metrics, _ := harness.RunWithMetrics(ctx, spec, miniScale, nil, 1)
-		b, err = json.Marshal(metrics)
+		results := harness.RunClosed(spec, miniScale, harness.Attach{Metrics: true}, 1, nil)
+		b, err = json.Marshal(spec.RunMetrics(results))
 		return err
 	})
 	return export("metrics/"+spec.ID, b, err)
@@ -390,29 +394,28 @@ func captureMetrics() ExportCapture {
 func captureProfile(workload string) []ExportCapture {
 	spec, cfg := kneeConfig(workload)
 	scheme := spec.Schemes[0]
-	prof := obs.NewProfile(harness.DefaultProfWindow, len(cfg.Classes))
-	var log machine.LogTracer
 	var profJSON []byte
 	var chrome bytes.Buffer
 	err := bounded(func() error {
-		m, _, _, err := service.RunPointObserved(cfg, scheme, harness.SchemeFactory(scheme),
-			func(m *machine.Machine) { instrument(m, openDeadline, &log) }, prof, false)
+		m, _, o, err := service.RunPointObserved(cfg, scheme, harness.SchemeFactory(scheme),
+			func(m *machine.Machine) { m.Cfg.Deadline = openDeadline },
+			harness.Attach{Prof: true, Log: true, Window: harness.DefaultProfWindow})
 		if err != nil {
 			return err
 		}
-		rep := prof.Report(scheme, cfg.Workload)
+		rep := o.Profile.Report(scheme, cfg.Workload)
 		rep.Service = m
 		if profJSON, err = json.Marshal(rep); err != nil {
 			return err
 		}
-		return obs.WriteChromeTrace(&chrome, log.Events)
+		return obs.WriteChromeTrace(&chrome, o.Log.Events)
 	})
 	name := workload + "/" + scheme
 	return []ExportCapture{export("profile/"+name, profJSON, err), export("chrome/"+name, chrome.Bytes(), err)}
 }
 
 // captureFigure runs one figure sweep point by point, in the same
-// deterministic order as FigureSpec.RunParallel and under figureDeadline,
+// deterministic order as harness.RunClosed and under figureDeadline,
 // hashing each point's event stream.
 func captureFigure(spec *harness.FigureSpec) FigureCapture {
 	fc := FigureCapture{ID: spec.ID}

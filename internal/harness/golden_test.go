@@ -21,15 +21,33 @@ func goldenSpec() *FigureSpec {
 	return &spec
 }
 
-// renderGolden sweeps goldenSpec serially, giving each point the PointCtx
-// mkCtx returns (nil: no context), and renders the figure.
-func renderGolden(t *testing.T, mkCtx func(int) PointCtx) ([]byte, []Result) {
+// withObserve returns a copy of spec whose points show every machine
+// they build to observe, as PointCtx.Observe.
+func withObserve(spec *FigureSpec, observe func(*machine.Machine)) *FigureSpec {
+	out := *spec
+	out.Point = func(ctx PointCtx, scheme string, threads, writePct int, scale float64) Result {
+		ctx.Observe = observe
+		return spec.Point(ctx, scheme, threads, writePct, scale)
+	}
+	return &out
+}
+
+// renderGolden sweeps goldenSpec serially, showing every machine to
+// observe (nil: none), and renders the figure.
+func renderGolden(t *testing.T, observe func(*machine.Machine)) ([]byte, []Result) {
 	t.Helper()
 	spec := goldenSpec()
-	results := spec.runPoints(0.02, nil, 1, mkCtx)
+	results := RunClosed(withObserve(spec, observe), 0.02, Attach{}, 1, nil)
 	var buf bytes.Buffer
 	Print(&buf, spec, results)
 	return buf.Bytes(), results
+}
+
+// sameResult reports whether two Results hold the same measurement,
+// whatever observed them.
+func sameResult(a, b Result) bool {
+	a.Observed, b.Observed = nil, nil
+	return a == b
 }
 
 // TestTracingDoesNotChangeResults is the zero-cost guard: the same sweep
@@ -39,11 +57,9 @@ func TestTracingDoesNotChangeResults(t *testing.T) {
 	base, baseResults := renderGolden(t, nil)
 
 	installs := 0
-	traced, tracedResults := renderGolden(t, func(int) PointCtx {
-		return PointCtx{Observe: func(m *machine.Machine) {
-			installs++
-			m.SetTracer(machine.MultiTracer{obs.NewCollector(), &machine.CountTracer{}})
-		}}
+	traced, tracedResults := renderGolden(t, func(m *machine.Machine) {
+		installs++
+		m.SetTracer(machine.MultiTracer{obs.NewCollector(), &machine.CountTracer{}})
 	})
 
 	if installs != len(baseResults) {
@@ -60,22 +76,23 @@ func TestTracingDoesNotChangeResults(t *testing.T) {
 	}
 }
 
-// TestRunWithMetricsMatchesPlainRun checks that the metrics exporter
-// produces the same Results as a plain sweep, one RunMetrics per scheme in
-// the figure's scheme order, and that a second export is identical (the
-// determinism contract of EXPERIMENTS.md).
+// TestRunWithMetricsMatchesPlainRun checks that a sweep run with
+// Attach.Metrics produces the same Results as a plain sweep, one
+// RunMetrics per scheme in the figure's scheme order, and that a second
+// export is identical (the determinism contract of EXPERIMENTS.md).
 func TestRunWithMetricsMatchesPlainRun(t *testing.T) {
 	spec := goldenSpec()
-	plain := spec.RunParallel(0.02, nil, 1)
+	plain := RunClosed(spec, 0.02, Attach{}, 1, nil)
 
-	withMetrics, metrics1, _ := RunWithMetrics(PointCtx{}, spec, 0.02, nil, 1)
-	_, metrics2, _ := RunWithMetrics(PointCtx{}, spec, 0.02, nil, 1)
+	withMetrics := RunClosed(spec, 0.02, Attach{Metrics: true}, 1, nil)
+	metrics1 := spec.RunMetrics(withMetrics)
+	metrics2 := spec.RunMetrics(RunClosed(spec, 0.02, Attach{Metrics: true}, 1, nil))
 
 	if len(withMetrics) != len(plain) {
 		t.Fatalf("result counts differ: %d vs %d", len(withMetrics), len(plain))
 	}
 	for i := range plain {
-		if plain[i] != withMetrics[i] {
+		if !sameResult(plain[i], withMetrics[i]) {
 			t.Errorf("point %d differs with metrics enabled: %+v vs %+v", i, plain[i], withMetrics[i])
 		}
 	}
@@ -92,15 +109,19 @@ func TestRunWithMetricsMatchesPlainRun(t *testing.T) {
 	}
 }
 
-// TestRunWithMetricsUnderCallerCtx checks that the metrics exporter shows
-// every machine to the caller's PointCtx first: the collectors join the
-// tracer it installs, which sees every event they count, and the deadline
-// it sets bounds the run.
+// TestRunWithMetricsUnderCallerCtx checks that a sweep run with
+// Attach.Metrics shows every machine to the point's PointCtx.Observe
+// first: the collectors join the tracer it installs, which sees every
+// event they count, and the deadline it sets bounds the run.
 func TestRunWithMetricsUnderCallerCtx(t *testing.T) {
 	spec := goldenSpec()
 	var counted machine.CountTracer
-	ctx := PointCtx{Observe: func(m *machine.Machine) { m.SetTracer(&counted) }}
-	if _, _, events := RunWithMetrics(ctx, spec, 0.02, nil, 1); events == 0 || counted.Total() != events {
+	results := RunClosed(withObserve(spec, func(m *machine.Machine) { m.SetTracer(&counted) }), 0.02, Attach{Metrics: true}, 1, nil)
+	var events int64
+	for _, r := range results {
+		events += r.Observed.Collector.Total()
+	}
+	if events == 0 || counted.Total() != events {
 		t.Errorf("caller's tracer saw %d events, the collectors %d", counted.Total(), events)
 	}
 
@@ -109,7 +130,7 @@ func TestRunWithMetricsUnderCallerCtx(t *testing.T) {
 			t.Errorf("run past the caller's deadline: got panic %v, want a deadline panic", r)
 		}
 	}()
-	RunWithMetrics(PointCtx{Observe: func(m *machine.Machine) { m.Cfg.Deadline = 1000 }}, spec, 0.02, nil, 1)
+	RunClosed(withObserve(spec, func(m *machine.Machine) { m.Cfg.Deadline = 1000 }), 0.02, Attach{Metrics: true}, 1, nil)
 }
 
 // metricsJSON encodes metrics for byte comparison.

@@ -67,7 +67,7 @@ func TestRunAndPrint(t *testing.T) {
 	spec.Threads = []int{2}
 	spec.WritePcts = []int{10}
 	spec.Schemes = []string{"RW-LE_OPT", "SGL"}
-	results := spec.RunParallel(0.01, nil, 1)
+	results := RunClosed(&spec, 0.01, Attach{}, 1, nil)
 	if len(results) != 2 {
 		t.Fatalf("got %d results", len(results))
 	}

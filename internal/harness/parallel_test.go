@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// TestParallelMatchesSerial is the determinism contract of RunParallel:
+// TestParallelMatchesSerial is the determinism contract of RunClosed:
 // the same sweep on a worker pool must return bit-identical Results in the
 // same order, and render byte-identical figure output. Only wall-clock
 // time may differ. A fresh fig10 sweep per run makes its points fill the
@@ -20,14 +20,14 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 	for _, mk := range []func() *FigureSpec{goldenSpec, fig10} {
 		spec := mk()
-		serial := spec.RunParallel(0.02, nil, 1)
+		serial := RunClosed(spec, 0.02, Attach{}, 1, nil)
 		for _, workers := range []int{2, 4, 16} {
-			parallel := mk().RunParallel(0.02, nil, workers)
+			parallel := RunClosed(mk(), 0.02, Attach{}, workers, nil)
 			if len(parallel) != len(serial) {
 				t.Fatalf("%s workers=%d: %d results, want %d", spec.ID, workers, len(parallel), len(serial))
 			}
 			for i := range serial {
-				if parallel[i] != serial[i] {
+				if !sameResult(parallel[i], serial[i]) {
 					t.Errorf("%s workers=%d point %d: parallel result diverged\nserial:   %+v\nparallel: %+v",
 						spec.ID, workers, i, serial[i], parallel[i])
 				}
@@ -48,7 +48,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 func TestParallelPoolProgress(t *testing.T) {
 	spec := goldenSpec()
 	var progress bytes.Buffer
-	results := spec.RunParallel(0.02, &progress, 4)
+	results := RunClosed(spec, 0.02, Attach{}, 4, &progress)
 	if n := bytes.Count(progress.Bytes(), []byte("\n")); n != len(results) {
 		t.Errorf("progress lines = %d, want one per point (%d)", n, len(results))
 	}
@@ -76,18 +76,21 @@ func TestParallelPanicPropagates(t *testing.T) {
 			t.Fatalf("unexpected panic value: %v", r)
 		}
 	}()
-	spec.RunParallel(1, nil, 4)
+	RunClosed(spec, 1, Attach{}, 4, nil)
 }
 
 // TestParallelMetricsMatchesSerial pins the parallel metrics exporter to
 // the serial one: same Results, identical per-scheme metrics.
 func TestParallelMetricsMatchesSerial(t *testing.T) {
 	spec := goldenSpec()
-	serial, serialMetrics, serialEvents := RunWithMetrics(PointCtx{}, spec, 0.02, nil, 1)
-	parallel, parallelMetrics, parallelEvents := RunWithMetrics(PointCtx{}, spec, 0.02, nil, 4)
-
+	serial := RunClosed(spec, 0.02, Attach{Metrics: true}, 1, nil)
+	parallel := RunClosed(spec, 0.02, Attach{Metrics: true}, 4, nil)
+	serialMetrics, parallelMetrics := spec.RunMetrics(serial), spec.RunMetrics(parallel)
+	var serialEvents, parallelEvents int64
 	for i := range serial {
-		if parallel[i] != serial[i] {
+		serialEvents += serial[i].Observed.Collector.Total()
+		parallelEvents += parallel[i].Observed.Collector.Total()
+		if !sameResult(parallel[i], serial[i]) {
 			t.Errorf("point %d: parallel metrics run diverged: %+v vs %+v", i, parallel[i], serial[i])
 		}
 	}

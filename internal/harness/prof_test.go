@@ -6,16 +6,25 @@ import (
 	"strings"
 	"testing"
 
+	"hrwle/internal/machine"
 	"hrwle/internal/obs"
 	"hrwle/internal/service"
 )
 
-// runPointCatching runs one profiled point, converting a simulation panic
-// (e.g. the RW-LE_basic retry-storm watchdog) into a returned value so the
-// caller can assert on the diagnostic.
-func runPointCatching(cfg service.Config, scheme string, prof *obs.Profile) (m *obs.ServiceMetrics, err error, panicked any) {
+// profAt selects the profiler alone, windowed at window cycles.
+func profAt(window int64) Attach { return Attach{Prof: true, Window: window} }
+
+// runPointCatching runs one point profiled at 100k-cycle windows,
+// converting a simulation panic (e.g. the RW-LE_basic retry-storm
+// watchdog) into a returned value so the caller can assert on the
+// diagnostic.
+func runPointCatching(cfg service.Config, scheme string) (m *obs.ServiceMetrics, prof *obs.Profile, err error, panicked any) {
 	defer func() { panicked = recover() }()
-	m, _, _, err = service.RunPointObserved(cfg, scheme, SchemeFactory(scheme), nil, prof, false)
+	var o *obs.Observers
+	m, _, o, err = service.RunPointObserved(cfg, scheme, SchemeFactory(scheme), nil, profAt(100_000))
+	if o != nil {
+		prof = o.Profile
+	}
 	return
 }
 
@@ -45,8 +54,7 @@ func TestCycleConservationAllSchemes(t *testing.T) {
 		cfg, rate := profTestConfig(t, wl)
 		cfg.Arrivals.RatePerSec = rate
 		for _, scheme := range AllSchemes() {
-			prof := obs.NewProfile(100_000, len(cfg.Classes))
-			m, err, panicked := runPointCatching(cfg, scheme, prof)
+			m, prof, err, panicked := runPointCatching(cfg, scheme)
 			if panicked != nil {
 				msg := fmt.Sprint(panicked)
 				if scheme == "RW-LE_basic" && strings.Contains(msg, "livelocked") {
@@ -103,8 +111,7 @@ func TestCycleConservationAllSchemes(t *testing.T) {
 func TestBasicWatchdogFailsFast(t *testing.T) {
 	cfg, rate := profTestConfig(t, "kyoto")
 	cfg.Arrivals.RatePerSec = rate
-	prof := obs.NewProfile(100_000, len(cfg.Classes))
-	_, _, panicked := runPointCatching(cfg, "RW-LE_basic", prof)
+	_, _, _, panicked := runPointCatching(cfg, "RW-LE_basic")
 	if panicked == nil {
 		t.Fatal("RW-LE_basic survived kyoto; the capacity-livelock watchdog never fired")
 	}
@@ -128,8 +135,7 @@ func TestProfilerZeroCost(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			prof := obs.NewProfile(250_000, len(cfg.Classes))
-			profiled, _, _, err := service.RunPointObserved(cfg, scheme, SchemeFactory(scheme), nil, prof, false)
+			profiled, _, _, err := service.RunPointObserved(cfg, scheme, SchemeFactory(scheme), nil, profAt(250_000))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -151,11 +157,11 @@ func TestProfilerWindowInvariance(t *testing.T) {
 	cfg.Arrivals.RatePerSec = rate
 	var ref []int64
 	for _, window := range []int64{50_000, 250_000, 1 << 62} {
-		prof := obs.NewProfile(window, len(cfg.Classes))
-		if _, _, _, err := service.RunPointObserved(cfg, "RW-LE_OPT", SchemeFactory("RW-LE_OPT"), nil, prof, false); err != nil {
+		_, _, o, err := service.RunPointObserved(cfg, "RW-LE_OPT", SchemeFactory("RW-LE_OPT"), nil, profAt(window))
+		if err != nil {
 			t.Fatal(err)
 		}
-		rep := prof.Report("RW-LE_OPT", "hashmap")
+		rep := o.Profile.Report("RW-LE_OPT", "hashmap")
 		if ref == nil {
 			ref = rep.Cycles.Totals
 			continue
@@ -168,16 +174,24 @@ func TestProfilerWindowInvariance(t *testing.T) {
 
 // TestTimelineSubscription pins the live-subscription contract: windows
 // arrive in index order, each exactly once, and the subscribed
-// event-derived series matches the final report's.
+// event-derived series matches the final report's. The subscriber must
+// be in place before the run, so the test installs its own profile.
 func TestTimelineSubscription(t *testing.T) {
 	cfg, rate := profTestConfig(t, "hashmap")
 	cfg.Arrivals.RatePerSec = rate
 	prof := obs.NewProfile(100_000, len(cfg.Classes))
 	var live []obs.TimelineWindow
 	prof.Timeline.Subscribe(func(w obs.TimelineWindow) { live = append(live, w) })
-	if _, _, _, err := service.RunPointObserved(cfg, "RW-LE_OPT", SchemeFactory("RW-LE_OPT"), nil, prof, false); err != nil {
+	var mach *machine.Machine
+	observe := func(m *machine.Machine) {
+		mach = m
+		prof.Start(m, cfg.Servers)
+		m.SetTracer(prof)
+	}
+	if _, _, _, err := service.RunPointObserved(cfg, "RW-LE_OPT", SchemeFactory("RW-LE_OPT"), observe, Attach{}); err != nil {
 		t.Fatal(err)
 	}
+	prof.Finish(mach.Now())
 	rep := prof.Report("RW-LE_OPT", "hashmap")
 	if len(live) != len(rep.Timeline.Windows) {
 		t.Fatalf("subscriber saw %d windows, report has %d", len(live), len(rep.Timeline.Windows))
@@ -200,11 +214,11 @@ func TestTimelineSubscription(t *testing.T) {
 func TestTimelineQueueAccounting(t *testing.T) {
 	cfg, rate := profTestConfig(t, "hashmap")
 	cfg.Arrivals.RatePerSec = rate
-	prof := obs.NewProfile(100_000, len(cfg.Classes))
-	if _, _, _, err := service.RunPointObserved(cfg, "SGL", SchemeFactory("SGL"), nil, prof, false); err != nil {
+	_, _, o, err := service.RunPointObserved(cfg, "SGL", SchemeFactory("SGL"), nil, profAt(100_000))
+	if err != nil {
 		t.Fatal(err)
 	}
-	rep := prof.Timeline.Report()
+	rep := o.Profile.Timeline.Report()
 	var arr, deq, drop, done int64
 	for _, w := range rep.Windows {
 		arr += w.Arrivals

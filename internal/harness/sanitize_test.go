@@ -42,10 +42,11 @@ func TestServeSanitizerClean(t *testing.T) {
 		base.Arrivals.RatePerSec = rate
 		for _, scheme := range serveSanitizeSchemes() {
 			t.Run(fmt.Sprintf("%s/%s", wl, scheme), func(t *testing.T) {
-				_, _, rep, err := service.RunPointObserved(base, scheme, SchemeFactory(scheme), nil, nil, true)
+				_, _, o, err := service.RunPointObserved(base, scheme, SchemeFactory(scheme), nil, Attach{Sanitize: true})
 				if err != nil {
 					t.Fatal(err)
 				}
+				rep := o.Races
 				if rep.Racy() {
 					var b bytes.Buffer
 					rep.WriteText(&b)
@@ -75,14 +76,15 @@ func TestServeSanitizerZeroCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	san1, _, rep1, err := service.RunPointObserved(base, scheme, SchemeFactory(scheme), nil, nil, true)
+	san1, _, o1, err := service.RunPointObserved(base, scheme, SchemeFactory(scheme), nil, Attach{Sanitize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	san2, _, rep2, err := service.RunPointObserved(base, scheme, SchemeFactory(scheme), nil, nil, true)
+	san2, _, o2, err := service.RunPointObserved(base, scheme, SchemeFactory(scheme), nil, Attach{Sanitize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep1, rep2 := o1.Races, o2.Races
 
 	enc := func(v any) []byte {
 		b, err := json.Marshal(v)

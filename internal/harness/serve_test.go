@@ -126,7 +126,7 @@ func TestShardSweepObserversChangeNothing(t *testing.T) {
 		t.Fatal("the adaptive point made no switch; the swap path went unobserved")
 	}
 	for _, p := range pts {
-		if p.Races == nil || p.Races.Events == 0 || len(p.Events) == 0 || len(p.Requests) == 0 {
+		if o := p.Observed; o.Races == nil || o.Races.Events == 0 || len(o.Log.Events) == 0 || len(p.Requests) == 0 {
 			t.Fatalf("%s: an observer recorded nothing", p.label())
 		}
 		got, want := p.Profile.Cycles.Conservation()

@@ -34,7 +34,7 @@ func (p *HashmapParams) machineConfig() machine.Config {
 
 // RunHashmap measures one sensitivity point under the given scheme.
 func RunHashmap(ctx PointCtx, p HashmapParams, mk rwlock.Factory) Result {
-	return runClosed(ctx, p.machineConfig(), htm.Config{}, p.TotalOps, mk, func(m *machine.Machine, sys *htm.System, lock rwlock.Lock) opFunc {
+	return runClosed(ctx, p.machineConfig(), p.TotalOps, mk, func(m *machine.Machine, sys *htm.System, lock rwlock.Lock) opFunc {
 		h := hashmap.New(m, p.Buckets)
 		h.Populate(p.Items)
 		ws := make([]*hashmap.Worker, p.Threads)
@@ -66,7 +66,7 @@ func RunHashmap(ctx PointCtx, p HashmapParams, mk rwlock.Factory) Result {
 // unmodified hashmap (the paper's §2 point: RCU is the performance
 // yardstick that demands per-structure surgery; RW-LE chases it with none).
 func runRCUHashmap(ctx PointCtx, p HashmapParams) Result {
-	return runClosed(ctx, p.machineConfig(), htm.Config{}, p.TotalOps, nil, func(m *machine.Machine, _ *htm.System, _ rwlock.Lock) opFunc {
+	return runClosed(ctx, p.machineConfig(), p.TotalOps, nil, func(m *machine.Machine, _ *htm.System, _ rwlock.Lock) opFunc {
 		h := rcu.NewMap(m, rcu.NewDomain(m), p.Buckets)
 		h.Populate(p.Items)
 		universe := int(p.Buckets * p.Items)
@@ -92,7 +92,7 @@ func runRCUHashmap(ctx PointCtx, p HashmapParams) Result {
 func runSTMBench7(ctx PointCtx, scheme string, threads, writePct, totalOps int, seed uint64) Result {
 	cfg := stmbench7.DefaultConfig()
 	mc := machine.Config{CPUs: threads, MemWords: cfg.MemWords(), Seed: seed}
-	return runClosed(ctx, mc, htm.Config{}, totalOps, SchemeFactory(scheme), func(m *machine.Machine, _ *htm.System, lock rwlock.Lock) opFunc {
+	return runClosed(ctx, mc, totalOps, SchemeFactory(scheme), func(m *machine.Machine, _ *htm.System, lock rwlock.Lock) opFunc {
 		b := stmbench7.Build(m, cfg)
 		mix := stmbench7.NewMix(writePct)
 		return func(c *machine.CPU, th *htm.Thread) { mix.Step(b, lock, th, c) }
@@ -110,7 +110,7 @@ func runKyoto(ctx PointCtx, scheme string, threads, writePct, totalOps int, seed
 		outer = "RWL"
 	}
 	mc := machine.Config{CPUs: threads, MemWords: cfg.MemWords(), Seed: seed}
-	return runClosed(ctx, mc, htm.Config{}, totalOps, SchemeFactory(outer), func(m *machine.Machine, _ *htm.System, lock rwlock.Lock) opFunc {
+	return runClosed(ctx, mc, totalOps, SchemeFactory(outer), func(m *machine.Machine, _ *htm.System, lock rwlock.Lock) opFunc {
 		db := kyoto.New(m, cfg)
 		db.Populate()
 		w := &kyoto.Wicked{DB: db, WritePct: writePct, Inner: kyoto.InnerFor(scheme)}
@@ -123,7 +123,7 @@ func runKyoto(ctx PointCtx, scheme string, threads, writePct, totalOps int, seed
 func runTPCC(ctx PointCtx, scheme string, threads, writePct, totalOps int, seed uint64) Result {
 	cfg := tpcc.DefaultConfig()
 	mc := machine.Config{CPUs: threads, MemWords: cfg.MemWords(int64(totalOps)), Seed: seed}
-	return runClosed(ctx, mc, htm.Config{}, totalOps, SchemeFactory(scheme), func(m *machine.Machine, _ *htm.System, lock rwlock.Lock) opFunc {
+	return runClosed(ctx, mc, totalOps, SchemeFactory(scheme), func(m *machine.Machine, _ *htm.System, lock rwlock.Lock) opFunc {
 		wl := &tpcc.Workload{DB: tpcc.Build(m, cfg), WritePct: writePct}
 		return func(c *machine.CPU, th *htm.Thread) { wl.Step(lock, th, c) }
 	})

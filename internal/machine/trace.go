@@ -92,39 +92,6 @@ func (c *CPU) Emit(kind EventKind, a Addr, aux uint64) {
 	}
 }
 
-// RingTracer is a fixed-capacity in-memory tracer that keeps the most
-// recent events.
-type RingTracer struct {
-	buf   []Event
-	next  int
-	total int64
-}
-
-// NewRingTracer creates a tracer holding up to n events.
-func NewRingTracer(n int) *RingTracer { return &RingTracer{buf: make([]Event, 0, n)} }
-
-// Event implements Tracer.
-func (r *RingTracer) Event(e Event) {
-	r.total++
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, e)
-		return
-	}
-	r.buf[r.next] = e
-	r.next = (r.next + 1) % cap(r.buf)
-}
-
-// Total returns how many events were observed (including evicted ones).
-func (r *RingTracer) Total() int64 { return r.total }
-
-// Events returns the retained events in arrival order.
-func (r *RingTracer) Events() []Event {
-	out := make([]Event, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
-}
-
 // CountTracer tallies events by kind (cheap enough to leave on).
 type CountTracer struct {
 	Counts [len(eventNames)]int64
@@ -142,9 +109,8 @@ func (c *CountTracer) Total() int64 {
 	return n
 }
 
-// LogTracer retains every event in arrival order, unbounded. Use it when a
-// complete trace is needed (e.g. for the Chrome trace exporter); prefer
-// RingTracer when only the tail matters.
+// LogTracer retains every event in arrival order, unbounded: the source
+// of the Chrome trace exporter and of hrwle-bench's event dump, its tail.
 type LogTracer struct {
 	Events []Event
 }

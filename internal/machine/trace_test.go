@@ -2,25 +2,6 @@ package machine
 
 import "testing"
 
-func TestRingTracerWraps(t *testing.T) {
-	r := NewRingTracer(4)
-	for i := 0; i < 10; i++ {
-		r.Event(Event{Time: int64(i)})
-	}
-	if r.Total() != 10 {
-		t.Errorf("Total = %d", r.Total())
-	}
-	evs := r.Events()
-	if len(evs) != 4 {
-		t.Fatalf("retained %d events", len(evs))
-	}
-	for i, e := range evs {
-		if e.Time != int64(6+i) {
-			t.Errorf("event %d time %d, want %d (oldest-first order)", i, e.Time, 6+i)
-		}
-	}
-}
-
 func TestTracerReceivesMachineEvents(t *testing.T) {
 	m := New(testConfig(2))
 	var ct CountTracer
@@ -71,51 +52,25 @@ func TestEventKindNames(t *testing.T) {
 	}
 }
 
-// TestRingTracerWraparoundOrdering drives the ring through several
-// eviction cycles and checks Events() keeps strict arrival order with the
-// oldest retained event first, at every fill level.
-func TestRingTracerWraparoundOrdering(t *testing.T) {
-	for _, cap := range []int{1, 3, 4} {
-		for n := 0; n <= 3*cap; n++ {
-			r := NewRingTracer(cap)
-			for i := 0; i < n; i++ {
-				r.Event(Event{Time: int64(i)})
-			}
-			evs := r.Events()
-			want := n
-			if want > cap {
-				want = cap
-			}
-			if len(evs) != want {
-				t.Fatalf("cap=%d n=%d: retained %d events, want %d", cap, n, len(evs), want)
-			}
-			for i, e := range evs {
-				if wantT := int64(n - want + i); e.Time != wantT {
-					t.Fatalf("cap=%d n=%d: event %d has time %d, want %d", cap, n, i, e.Time, wantT)
-				}
-			}
-		}
-	}
-}
-
-// TestCountTracerMatchesRingTotal fans one event stream into a CountTracer
-// and a (smaller) RingTracer via MultiTracer: the per-kind tallies must sum
-// to exactly the ring's eviction-inclusive total.
-func TestCountTracerMatchesRingTotal(t *testing.T) {
-	ring := NewRingTracer(8)
+// TestCountTracerMatchesLogTotal fans one event stream into a CountTracer
+// and a LogTracer via MultiTracer: the per-kind tallies must match the
+// log, kind by kind.
+func TestCountTracerMatchesLogTotal(t *testing.T) {
+	log := &LogTracer{}
 	counts := &CountTracer{}
-	mt := MultiTracer{counts, nil, ring} // nil entries must be skipped
+	mt := MultiTracer{counts, nil, log} // nil entries must be skipped
 	for i := 0; i < 100; i++ {
 		mt.Event(Event{Kind: EventKind(i % NumEventKinds), Time: int64(i)})
 	}
-	if counts.Total() != ring.Total() {
-		t.Errorf("CountTracer.Total = %d, RingTracer.Total = %d", counts.Total(), ring.Total())
+	if counts.Total() != int64(len(log.Events)) || len(log.Events) != 100 {
+		t.Errorf("CountTracer.Total = %d, LogTracer kept %d, want 100", counts.Total(), len(log.Events))
 	}
-	if ring.Total() != 100 {
-		t.Errorf("ring total = %d, want 100", ring.Total())
+	var byKind [NumEventKinds]int64
+	for _, e := range log.Events {
+		byKind[e.Kind]++
 	}
-	if len(ring.Events()) != 8 {
-		t.Errorf("ring retained %d, want 8", len(ring.Events()))
+	if byKind != counts.Counts {
+		t.Errorf("per-kind counts %v, log holds %v", counts.Counts, byKind)
 	}
 }
 

@@ -91,13 +91,12 @@ func TestConsumersAgree(t *testing.T) {
 		cfg := spec.Base
 		cfg.Servers, cfg.Requests = 4, 300
 		cfg.Arrivals.RatePerSec = spec.Rates[3]
-		c := obs.NewCollector()
-		prof := obs.NewProfile(100_000, len(cfg.Classes))
-		observe := func(m *machine.Machine) { m.SetTracer(c) }
-		if _, _, _, err := service.RunPointObserved(cfg, "RW-LE_OPT", harness.SchemeFactory("RW-LE_OPT"), observe, prof, false); err != nil {
+		_, _, o, err := service.RunPointObserved(cfg, "RW-LE_OPT", harness.SchemeFactory("RW-LE_OPT"), nil,
+			obs.Attach{Metrics: true, Prof: true, Window: 100_000})
+		if err != nil {
 			t.Fatal(err)
 		}
-		checkAgree(t, c, prof)
+		checkAgree(t, o.Collector, o.Profile)
 	})
 }
 

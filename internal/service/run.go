@@ -5,7 +5,6 @@ import (
 	"hrwle/internal/machine"
 	"hrwle/internal/obs"
 	"hrwle/internal/rwlock"
-	"hrwle/internal/simsan"
 	"hrwle/internal/stats"
 )
 
@@ -31,26 +30,25 @@ type Host interface {
 // non-nil, is called with the machine before the run starts (tracer
 // attachment).
 func RunPoint(cfg Config, scheme string, mk rwlock.Factory, observe func(*machine.Machine)) (*obs.ServiceMetrics, []Request, error) {
-	m, reqs, _, err := RunPointObserved(cfg, scheme, mk, observe, nil, false)
+	m, reqs, _, err := RunPointObserved(cfg, scheme, mk, observe, obs.Attach{})
 	return m, reqs, err
 }
 
-// RunPointObserved is RunPoint with the serving-phase observers attached:
-// the virtual-time profiler prof, when non-nil, and, when sanitize is set,
-// the simsan race detector, whose deterministic report it returns.
-func RunPointObserved(cfg Config, scheme string, mk rwlock.Factory, observe func(*machine.Machine), prof *obs.Profile, sanitize bool) (*obs.ServiceMetrics, []Request, *simsan.Report, error) {
-	return RunHost(&cfg, scheme, &structure{cfg: &cfg, scheme: scheme, mk: mk}, observe, prof, sanitize)
+// RunPointObserved is RunPoint with the serving-phase observers att
+// selects attached; it returns them finished.
+func RunPointObserved(cfg Config, scheme string, mk rwlock.Factory, observe func(*machine.Machine), att obs.Attach) (*obs.ServiceMetrics, []Request, *obs.Observers, error) {
+	return RunHost(&cfg, scheme, &structure{cfg: &cfg, scheme: scheme, mk: mk}, observe, att)
 }
 
 // RunHost is the one open-system runner: it measures one point of h under
 // cfg and labels the metrics with scheme. cfg is normalized in place
 // before h is asked for anything, so a host holding cfg sees the defaulted
-// values. The tracer chain is observe's tracer, h's late tracer, prof
-// (when non-nil; Started and Finished around the run and fed the request
-// log, so its timeline carries the queue-depth and sojourn series), then
-// the simsan sanitizer (when sanitize is set; its report is returned).
-// None of them changes the run: metrics and sim_cycles stay the same.
-func RunHost(cfg *Config, scheme string, h Host, observe func(*machine.Machine), prof *obs.Profile, sanitize bool) (*obs.ServiceMetrics, []Request, *simsan.Report, error) {
+// values. The tracer chain is observe's tracer, h's late tracer, then the
+// observers att selects, which it returns finished; the profiler's
+// timeline is fed the request log, so it carries the queue-depth and
+// sojourn series. No observer changes the run: metrics and sim_cycles
+// stay the same.
+func RunHost(cfg *Config, scheme string, h Host, observe func(*machine.Machine), att obs.Attach) (*obs.ServiceMetrics, []Request, *obs.Observers, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, nil, nil, err
 	}
@@ -77,44 +75,20 @@ func RunHost(cfg *Config, scheme string, h Host, observe func(*machine.Machine),
 	}
 
 	q := newQueue(reqs, cfg.QueueCap, len(cfg.Classes), cfg.Servers)
-	var chain machine.MultiTracer
-	for _, t := range []machine.Tracer{m.Tracer(), late} {
-		if t != nil {
-			chain = append(chain, t)
-		}
-	}
-	if prof != nil {
-		prof.Start(m, cfg.Servers)
-		chain = append(chain, prof)
-	}
-	var san *simsan.Sanitizer
-	if sanitize {
-		san = simsan.New(simsan.Options{CPUs: cfg.Servers})
-		sys.SetTraceAccesses(true)
-		chain = append(chain, san)
-	}
-	if len(chain) == 1 {
-		m.SetTracer(chain[0])
-	} else if len(chain) > 1 {
-		m.SetTracer(chain)
-	}
+	o := att.Install(m, sys, cfg.Servers, len(cfg.Classes), late)
 	cycles := m.Run(cfg.Servers, func(c *machine.CPU) {
 		serve(c, sys.Thread(c.ID), q, cfg.DispatchCycles, h)
 	})
 	h.Finish(m.Now(), reqs)
-	if prof != nil {
+	if o.Profile != nil {
 		for i := range reqs {
 			r := &reqs[i]
-			prof.Timeline.AddRequest(r.Class, r.ArriveAt, r.DequeueAt, r.DoneAt, r.Dropped)
+			o.Profile.Timeline.AddRequest(r.Class, r.ArriveAt, r.DequeueAt, r.DoneAt, r.Dropped)
 		}
-		prof.Finish(m.Now())
 	}
-	var sanRep *simsan.Report
-	if san != nil {
-		sanRep = san.Finish()
-	}
+	o.Finish(m.Now())
 	b := stats.Merge(sys.Stats(cfg.Servers), cycles)
-	return assemble(cfg, scheme, reqs, cycles, &b), reqs, sanRep, nil
+	return assemble(cfg, scheme, reqs, cycles, &b), reqs, o, nil
 }
 
 // serve is the open-system server loop: it dispatches requests from q to

@@ -160,6 +160,10 @@ func DefaultConfig(workload string) Config {
 	}
 }
 
+// Check reports whether RunHost accepts c: the checks it applies before
+// it builds anything. c itself is left as it is.
+func (c Config) Check() error { return c.applyDefaults() }
+
 // applyDefaults normalizes a config in place and validates it.
 func (c *Config) applyDefaults() error {
 	if c.Workload == "" {

@@ -28,29 +28,29 @@ func TestShardObserversChangeNothing(t *testing.T) {
 		return b
 	}
 
-	plain, _, _, err := RunObserved(cfg, palette(), nil, nil, false)
+	plain, _, _, err := RunObserved(cfg, palette(), nil, obs.Attach{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(plain.Switches) == 0 {
 		t.Fatal("switching point made no scheme switch")
 	}
-	prof := obs.NewProfile(cfg.Window, len(cfg.Classes))
-	profiled, _, _, err := RunObserved(cfg, palette(), nil, prof, false)
+	profiled, _, o, err := RunObserved(cfg, palette(), nil, obs.Attach{Prof: true, Window: cfg.Window})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(prof.Timeline.Report().Windows) == 0 {
+	if len(o.Profile.Timeline.Report().Windows) == 0 {
 		t.Fatal("profile recorded no timeline window")
 	}
-	sanitized, _, rep, err := RunObserved(cfg, palette(), nil, nil, true)
+	sanitized, _, o, err := RunObserved(cfg, palette(), nil, obs.Attach{Sanitize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, rep2, err := RunObserved(cfg, palette(), nil, nil, true)
+	_, _, o2, err := RunObserved(cfg, palette(), nil, obs.Attach{Sanitize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep, rep2 := o.Races, o2.Races
 
 	want := enc(plain)
 	if got := enc(profiled); !bytes.Equal(got, want) {
@@ -74,10 +74,11 @@ func TestShardObserversChangeNothing(t *testing.T) {
 func TestShardSanitizerCleanFixed(t *testing.T) {
 	for _, s := range palette() {
 		t.Run(s.Name, func(t *testing.T) {
-			_, _, rep, err := RunObserved(testConfig(), []Scheme{s}, nil, nil, true)
+			_, _, o, err := RunObserved(testConfig(), []Scheme{s}, nil, obs.Attach{Sanitize: true})
 			if err != nil {
 				t.Fatal(err)
 			}
+			rep := o.Races
 			if rep.Events == 0 {
 				t.Fatal("sanitizer saw no events")
 			}

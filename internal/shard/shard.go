@@ -32,7 +32,6 @@ import (
 	"hrwle/internal/obs"
 	"hrwle/internal/rwlock"
 	"hrwle/internal/service"
-	"hrwle/internal/simsan"
 )
 
 // Scheme pairs a lock-scheme name with its factory. The harness supplies
@@ -97,6 +96,15 @@ func DefaultClasses() []service.Class {
 		{Name: "batch", Share: 10, WritePct: 60,
 			Work: service.Pareto(4000, 1.5), Footprint: service.Pareto(4, 1.8)},
 	}
+}
+
+// Check reports whether Run accepts c: normalize's checks, then the
+// service's. c itself is left as it is.
+func (c Config) Check() error {
+	if err := c.normalize(); err != nil {
+		return err
+	}
+	return c.Config.Check()
 }
 
 // normalize validates and defaults the shard-specific fields (the
@@ -233,14 +241,15 @@ func (d *deployment) MemWords(int64) int64 {
 // machine before the run starts (tracer attachment; the shard timeline
 // router is composed with whatever it installs).
 func Run(cfg Config, palette []Scheme, observe func(*machine.Machine)) (*Result, error) {
-	res, _, _, err := RunObserved(cfg, palette, observe, nil, false)
+	res, _, _, err := RunObserved(cfg, palette, observe, obs.Attach{})
 	return res, err
 }
 
-// RunObserved is Run with service.RunHost's profiler and sanitizer
-// options; it also returns the served schedule (for Chrome counter tracks)
-// and the sanitizer's report. No observer changes the Result.
-func RunObserved(cfg Config, palette []Scheme, observe func(*machine.Machine), prof *obs.Profile, sanitize bool) (*Result, []service.Request, *simsan.Report, error) {
+// RunObserved is Run with the observers att selects attached, as
+// service.RunHost attaches them; it also returns the served schedule (for
+// Chrome counter tracks) and the finished observers. No observer changes
+// the Result.
+func RunObserved(cfg Config, palette []Scheme, observe func(*machine.Machine), att obs.Attach) (*Result, []service.Request, *obs.Observers, error) {
 	if len(palette) == 0 {
 		return nil, nil, nil, fmt.Errorf("shard: empty scheme palette")
 	}
@@ -252,7 +261,7 @@ func RunObserved(cfg Config, palette []Scheme, observe func(*machine.Machine), p
 	if len(palette) > 1 {
 		label = "adaptive"
 	}
-	sm, reqs, rep, err := service.RunHost(&cfg.Config, label, d, observe, prof, sanitize)
+	sm, reqs, o, err := service.RunHost(&cfg.Config, label, d, observe, att)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -266,7 +275,7 @@ func RunObserved(cfg Config, palette []Scheme, observe func(*machine.Machine), p
 		res.CrossTx += sh.crossTx
 	}
 	res.CrossTx /= 2 // each cross-shard tx was counted by both shards
-	return res, reqs, rep, nil
+	return res, reqs, o, nil
 }
 
 // Build implements service.Host: it populates every shard's store, makes

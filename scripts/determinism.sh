@@ -39,15 +39,15 @@ gate() {
 	echo "determinism: $name ok ($(wc -l <"$work/files1") files)"
 }
 
-# Single-point metrics export, Chrome trace, the text matrix and histogram
-# panels, and the timeline export.
-gate trace hrwle-trace -scheme RW-LE_PES -threads 4 -w 20 -seed 7 -q \
-	-json @OUT@/trace.json -chrome @OUT@/chrome.json \
-	-matrix -hist -timeline @OUT@/timeline.json
-# Metrics JSON on stdout ("-"), ahead of the trace text.
-gate trace-stdout hrwle-trace -scheme RW-LE_OPT -q -json -
-# Multi-scheme trace reports print in the order given at any -j.
-gate trace-multi hrwle-trace -scheme RW-LE_OPT,SGL,HLE -ops 10 -j @J@
+# One figure point in hrwle-bench's single-point mode: the event dump and
+# totals, the matrix and histogram panels, the point's RunMetrics file,
+# the Chrome trace and the timeline export.
+gate point hrwle-bench -fig fig5 -scale 0.02 -schemes RW-LE_PES -threads 4 \
+	-writes 10 -q -events 120 -matrix -hist -metrics-dir @OUT@/metrics \
+	-chrome @OUT@/chrome.json -timeline @OUT@/timeline.json
+# The race sanitizer on a clean figure point.
+gate point-sanitize hrwle-bench -fig fig5 -scale 0.02 -schemes RW-LE_OPT \
+	-threads 4 -writes 10 -sanitize -q -o @OUT@/san.txt
 # Figure sweep tables and the per-scheme RunMetrics JSON directory.
 gate sweep hrwle-bench -fig fig5 -scale 0.02 -threads 2,4 -q -j @J@ \
 	-o @OUT@/fig5.txt -metrics-dir @OUT@/metrics
