@@ -273,18 +273,19 @@ func runBench(t *testing.T, bin, dir string, args ...string) []byte {
 
 // TestBenchPointMatchesSweep pins the one closed-system code path: a
 // figure point run alone with the trace flags writes the same RunMetrics
-// as that point's entry in the full -metrics-dir sweep of its figure.
-// (-sanitize is left out: it turns on per-access events, which the event
-// totals then count.)
+// as that point's entry in the full -metrics-dir sweep of its figure. So
+// does the point under -sanitize: its per-access events reach the
+// sanitizer alone, so the event totals do not count them.
 // fig10's points build two machines (the SGL@1 baseline, then the
 // measured run); the measured run's metrics must win in both.
 func TestBenchPointMatchesSweep(t *testing.T) {
 	bin := buildBench(t)
 	dir := t.TempDir()
 	runBench(t, bin, dir, "-fig", "fig10", "-scale", "0.01", "-q", "-o", "sweep.txt", "-metrics-dir", "sweep")
-	runBench(t, bin, dir, "-fig", "fig10", "-scale", "0.01", "-schemes", "RW-LE_OPT", "-threads", "4", "-writes", "10",
-		"-q", "-o", "point.txt", "-metrics-dir", "point", "-events", "10", "-matrix", "-hist",
-		"-chrome", "c.json", "-timeline", "t.json")
+	point := []string{"-fig", "fig10", "-scale", "0.01", "-schemes", "RW-LE_OPT", "-threads", "4", "-writes", "10", "-q"}
+	runBench(t, bin, dir, append(point, "-o", "point.txt", "-metrics-dir", "point", "-events", "10", "-matrix", "-hist",
+		"-chrome", "c.json", "-timeline", "t.json")...)
+	runBench(t, bin, dir, append(point, "-o", "san.txt", "-metrics-dir", "san", "-sanitize")...)
 	read := func(path string) *obs.RunMetrics {
 		t.Helper()
 		b, err := os.ReadFile(filepath.Join(dir, path))
@@ -298,19 +299,24 @@ func TestBenchPointMatchesSweep(t *testing.T) {
 		return &rm
 	}
 	name := harness.MetricsFileName("fig10", "RW-LE_OPT")
-	sweep, point := read(filepath.Join("sweep", name)), read(filepath.Join("point", name))
-	if len(point.Points) != 1 {
-		t.Fatalf("one-point run wrote %d points", len(point.Points))
-	}
-	for _, p := range sweep.Points {
+	var want []byte
+	for _, p := range read(filepath.Join("sweep", name)).Points {
 		if p.Threads == 4 && p.WritePct == 10 {
-			if a, b := metricsJSONOf(t, p), metricsJSONOf(t, point.Points[0]); !bytes.Equal(a, b) {
-				t.Errorf("one-point metrics differ from the sweep's:\nsweep %s\npoint %s", a, b)
-			}
-			return
+			want = metricsJSONOf(t, p)
 		}
 	}
-	t.Fatal("the sweep has no n=4 w=10% point")
+	if want == nil {
+		t.Fatal("the sweep has no n=4 w=10% point")
+	}
+	for _, run := range []string{"point", "san"} {
+		rm := read(filepath.Join(run, name))
+		if len(rm.Points) != 1 {
+			t.Fatalf("%s: one-point run wrote %d points", run, len(rm.Points))
+		}
+		if got := metricsJSONOf(t, rm.Points[0]); !bytes.Equal(got, want) {
+			t.Errorf("%s: one-point metrics differ from the sweep's:\nsweep %s\npoint %s", run, want, got)
+		}
+	}
 }
 
 func metricsJSONOf(t *testing.T, v any) []byte {

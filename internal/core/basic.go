@@ -50,15 +50,13 @@ func (l *Basic) clockAddr(id int) machine.Addr { return l.clocks + machine.Addr(
 
 // Read implements rwlock.Lock (Algorithm 1, RWLE_READ_LOCK/UNLOCK).
 func (l *Basic) Read(t *htm.Thread, cs func()) {
-	t.St.ReadCS++
-	t.C.Emit(machine.EvCSBegin, 0, machine.PackCS(false, 0, 0))
+	t.BeginCS(false)
 	ca := l.clockAddr(t.C.ID)
 	t.Store(ca, t.Load(ca)+1) // enter critical section
 	t.C.Fence()               // make sure writers see reader
 	cs()
 	t.Store(ca, t.Load(ca)+1) // exit critical section
-	t.St.Commits[stats.CommitUninstrumented]++
-	t.C.Emit(machine.EvCSEnd, 0, machine.PackCS(false, uint64(stats.CommitUninstrumented), 0))
+	t.EndCS(false, stats.CommitUninstrumented, 0)
 }
 
 // Write implements rwlock.Lock (Algorithm 1, RWLE_WRITE_LOCK/UNLOCK):
@@ -66,12 +64,11 @@ func (l *Basic) Read(t *htm.Thread, cs func()) {
 // suspend, quiesce, resume and commit. Failed transactions are blindly
 // retried.
 func (l *Basic) Write(t *htm.Thread, cs func()) {
-	t.St.WriteCS++
-	t.C.Emit(machine.EvCSBegin, 0, machine.PackCS(true, 0, 0))
+	t.BeginCS(true)
 	var retries uint64
 	persistentRun := 0
 	for {
-		spinAcquireWord(t, l.wlock)
+		t.AwaitAcquire(l.wlock, 8)
 		released := false
 		st := t.Try(false, func() {
 			cs()
@@ -84,8 +81,7 @@ func (l *Basic) Write(t *htm.Thread, cs func()) {
 			t.Resume()
 		})
 		if st.OK {
-			t.St.Commits[stats.CommitHTM]++
-			t.C.Emit(machine.EvCSEnd, 0, machine.PackCS(true, uint64(stats.CommitHTM), retries))
+			t.EndCS(true, stats.CommitHTM, retries)
 			return
 		}
 		retries++
@@ -112,37 +108,23 @@ func (l *Basic) Write(t *htm.Thread, cs func()) {
 	}
 }
 
-// synchronize is the Algorithm 1 quiescence loop: snapshot all reader
-// clocks, then wait for every odd one to change.
+// synchronize is the Algorithm 1 quiescence loop, as one quiescence
+// window: snapshot all reader clocks, then wait for every odd one to
+// change.
 func (l *Basic) synchronize(t *htm.Thread) {
-	start := t.C.Now()
-	t.C.Emit(machine.EvQuiesceStart, 0, 0)
-	// Close the window during an abort unwind too (the scan's loads can
-	// doom the enclosing speculation) — see RWLE.synchronize.
-	defer func() {
-		t.St.QuiesceWait += t.C.Now() - start
-		t.C.Emit(machine.EvQuiesceEnd, 0, uint64(t.C.Now()-start))
-	}()
-	snap := make([]uint64, l.nthreads)
-	for i := 0; i < l.nthreads; i++ {
-		snap[i] = t.LoadStream(l.clockAddr(i))
-	}
-	for i := 0; i < l.nthreads; i++ {
-		if snap[i]&1 == 0 {
-			continue
+	t.Quiesce(func() {
+		snap := t.ScanBuffer(l.nthreads)
+		for i := 0; i < l.nthreads; i++ {
+			snap[i] = t.LoadStream(l.clockAddr(i))
 		}
-		poll := 1
-		for t.Load(l.clockAddr(i)) == snap[i] {
-			t.C.SpinFor(poll)
-			if poll < 32 {
-				poll *= 2
+		for i := 0; i < l.nthreads; i++ {
+			if snap[i]&1 == 0 {
+				continue
+			}
+			s := htm.Poll(32)
+			for t.Load(l.clockAddr(i)) == snap[i] {
+				s.Wait(t.C)
 			}
 		}
-	}
-}
-
-// spinAcquireWord acquires a test-and-test-and-set spin lock at word a.
-// (Duplicated from internal/locks to avoid an import cycle.)
-func spinAcquireWord(t *htm.Thread, a machine.Addr) {
-	t.AwaitAcquire(a, 8)
+	})
 }

@@ -112,10 +112,6 @@ type RWLE struct {
 	// write) sections nest, per the paper's footnote 3. Host-side state,
 	// mutated only by the owning (token-holding) thread.
 	nesting []nestState
-	// snaps[i] is thread i's reusable quiescence-scan snapshot buffer;
-	// preallocating it keeps synchronize allocation-free on the writer
-	// fast path. Host-side, owned by the token-holding thread like nesting.
-	snaps [][]uint64
 	// adapt, when Options.Adaptive is set, tunes the HTM budget.
 	adapt *adaptiveController
 	// skipROTQuiesce and lazySubscription are the system's checker
@@ -125,7 +121,7 @@ type RWLE struct {
 
 	// acqWaits[i] and syncWaits[i] are thread i's reusable engine-stepped
 	// waiters for lock acquisition and quiescence scans — host-side state,
-	// owned by the running thread like nesting and snaps.
+	// owned by the running thread like nesting.
 	acqWaits  []acqWait
 	syncWaits []syncWait
 }
@@ -163,11 +159,6 @@ func New(sys *htm.System, opts Options) *RWLE {
 		l.local = m.AllocRawAligned(int64(l.nthreads) * m.Cfg.LineWords)
 	}
 	l.nesting = make([]nestState, l.nthreads)
-	l.snaps = make([][]uint64, l.nthreads)
-	snapBacking := make([]uint64, l.nthreads*l.nthreads)
-	for i := range l.snaps {
-		l.snaps[i] = snapBacking[i*l.nthreads : (i+1)*l.nthreads]
-	}
 	if opts.Adaptive {
 		l.adapt = newAdaptiveController()
 	}
@@ -203,19 +194,20 @@ func (l *RWLE) localAddr(id int) machine.Addr { return l.local + machine.Addr(id
 // RWLE_READ_LOCK/RWLE_READ_UNLOCK, with the §3.3 fast-path optimization of
 // checking the lock after the increment).
 func (l *RWLE) Read(t *htm.Thread, cs func()) {
-	t.St.ReadCS++
 	// Nesting (paper footnote 3): a read section inside another read or
 	// write section of the same thread runs directly — the enclosing
-	// section's protection covers it.
+	// section's protection covers it. It is counted, but only outermost
+	// sections are spans.
 	ns := &l.nesting[t.C.ID]
 	if ns.depth > 0 {
+		t.St.ReadCS++
 		ns.depth++
 		cs()
 		ns.depth--
 		t.St.Commits[stats.CommitUninstrumented]++
 		return
 	}
-	t.C.Emit(machine.EvCSBegin, 0, machine.PackCS(false, 0, 0))
+	t.BeginCS(false)
 	if l.opts.Fair {
 		l.readLockFair(t)
 	} else {
@@ -227,8 +219,7 @@ func (l *RWLE) Read(t *htm.Thread, cs func()) {
 	// RWLE_READ_UNLOCK: leave the critical section (clock becomes even).
 	ca := l.clockAddr(t.C.ID)
 	t.Store(ca, t.Load(ca)+1)
-	t.St.Commits[stats.CommitUninstrumented]++
-	t.C.Emit(machine.EvCSEnd, 0, machine.PackCS(false, uint64(stats.CommitUninstrumented), 0))
+	t.EndCS(false, stats.CommitUninstrumented, 0)
 }
 
 func (l *RWLE) readLock(t *htm.Thread) {
@@ -243,17 +234,7 @@ func (l *RWLE) readLock(t *htm.Thread) {
 		// A non-speculative writer is (or just went) active: defer to it
 		// and retry (paper lines 14-16).
 		t.Store(ca, clk+2)
-		waitStart := t.C.Now()
-		poll := 1
-		for state(t.Load(l.wlock)) == lockNS {
-			t.C.SpinFor(poll)
-			if poll < 32 {
-				poll *= 2
-			}
-		}
-		if d := t.C.Now() - waitStart; d > 0 {
-			t.C.Emit(machine.EvLockWait, l.wlock, uint64(d))
-		}
+		t.AwaitWord(l.wlock, stateMask, lockNS, false, 32)
 	}
 }
 
@@ -284,12 +265,12 @@ func (l *RWLE) readLockFair(t *htm.Thread) {
 // ROT and NS paths in turn under the configured trial budgets (paper
 // Algorithm 2, RWLE_WRITE_LOCK/RWLE_WRITE_UNLOCK and PATH).
 func (l *RWLE) Write(t *htm.Thread, cs func()) {
-	t.St.WriteCS++
 	ns := &l.nesting[t.C.ID]
 	if ns.depth > 0 {
 		if !ns.writing {
 			panic("core: write section nested inside a read section (lock upgrade is a deadlock)")
 		}
+		t.St.WriteCS++
 		ns.depth++
 		cs()
 		ns.depth--
@@ -303,11 +284,8 @@ func (l *RWLE) Write(t *htm.Thread, cs func()) {
 	htmTried := false
 	enter := func() { ns.depth, ns.writing = 1, true }
 	leave := func() { ns.depth, ns.writing = 0, false }
-	t.C.Emit(machine.EvCSBegin, 0, machine.PackCS(true, 0, 0))
+	t.BeginCS(true)
 	var retries uint64
-	done := func(path stats.CommitPath) {
-		t.C.Emit(machine.EvCSEnd, 0, machine.PackCS(true, uint64(path), retries))
-	}
 	for {
 		switch sel.current() {
 		case PathHTM:
@@ -316,9 +294,8 @@ func (l *RWLE) Write(t *htm.Thread, cs func()) {
 			st := l.writeHTM(t, cs)
 			leave()
 			if st.OK {
-				t.St.Commits[stats.CommitHTM]++
 				l.recordAdapt(htmTried, true)
-				done(stats.CommitHTM)
+				t.EndCS(true, stats.CommitHTM, retries)
 				return
 			}
 			retries++
@@ -328,9 +305,8 @@ func (l *RWLE) Write(t *htm.Thread, cs func()) {
 			st := l.writeROT(t, cs)
 			leave()
 			if st.OK {
-				t.St.Commits[stats.CommitROT]++
 				l.recordAdapt(htmTried, false)
-				done(stats.CommitROT)
+				t.EndCS(true, stats.CommitROT, retries)
 				return
 			}
 			retries++
@@ -339,9 +315,8 @@ func (l *RWLE) Write(t *htm.Thread, cs func()) {
 			enter()
 			l.writeNS(t, cs)
 			leave()
-			t.St.Commits[stats.CommitSGL]++
 			l.recordAdapt(htmTried, false)
-			done(stats.CommitSGL)
+			t.EndCS(true, stats.CommitSGL, retries)
 			return
 		}
 	}
@@ -369,7 +344,7 @@ func (l *RWLE) recordAdapt(htmTried, htmWon bool) {
 // quiesce readers, resume, commit (paper lines 41-46 and 68-72).
 func (l *RWLE) writeHTM(t *htm.Thread, cs func()) htm.Status {
 	// Let non-HTM writers finish before starting speculation (line 42).
-	t.AwaitWordBackoff(l.wlock, stateMask, lockFree, true, 0, 8)
+	t.AwaitWordBackoff(l.wlock, stateMask, lockFree, true, htm.Backoff(8))
 	return t.Try(false, func() {
 		if !l.lazySubscription {
 			if state(t.Load(l.wlock)) != lockFree { // subscribe (line 44)
@@ -463,20 +438,14 @@ func (l *RWLE) writeNS(t *htm.Thread, cs func()) {
 // loop runs as an engine-stepped wait.
 func (l *RWLE) acquire(t *htm.Thread, word machine.Addr, to uint64) uint64 {
 	w := &l.acqWaits[t.C.ID]
-	*w = acqWait{t: t, word: word, to: to}
-	start := t.C.Now()
-	t.C.Await(w)
-	if d := t.C.Now() - start; d > 0 {
-		t.C.Emit(machine.EvLockWait, word, uint64(d))
-	}
+	*w = acqWait{t: t, word: word, to: to, spin: htm.Backoff(8)}
+	t.Await(word, w)
 	return w.ver
 }
 
 // acqWait is the version-bumping lock acquisition as a waiter: the load and
-// the CAS of one attempt are separate steps, with bounded randomized
-// exponential backoff after a busy load or a lost CAS — without the
-// randomization a cohort of deterministic spinners can systematically
-// exclude one contender (see internal/locks for the same pattern).
+// the CAS of one attempt are separate steps, with htm's randomized backoff
+// after a busy load or a lost CAS.
 type acqWait struct {
 	t      *htm.Thread
 	word   machine.Addr
@@ -484,7 +453,7 @@ type acqWait struct {
 	v      uint64 // value observed free, the CAS's expected operand
 	ver    uint64 // result: the version installed
 	casing bool
-	shift  uint
+	spin   htm.Spin
 }
 
 // Step implements machine.Waiter.
@@ -505,10 +474,7 @@ func (w *acqWait) Step(c *machine.CPU) bool {
 			return false
 		}
 	}
-	c.SpinFor(1 + c.Intn(1<<w.shift))
-	if w.shift < 8 {
-		w.shift++
-	}
+	w.spin.Wait(c)
 	return false
 }
 
@@ -533,24 +499,18 @@ func (l *RWLE) verFilter(myVer uint64) uint64 {
 // scanned has left it. singlePass applies the §3.3 optimization for the
 // NS path, where new readers are blocked by the lock so one traversal
 // suffices. In the fair variant, writers that hold a version skip readers
-// that entered at or after their own version.
+// that entered at or after their own version. The scan is one quiescence
+// window (htm.Thread.Quiesce), closed also when it aborts the enclosing
+// speculation.
 func (l *RWLE) synchronize(t *htm.Thread, singlePass bool, myVer uint64) {
-	start := t.C.Now()
-	t.C.Emit(machine.EvQuiesceStart, 0, 0)
-	// The scan itself can abort the enclosing speculation (a reader bumping
-	// its clock dooms the ROT mid-scan, unwinding to Try). Account the
-	// window and close the event on that path too, so no waited cycles are
-	// lost and quiesce-start/end stay balanced.
-	defer func() {
-		t.St.QuiesceWait += t.C.Now() - start
-		t.C.Emit(machine.EvQuiesceEnd, 0, uint64(t.C.Now()-start))
-	}()
-	if singlePass {
-		for i := 0; i < l.nthreads; i++ {
-			l.waitReader(t, i, myVer)
+	t.Quiesce(func() {
+		if singlePass {
+			for i := 0; i < l.nthreads; i++ {
+				l.waitReader(t, i, myVer)
+			}
+			return
 		}
-	} else {
-		snap := l.snaps[t.C.ID]
+		snap := t.ScanBuffer(l.nthreads)
 		for i := 0; i < l.nthreads; i++ {
 			snap[i] = t.LoadStream(l.clockAddr(i))
 		}
@@ -559,13 +519,13 @@ func (l *RWLE) synchronize(t *htm.Thread, singlePass bool, myVer uint64) {
 				continue
 			}
 			w := &l.syncWaits[t.C.ID]
-			*w = syncWait{l: l, t: t, i: i, snap: snap[i], myVer: myVer, poll: 1, pollCap: 16, checkDoom: l.opts.EarlyAbort}
+			*w = syncWait{l: l, t: t, i: i, snap: snap[i], myVer: myVer, spin: htm.Poll(16), checkDoom: l.opts.EarlyAbort}
 			t.C.Await(w)
 			if w.doomed {
 				return
 			}
 		}
-	}
+	})
 }
 
 // waitReader waits for thread i to leave its current read critical section
@@ -576,7 +536,7 @@ func (l *RWLE) waitReader(t *htm.Thread, i int, myVer uint64) {
 		return
 	}
 	w := &l.syncWaits[t.C.ID]
-	*w = syncWait{l: l, t: t, i: i, snap: c, myVer: myVer, poll: 1, pollCap: 32}
+	*w = syncWait{l: l, t: t, i: i, snap: c, myVer: myVer, spin: htm.Poll(32)}
 	t.C.Await(w)
 }
 
@@ -608,8 +568,7 @@ type syncWait struct {
 	i         int
 	snap      uint64
 	myVer     uint64
-	poll      int
-	pollCap   int
+	spin      htm.Spin
 	checkDoom bool
 	phase     int
 	doomed    bool
@@ -647,10 +606,7 @@ func (w *syncWait) Step(c *machine.CPU) bool {
 		}
 		w.phase = syncPhaseClock
 	}
-	c.SpinFor(w.poll)
-	if w.poll < w.pollCap {
-		w.poll *= 2
-	}
+	w.spin.Wait(c)
 	return false
 }
 

@@ -1,19 +1,22 @@
-package htm
+package htm_test
 
 import (
 	"testing"
 
+	"hrwle/internal/core"
+	"hrwle/internal/htm"
 	"hrwle/internal/machine"
+	"hrwle/internal/rcu"
 	"hrwle/internal/stats"
 )
 
 // allocSys builds a one-CPU machine plus HTM thread and a 64-word line for
 // the alloc probes, and warms every lazily-grown structure (write-set
 // tables, abort signal) so steady-state measurements start clean.
-func allocSys(t *testing.T) (*machine.Machine, *Thread, machine.Addr) {
+func allocSys(t *testing.T) (*machine.Machine, *htm.Thread, machine.Addr) {
 	t.Helper()
 	m := machine.New(machine.Config{CPUs: 1, MemWords: 1 << 16})
-	sys := NewSystem(m, Config{})
+	sys := htm.NewSystem(m, htm.Config{})
 	th := sys.Thread(0)
 	var base machine.Addr
 	m.Run(1, func(c *machine.CPU) {
@@ -83,7 +86,7 @@ func TestFastPathsDoNotAllocate(t *testing.T) {
 // every measured transaction is doomed and aborts at commit.
 func TestConflictAbortDoesNotAllocate(t *testing.T) {
 	m := machine.New(machine.Config{CPUs: 2, MemWords: 1 << 16})
-	sys := NewSystem(m, Config{})
+	sys := htm.NewSystem(m, htm.Config{})
 	var base machine.Addr
 	m.Run(1, func(c *machine.CPU) { base = c.AllocAligned(64) })
 	done := false
@@ -127,5 +130,23 @@ func TestROTPathDoesNotAllocate(t *testing.T) {
 				}
 			})
 		})
+	})
+}
+
+// TestQuiescenceDoesNotAllocate pins the reader-clock scans of RW-LE_basic's
+// writer and of RCU's grace period at zero host allocations: both take the
+// thread's reusable snapshot buffer (ScanBuffer), as RW-LE's scan does.
+func TestQuiescenceDoesNotAllocate(t *testing.T) {
+	m := machine.New(machine.Config{CPUs: 2, MemWords: 1 << 16})
+	sys := htm.NewSystem(m, htm.Config{})
+	basic := core.NewBasic(sys)
+	d := rcu.NewDomain(m)
+	m.Run(1, func(c *machine.CPU) {
+		th := sys.Thread(0)
+		write := func() { basic.Write(th, func() {}) }
+		grace := func() { d.Synchronize(th) }
+		write() // warm the scan buffer
+		assertZeroAllocs(t, "basic write quiescence", write)
+		assertZeroAllocs(t, "rcu synchronize", grace)
 	})
 }

@@ -120,13 +120,13 @@ type System struct {
 	Cfg     Config
 	threads []*Thread
 
-	// traceAccesses gates EvRead/EvWrite emission from Thread.Load,
-	// LoadStream and Store. Default event streams deliberately omit
-	// HTM-level data accesses (they would dominate every trace and golden
-	// fingerprint); the simsan race sanitizer needs them, so it flips this
-	// on for sanitized runs only. Emission charges no virtual time, so
+	// accesses receives the threads' HTM-level data accesses (EvRead,
+	// EvWrite, EvAlloc, EvFree), when set. They bypass the machine's
+	// tracer: they would dominate every trace and golden fingerprint, and
+	// only the simsan race sanitizer needs them, so it alone receives them,
+	// in sanitized runs only. Emission charges no virtual time, so
 	// sim_cycles are identical either way.
-	traceAccesses bool
+	accesses machine.Tracer
 }
 
 // NewSystem wraps a machine with HTM support.
@@ -143,11 +143,13 @@ func NewSystem(m *machine.Machine, cfg Config) *System {
 // Thread returns the HTM thread bound to CPU id.
 func (s *System) Thread(id int) *Thread { return s.threads[id] }
 
-// SetTraceAccesses enables (or disables) EvRead/EvWrite emission from
-// Thread.Load/LoadStream/Store, so a tracer sees every HTM-level data
-// access. Off by default: the extra events change no timing but would
-// change every recorded event stream, so only sanitized runs enable it.
-func (s *System) SetTraceAccesses(on bool) { s.traceAccesses = on }
+// SetAccessSink sends every HTM-level data access to sink (nil: to no
+// one): EvRead from Thread.Load and LoadStream, EvWrite from Store, EvAlloc
+// and EvFree from the allocator calls. Each is stamped like a
+// machine.CPU.Emit and delivered at the same moment, so a sink that is also
+// on the machine's tracer chain sees one interleaved stream; no other
+// observer sees the accesses, and they change no timing.
+func (s *System) SetAccessSink(sink machine.Tracer) { s.accesses = sink }
 
 // Threads returns all HTM threads.
 func (s *System) Threads() []*Thread { return s.threads }
@@ -187,6 +189,8 @@ type Thread struct {
 	// installing them in the machine never allocates.
 	ww  wordWait
 	tas tatasWait
+	// scan is the reusable quiescence-scan buffer of ScanBuffer.
+	scan []uint64
 }
 
 func newThread(s *System, c *machine.CPU) *Thread {

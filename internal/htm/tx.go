@@ -129,9 +129,7 @@ func (t *Thread) Try(rot bool, fn func()) (status Status) {
 func (t *Thread) Load(a machine.Addr) uint64 {
 	t.C.AccessRead(a)
 	v := t.loadData(a)
-	if t.sys.traceAccesses {
-		t.C.Emit(machine.EvRead, a, v)
-	}
+	t.access(machine.EvRead, a, v)
 	return v
 }
 
@@ -142,9 +140,7 @@ func (t *Thread) Load(a machine.Addr) uint64 {
 func (t *Thread) LoadStream(a machine.Addr) uint64 {
 	t.C.AccessReadStream(a)
 	v := t.loadData(a)
-	if t.sys.traceAccesses {
-		t.C.Emit(machine.EvRead, a, v)
-	}
+	t.access(machine.EvRead, a, v)
 	return v
 }
 
@@ -201,9 +197,7 @@ func (t *Thread) Store(a machine.Addr, v uint64) {
 	if t.mode == ModeNone || t.suspended {
 		t.doomAllNonTx(line, a)
 		m.Poke(a, v)
-		if t.sys.traceAccesses {
-			t.C.Emit(machine.EvWrite, a, v)
-		}
+		t.access(machine.EvWrite, a, v)
 		return
 	}
 
@@ -227,9 +221,7 @@ func (t *Thread) Store(a machine.Addr, v uint64) {
 		t.writeLines = append(t.writeLines, line)
 	}
 	t.ws.put(a, v)
-	if t.sys.traceAccesses {
-		t.C.Emit(machine.EvWrite, a, v)
-	}
+	t.access(machine.EvWrite, a, v)
 }
 
 // CAS performs a non-transactional compare-and-swap (usable only outside
@@ -250,16 +242,14 @@ func (t *Thread) CAS(a machine.Addr, old, new uint64) bool {
 // critical section body (aborts would leak or double-use the block) —
 // prepare blocks before entering and release them after committing.
 //
-// While per-access tracing is on, allocation and release emit
-// EvAlloc/EvFree so the race sanitizer can model the allocator's internal
-// synchronization: a thread recycling a block and the thread that next
+// While an access sink is set (System.SetAccessSink), allocation and
+// release send it EvAlloc/EvFree so the race sanitizer can model the
+// allocator's internal synchronization: a thread recycling a block and the thread that next
 // allocates it are ordered through the free list even though they share no
 // lock word.
 func (t *Thread) Alloc(n int64) machine.Addr {
 	a := t.C.Alloc(n)
-	if t.sys.traceAccesses {
-		t.C.Emit(machine.EvAlloc, a, uint64(n))
-	}
+	t.access(machine.EvAlloc, a, uint64(n))
 	return a
 }
 
@@ -267,27 +257,35 @@ func (t *Thread) Alloc(n int64) machine.Addr {
 // the speculation caveat.
 func (t *Thread) AllocAligned(n int64) machine.Addr {
 	a := t.C.AllocAligned(n)
-	if t.sys.traceAccesses {
-		t.C.Emit(machine.EvAlloc, a, uint64(n))
-	}
+	t.access(machine.EvAlloc, a, uint64(n))
 	return a
 }
 
 // Free releases a block from Alloc. See Alloc for the speculation caveat.
 func (t *Thread) Free(a machine.Addr, n int64) {
-	if t.sys.traceAccesses {
-		t.C.Emit(machine.EvFree, a, uint64(n))
-	}
+	t.access(machine.EvFree, a, uint64(n))
 	t.C.Free(a, n)
 }
 
 // FreeAligned releases a block from AllocAligned. See Alloc for the
 // speculation caveat.
 func (t *Thread) FreeAligned(a machine.Addr, n int64) {
-	if t.sys.traceAccesses {
-		t.C.Emit(machine.EvFree, a, uint64(n))
-	}
+	t.access(machine.EvFree, a, uint64(n))
 	t.C.FreeAligned(a, n)
+}
+
+// access sends one data-access event to the system's access sink, if any,
+// stamped like machine.CPU.Emit. The check inlines into the access paths;
+// only sanitized runs pay for the call.
+func (t *Thread) access(kind machine.EventKind, a machine.Addr, aux uint64) {
+	if t.sys.accesses != nil {
+		t.sendAccess(kind, a, aux)
+	}
+}
+
+//go:noinline
+func (t *Thread) sendAccess(kind machine.EventKind, a machine.Addr, aux uint64) {
+	t.sys.accesses.Event(machine.Event{Time: t.C.Now(), CPU: t.C.ID, Kind: kind, Addr: a, Aux: aux})
 }
 
 // doomAllNonTx dooms the writer and all readers of line due to a

@@ -64,7 +64,7 @@ type prwlWait struct {
 	seen      machine.Addr
 	ver       uint64
 	seenPhase bool
-	poll      int
+	spin      htm.Spin
 }
 
 // Step implements machine.Waiter.
@@ -74,10 +74,7 @@ func (w *prwlWait) Step(c *machine.CPU) bool {
 		if w.t.Load(w.seen) >= w.ver {
 			return true
 		}
-		c.SpinFor(w.poll)
-		if w.poll < 16 {
-			w.poll *= 2
-		}
+		w.spin.Wait(c)
 		return false
 	}
 	if w.t.LoadStream(w.active) != 1 {
@@ -95,7 +92,7 @@ func (l *PRWL) status(i int) machine.Addr { return l.statuses + machine.Addr(i)*
 // Read implements rwlock.Lock: the passive fast path writes only the
 // thread's own status line.
 func (l *PRWL) Read(t *htm.Thread, cs func()) {
-	t.St.ReadCS++
+	t.BeginCS(false)
 	st := l.status(t.C.ID)
 	for {
 		t.Store(st+prwlActive, 1)
@@ -105,25 +102,19 @@ func (l *PRWL) Read(t *htm.Thread, cs func()) {
 		}
 		// A writer is inside: step back and wait for it to finish.
 		t.Store(st+prwlActive, 0)
-		poll := 1
-		for t.Load(l.wactive) != 0 {
-			t.C.SpinFor(poll)
-			if poll < 32 {
-				poll *= 2
-			}
-		}
+		t.AwaitWord(l.wactive, ^uint64(0), 0, true, 32)
 	}
 	cs()
 	// Leave and report the version we are current with.
 	t.Store(st+prwlSeen, t.Load(l.version))
 	t.Store(st+prwlActive, 0)
-	t.St.Commits[stats.CommitUninstrumented]++
+	t.EndCS(false, stats.CommitUninstrumented, 0)
 }
 
 // Write implements rwlock.Lock: version-based consensus with every reader.
 func (l *PRWL) Write(t *htm.Thread, cs func()) {
-	t.St.WriteCS++
-	spinAcquire(t, l.wmutex)
+	t.BeginCS(true)
+	t.AwaitAcquire(l.wmutex, 8)
 	ver := t.Load(l.version) + 1
 	t.Store(l.version, ver)
 	t.Store(l.wactive, 1)
@@ -136,11 +127,11 @@ func (l *PRWL) Write(t *htm.Thread, cs func()) {
 			continue
 		}
 		w := &l.waits[t.C.ID]
-		*w = prwlWait{t: t, active: l.status(i) + prwlActive, seen: l.status(i) + prwlSeen, ver: ver, poll: 1}
+		*w = prwlWait{t: t, active: l.status(i) + prwlActive, seen: l.status(i) + prwlSeen, ver: ver, spin: htm.Poll(16)}
 		t.C.Await(w)
 	}
 	cs()
 	t.Store(l.wactive, 0)
 	spinRelease(t, l.wmutex)
-	t.St.Commits[stats.CommitSGL]++
+	t.EndCS(true, stats.CommitSGL, 0)
 }

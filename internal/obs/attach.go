@@ -30,8 +30,10 @@ type Observers struct {
 // Install builds the observers a selects and installs them on m for a
 // run on cpus CPUs, chained after m's tracer and late (each when
 // non-nil). It starts the profiler, with per-class series for classes
-// request classes, and turns on sys's per-access events for the
-// sanitizer. Call it right before m.Run, and Finish right after.
+// request classes, and sends sys's per-access events to the sanitizer
+// alone: no other observer sees them, so attaching the sanitizer changes
+// no other observer's output. Call it right before m.Run, and Finish
+// right after.
 func (a Attach) Install(m *machine.Machine, sys *htm.System, cpus, classes int, late machine.Tracer) *Observers {
 	o := &Observers{}
 	var chain machine.MultiTracer
@@ -55,7 +57,7 @@ func (a Attach) Install(m *machine.Machine, sys *htm.System, cpus, classes int, 
 	}
 	if a.Sanitize {
 		o.san = simsan.New(simsan.Options{CPUs: cpus})
-		sys.SetTraceAccesses(true)
+		sys.SetAccessSink(o.san)
 		chain = append(chain, o.san)
 	}
 	switch len(chain) {

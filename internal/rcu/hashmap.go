@@ -74,7 +74,7 @@ func (h *Map) Lookup(t *htm.Thread, key uint64) (val uint64, ok bool) {
 // after a grace period. This is exactly the tailored surgery the paper
 // says RCU demands of every data structure.
 func (h *Map) Insert(t *htm.Thread, key, value uint64) {
-	t.St.WriteCS++
+	t.BeginCS(true)
 	h.d.UpdateLock(t)
 	var retired machine.Addr
 
@@ -115,13 +115,13 @@ func (h *Map) Insert(t *htm.Thread, key, value uint64) {
 		h.d.Synchronize(t)
 		t.FreeAligned(retired, nodeWords)
 	}
-	t.St.Commits[stats.CommitSGL]++
+	t.EndCS(true, stats.CommitSGL, 0)
 }
 
 // Remove unlinks key; the node is reclaimed only after a grace period, so
 // concurrent readers still traversing through it stay safe.
 func (h *Map) Remove(t *htm.Thread, key uint64) bool {
-	t.St.WriteCS++
+	t.BeginCS(true)
 	h.d.UpdateLock(t)
 	ba := h.bucketAddr(key)
 	prev := machine.Addr(0)
@@ -143,13 +143,12 @@ func (h *Map) Remove(t *htm.Thread, key uint64) bool {
 		n = t.Load(a + offNext)
 	}
 	h.d.UpdateUnlock(t)
-	t.St.Commits[stats.CommitSGL]++
-	if victim == 0 {
-		return false
+	if victim != 0 {
+		h.d.Synchronize(t)
+		t.FreeAligned(victim, nodeWords)
 	}
-	h.d.Synchronize(t)
-	t.FreeAligned(victim, nodeWords)
-	return true
+	t.EndCS(true, stats.CommitSGL, 0)
+	return victim != 0
 }
 
 // Snapshot walks the map raw (tests only).

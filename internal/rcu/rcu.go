@@ -58,11 +58,11 @@ func (d *Domain) ReadUnlock(t *htm.Thread) {
 // Read runs cs as an RCU read-side critical section and accounts it as an
 // uninstrumented commit (the fair comparison to RW-LE's readers).
 func (d *Domain) Read(t *htm.Thread, cs func()) {
-	t.St.ReadCS++
+	t.BeginCS(false)
 	d.ReadLock(t)
 	cs()
 	d.ReadUnlock(t)
-	t.St.Commits[stats.CommitUninstrumented]++
+	t.EndCS(false, stats.CommitUninstrumented, 0)
 }
 
 // UpdateLock serializes updaters (RCU's external update-side lock).
@@ -76,7 +76,7 @@ func (d *Domain) UpdateUnlock(t *htm.Thread) { t.Store(d.updMutex, 0) }
 // Synchronize waits for a grace period: every reader inside a critical
 // section at the time of the call has left it (synchronize_rcu).
 func (d *Domain) Synchronize(t *htm.Thread) {
-	snap := make([]uint64, d.nthreads)
+	snap := t.ScanBuffer(d.nthreads)
 	for i := 0; i < d.nthreads; i++ {
 		snap[i] = t.LoadStream(d.clockAddr(i))
 	}

@@ -5,6 +5,8 @@ import (
 
 	"hrwle/internal/htm"
 	"hrwle/internal/machine"
+	"hrwle/internal/obs"
+	"hrwle/internal/stats"
 )
 
 func newSys(cpus int, seed uint64) (*htm.System, *Domain) {
@@ -161,5 +163,61 @@ func TestMapConcurrentRemoveInsertChurn(t *testing.T) {
 		if k >= 16 {
 			t.Errorf("foreign key %d in map", k)
 		}
+	}
+}
+
+// TestMapSectionsAreSpans: every Lookup, Insert and Remove is one critical
+// section span. For each (side, path) the Collector's spans equal the
+// commits the operations added to the stats counters, ReadCS and WriteCS
+// count them, and cs-begin equals cs-end.
+func TestMapSectionsAreSpans(t *testing.T) {
+	const threads = 4
+	sys, d := newSys(threads, 6)
+	h := NewMap(sys.M, d, 2)
+	h.Populate(8)
+	col := obs.NewCollector()
+	sys.M.SetTracer(col)
+	var want [2][stats.NumCommitPaths]int64
+	sys.M.Run(threads, func(c *machine.CPU) {
+		th := sys.Thread(c.ID)
+		for i := 0; i < 60; i++ {
+			key := uint64(c.Intn(16))
+			before, side := th.St.Commits, 1
+			switch c.Intn(3) {
+			case 0:
+				h.Insert(th, key, key+1)
+			case 1:
+				h.Remove(th, key)
+			default:
+				h.Lookup(th, key)
+				side = 0
+			}
+			for p := range before {
+				want[side][p] += th.St.Commits[p] - before[p]
+			}
+		}
+	})
+	var spans [2][stats.NumCommitPaths]int64
+	for _, sp := range col.Spans() {
+		side := 0
+		if sp.Side == "write" {
+			side = 1
+		}
+		for p := 0; p < stats.NumCommitPaths; p++ {
+			if stats.CommitPath(p).String() == sp.Path {
+				spans[side][p] = sp.Count
+			}
+		}
+	}
+	if spans != want {
+		t.Errorf("spans per (side, path) %v, want the counted commits %v", spans, want)
+	}
+	b := stats.Merge(sys.Stats(threads), 0)
+	n := b.ReadCS + b.WriteCS
+	if b.ReadCS != want[0][stats.CommitUninstrumented] || b.WriteCS != want[1][stats.CommitSGL] {
+		t.Errorf("ReadCS/WriteCS = %d/%d, want %v", b.ReadCS, b.WriteCS, want)
+	}
+	if begin, end := col.Counts[machine.EvCSBegin], col.Counts[machine.EvCSEnd]; begin != n || end != n {
+		t.Errorf("cs-begin %d, cs-end %d, want %d each", begin, end, n)
 	}
 }

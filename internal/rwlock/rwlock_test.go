@@ -6,13 +6,17 @@ import (
 	"hrwle/internal/harness"
 	"hrwle/internal/htm"
 	"hrwle/internal/machine"
+	"hrwle/internal/obs"
 	"hrwle/internal/rwlock"
+	"hrwle/internal/stats"
 )
 
 // TestFactoryContract instantiates every scheme-table entry on a fresh system and
 // checks the rwlock.Lock contract: a non-empty stable Name matching the
-// scheme, and Read/Write sections that run their bodies with mutual
-// exclusion effects visible afterwards.
+// scheme, Read/Write sections that run their bodies with mutual
+// exclusion effects visible afterwards, and one span per counted section:
+// for each (side, path) the Collector's spans equal the commits those
+// sections added to the stats counters, and cs-begin equals cs-end.
 func TestFactoryContract(t *testing.T) {
 	for _, name := range harness.TableSchemes() {
 		t.Run(name, func(t *testing.T) {
@@ -42,19 +46,27 @@ func TestFactoryContract(t *testing.T) {
 			const opsPer = 8
 			ctr := m.AllocRawAligned(1)
 			reads := make([]uint64, threads)
+			col := obs.NewCollector()
+			m.SetTracer(col)
+			var want sectionTally
 			m.Run(threads, func(c *machine.CPU) {
 				th := sys.Thread(c.ID)
 				for op := 0; op < opsPer; op++ {
-					lk.Write(th, func() {
-						th.Store(ctr, th.Load(ctr)+1)
+					want.Run(th, true, func() {
+						lk.Write(th, func() {
+							th.Store(ctr, th.Load(ctr)+1)
+						})
 					})
 					var v uint64
-					lk.Read(th, func() {
-						v = th.Load(ctr)
+					want.Run(th, false, func() {
+						lk.Read(th, func() {
+							v = th.Load(ctr)
+						})
 					})
 					reads[c.ID] = v
 				}
 			})
+			want.Check(t, col, sys.Stats(threads))
 
 			if got := m.Peek(ctr); got != threads*opsPer {
 				t.Errorf("counter = %d after %d write sections (lost updates)", got, threads*opsPer)
@@ -65,6 +77,60 @@ func TestFactoryContract(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// sectionTally counts, per (side, commit path), the commits a run's
+// critical sections add to their threads' stats counters.
+type sectionTally [2][stats.NumCommitPaths]int64
+
+// Run runs section, one critical section on side write, and tallies the
+// commits it adds to th's counters.
+func (s *sectionTally) Run(th *htm.Thread, write bool, section func()) {
+	before := th.St.Commits
+	section()
+	side := 0
+	if write {
+		side = 1
+	}
+	for p := range before {
+		s[side][p] += th.St.Commits[p] - before[p]
+	}
+}
+
+// Check requires col to hold exactly one span per tallied commit, for each
+// (side, path), the side counters of sts to count them all, and every
+// cs-begin to have its cs-end.
+func (s *sectionTally) Check(t *testing.T, col *obs.Collector, sts []*stats.Thread) {
+	t.Helper()
+	var spans sectionTally
+	for _, sp := range col.Spans() {
+		side := 0
+		if sp.Side == "write" {
+			side = 1
+		}
+		for p := 0; p < stats.NumCommitPaths; p++ {
+			if stats.CommitPath(p).String() == sp.Path {
+				spans[side][p] = sp.Count
+			}
+		}
+	}
+	if spans != *s {
+		t.Errorf("spans per (side, path) %v, want the counted commits %v", spans, *s)
+	}
+	b := stats.Merge(sts, 0)
+	var sides [2]int64
+	for side := range s {
+		for _, n := range s[side] {
+			sides[side] += n
+		}
+	}
+	if b.ReadCS != sides[0] || b.WriteCS != sides[1] {
+		t.Errorf("ReadCS/WriteCS = %d/%d, want %d/%d", b.ReadCS, b.WriteCS, sides[0], sides[1])
+	}
+	begin, end := col.Counts[machine.EvCSBegin], col.Counts[machine.EvCSEnd]
+	if begin != end || begin != sides[0]+sides[1] {
+		t.Errorf("cs-begin %d, cs-end %d, want %d each", begin, end, sides[0]+sides[1])
 	}
 }
 

@@ -95,8 +95,8 @@ type Options struct {
 
 // Sanitizer buffers one execution's event stream for race analysis. Attach
 // it with machine.SetTracer (composing with any other tracer through
-// machine.MultiTracer) and enable htm-level access events with
-// htm.System.SetTraceAccesses(true); call Finish after the run.
+// machine.MultiTracer) and make it the htm-level access sink with
+// htm.System.SetAccessSink; call Finish after the run.
 type Sanitizer struct {
 	opt    Options
 	events []machine.Event

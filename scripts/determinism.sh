@@ -45,6 +45,11 @@ gate() {
 gate point hrwle-bench -fig fig5 -scale 0.02 -schemes RW-LE_PES -threads 4 \
 	-writes 10 -q -events 120 -matrix -hist -metrics-dir @OUT@/metrics \
 	-chrome @OUT@/chrome.json -timeline @OUT@/timeline.json
+# A PRWL point: its critical-section spans, lock waits and cycle
+# attribution come from the shared section bracket and waits.
+gate point-prwl hrwle-bench -fig ext-prwl -scale 0.02 -schemes PRWL -threads 4 \
+	-writes 50 -q -hist -metrics-dir @OUT@/metrics \
+	-chrome @OUT@/chrome.json -timeline @OUT@/timeline.json
 # The race sanitizer on a clean figure point.
 gate point-sanitize hrwle-bench -fig fig5 -scale 0.02 -schemes RW-LE_OPT \
 	-threads 4 -writes 10 -sanitize -q -o @OUT@/san.txt

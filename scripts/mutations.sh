@@ -275,17 +275,16 @@ catalogue() {
 	row shard-reserve-order 'shard256/adaptive diverged' \
 		internal/shard/shard.go $'\td.acquireExcl(c, lo)\n\td.acquireExcl(c, hi)\n' $'\td.acquireExcl(c, s1)\n\td.acquireExcl(c, s2)\n' \
 		-- go test ./internal/enginediff -run TestEngineEquivalence
-	# RW-LE's HTM write commit returns without closing its critical-section
-	# span: the trace carries a CSBegin with no CSEnd.
+	# The critical-section bracket closes no span for a section that
+	# commits in hardware: the trace carries a cs-begin with no cs-end.
 	row cs-end-drop 'diverged' \
-		internal/core/rwle.go $'\t\t\t\tl.recordAdapt(htmTried, true)\n\t\t\t\tdone(stats.CommitHTM)\n' $'\t\t\t\tl.recordAdapt(htmTried, true)\n' \
+		internal/htm/section.go $'\tt.C.Emit(machine.EvCSEnd, 0, machine.PackCS(write, uint64(path), retries))\n' $'\tif path != stats.CommitHTM {\n\t\tt.C.Emit(machine.EvCSEnd, 0, machine.PackCS(write, uint64(path), retries))\n\t}\n' \
 		-- go test ./internal/enginediff -run TestEngineEquivalence
-	# The writer's quiescence window closed by straight-line code instead of
-	# a defer: synchronize runs inside writeROT's transaction, and an abort
-	# that unwinds mid-scan skips the EvQuiesceEnd.
+	# The quiescence bracket closes its window by straight-line code after
+	# the scan instead of a defer: RW-LE's synchronize runs inside writeROT's
+	# transaction, and an abort that unwinds mid-scan skips the EvQuiesceEnd.
 	row quiesce-end-undeferred 'diverged' \
-		internal/core/rwle.go $'\tdefer func() {\n\t\tt.St.QuiesceWait += t.C.Now() - start\n\t\tt.C.Emit(machine.EvQuiesceEnd, 0, uint64(t.C.Now()-start))\n\t}()\n' '' \
-		internal/core/rwle.go $'\t\t\tif w.doomed {\n\t\t\t\treturn\n\t\t\t}\n\t\t}\n\t}\n}\n' $'\t\t\tif w.doomed {\n\t\t\t\tt.St.QuiesceWait += t.C.Now() - start\n\t\t\t\tt.C.Emit(machine.EvQuiesceEnd, 0, uint64(t.C.Now()-start))\n\t\t\t\treturn\n\t\t\t}\n\t\t}\n\t}\n\tt.St.QuiesceWait += t.C.Now() - start\n\tt.C.Emit(machine.EvQuiesceEnd, 0, uint64(t.C.Now()-start))\n}\n' \
+		internal/htm/section.go $'\tdefer func() {\n\t\tt.St.QuiesceWait += t.C.Now() - start\n\t\tt.C.Emit(machine.EvQuiesceEnd, 0, uint64(t.C.Now()-start))\n\t}()\n\tscan()\n' $'\tscan()\n\tt.St.QuiesceWait += t.C.Now() - start\n\tt.C.Emit(machine.EvQuiesceEnd, 0, uint64(t.C.Now()-start))\n' \
 		-- go test ./internal/enginediff -run TestEngineEquivalence
 	# A heap allocation on every HTM commit.
 	row hot-alloc 'allocs/op' \
