@@ -24,38 +24,24 @@ const basicWatchdogLimit = 64
 // it exists for exposition and testing; use RWLE (Algorithm 2) for real
 // workloads.
 type Basic struct {
-	sys      *htm.System
-	nthreads int
-	wlock    machine.Addr
-	clocks   machine.Addr
-	lineW    machine.Addr
+	wlock  machine.Addr
+	clocks htm.Clocks
 }
 
 // NewBasic creates an Algorithm 1 lock.
 func NewBasic(sys *htm.System) *Basic {
-	m := sys.M
-	return &Basic{
-		sys:      sys,
-		nthreads: m.Cfg.CPUs,
-		wlock:    m.AllocRawAligned(1),
-		clocks:   m.AllocRawAligned(int64(m.Cfg.CPUs) * m.Cfg.LineWords),
-		lineW:    machine.Addr(m.Cfg.LineWords),
-	}
+	return &Basic{wlock: sys.M.AllocRawAligned(1), clocks: htm.NewClocks(sys.M)}
 }
 
 // Name implements rwlock.Lock.
 func (l *Basic) Name() string { return "RW-LE_basic" }
 
-func (l *Basic) clockAddr(id int) machine.Addr { return l.clocks + machine.Addr(id)*l.lineW }
-
 // Read implements rwlock.Lock (Algorithm 1, RWLE_READ_LOCK/UNLOCK).
 func (l *Basic) Read(t *htm.Thread, cs func()) {
 	t.BeginCS(false)
-	ca := l.clockAddr(t.C.ID)
-	t.Store(ca, t.Load(ca)+1) // enter critical section
-	t.C.Fence()               // make sure writers see reader
+	l.clocks.Enter(t)
 	cs()
-	t.Store(ca, t.Load(ca)+1) // exit critical section
+	l.clocks.Exit(t)
 	t.EndCS(false, stats.CommitUninstrumented, 0)
 }
 
@@ -68,7 +54,7 @@ func (l *Basic) Write(t *htm.Thread, cs func()) {
 	var retries uint64
 	persistentRun := 0
 	for {
-		t.AwaitAcquire(l.wlock, 8)
+		t.AwaitAcquire(l.wlock, htm.Backoff(8))
 		released := false
 		st := t.Try(false, func() {
 			cs()
@@ -77,7 +63,7 @@ func (l *Basic) Write(t *htm.Thread, cs func()) {
 			// worst trigger an abort of the suspended transaction.
 			t.Store(l.wlock, 0)
 			released = true
-			l.synchronize(t)
+			l.clocks.Drain(t) // the quiescence loop
 			t.Resume()
 		})
 		if st.OK {
@@ -106,25 +92,4 @@ func (l *Basic) Write(t *htm.Thread, cs func()) {
 			persistentRun = 0
 		}
 	}
-}
-
-// synchronize is the Algorithm 1 quiescence loop, as one quiescence
-// window: snapshot all reader clocks, then wait for every odd one to
-// change.
-func (l *Basic) synchronize(t *htm.Thread) {
-	t.Quiesce(func() {
-		snap := t.ScanBuffer(l.nthreads)
-		for i := 0; i < l.nthreads; i++ {
-			snap[i] = t.LoadStream(l.clockAddr(i))
-		}
-		for i := 0; i < l.nthreads; i++ {
-			if snap[i]&1 == 0 {
-				continue
-			}
-			s := htm.Poll(32)
-			for t.Load(l.clockAddr(i)) == snap[i] {
-				s.Wait(t.C)
-			}
-		}
-	})
 }

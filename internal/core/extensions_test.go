@@ -27,7 +27,7 @@ func TestReadNesting(t *testing.T) {
 		t.Errorf("nested reads got %d/%d", inner, innermost)
 	}
 	// The clock must be even (fully exited) afterwards.
-	if clk := sys.M.Peek(lock.clockAddr(0)); clk%2 != 0 {
+	if clk := sys.M.Peek(lock.clocks.Addr(0)); clk%2 != 0 {
 		t.Errorf("clock left odd after nested reads: %d", clk)
 	}
 }

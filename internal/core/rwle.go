@@ -104,7 +104,7 @@ type RWLE struct {
 	nthreads int
 	wlock    machine.Addr // global lock word (state + version)
 	rotLock  machine.Addr // separate ROT lock when SplitLocks
-	clocks   machine.Addr // per-thread clock lines
+	clocks   htm.Clocks   // per-thread reader clocks
 	local    machine.Addr // per-thread local lock copies (fair variant)
 	lineW    machine.Addr
 
@@ -119,10 +119,9 @@ type RWLE struct {
 	// copied at construction.
 	skipROTQuiesce, lazySubscription bool
 
-	// acqWaits[i] and syncWaits[i] are thread i's reusable engine-stepped
-	// waiters for lock acquisition and quiescence scans — host-side state,
-	// owned by the running thread like nesting.
-	acqWaits  []acqWait
+	// syncWaits[i] is thread i's reusable engine-stepped waiter for
+	// quiescence scans — host-side state, owned by the running thread like
+	// nesting.
 	syncWaits []syncWait
 }
 
@@ -154,7 +153,7 @@ func New(sys *htm.System, opts Options) *RWLE {
 	if opts.SplitLocks {
 		l.rotLock = m.AllocRawAligned(1)
 	}
-	l.clocks = m.AllocRawAligned(int64(l.nthreads) * m.Cfg.LineWords)
+	l.clocks = htm.NewClocks(m)
 	if opts.Fair {
 		l.local = m.AllocRawAligned(int64(l.nthreads) * m.Cfg.LineWords)
 	}
@@ -162,7 +161,6 @@ func New(sys *htm.System, opts Options) *RWLE {
 	if opts.Adaptive {
 		l.adapt = newAdaptiveController()
 	}
-	l.acqWaits = make([]acqWait, l.nthreads)
 	l.syncWaits = make([]syncWait, l.nthreads)
 	return l
 }
@@ -186,7 +184,6 @@ func (l *RWLE) AdaptiveState() (budget, winRate10 int, ok bool) {
 	return l.adapt.Budget(), l.adapt.WinRate10(), true
 }
 
-func (l *RWLE) clockAddr(id int) machine.Addr { return l.clocks + machine.Addr(id)*l.lineW }
 func (l *RWLE) localAddr(id int) machine.Addr { return l.local + machine.Addr(id)*l.lineW }
 
 // Read executes cs as a read-side critical section: no lock acquisition,
@@ -217,24 +214,20 @@ func (l *RWLE) Read(t *htm.Thread, cs func()) {
 	cs()
 	ns.depth = 0
 	// RWLE_READ_UNLOCK: leave the critical section (clock becomes even).
-	ca := l.clockAddr(t.C.ID)
-	t.Store(ca, t.Load(ca)+1)
+	l.clocks.Exit(t)
 	t.EndCS(false, stats.CommitUninstrumented, 0)
 }
 
 func (l *RWLE) readLock(t *htm.Thread) {
-	ca := l.clockAddr(t.C.ID)
 	for {
-		clk := t.Load(ca)
-		t.Store(ca, clk+1) // enter: odd
-		t.C.Fence()        // make sure writers see the reader
+		clk := l.clocks.Enter(t) // enter: odd, fenced so writers see the reader
 		if state(t.Load(l.wlock)) != lockNS {
 			return
 		}
 		// A non-speculative writer is (or just went) active: defer to it
 		// and retry (paper lines 14-16).
-		t.Store(ca, clk+2)
-		t.AwaitWord(l.wlock, stateMask, lockNS, false, 32)
+		t.Store(l.clocks.Addr(t.C.ID), clk+2)
+		t.AwaitWord(l.wlock, stateMask, lockNS, false, htm.Poll(32))
 	}
 }
 
@@ -242,11 +235,8 @@ func (l *RWLE) readLock(t *htm.Thread) {
 // it entered under and, if the lock is busy, waits only for the *current*
 // owner — it cannot be overtaken by a stream of later writers.
 func (l *RWLE) readLockFair(t *htm.Thread) {
-	ca := l.clockAddr(t.C.ID)
 	la := l.localAddr(t.C.ID)
-	clk := t.Load(ca)
-	t.Store(ca, clk+1) // enter: odd
-	t.C.Fence()
+	l.clocks.Enter(t) // enter: odd
 	v := t.Load(l.wlock)
 	t.Store(la, v) // publish the version we entered under
 	t.C.Fence()
@@ -258,7 +248,7 @@ func (l *RWLE) readLockFair(t *htm.Thread) {
 	// writer, so entering afterwards is safe. The lock word holds nothing
 	// but version and state, so "same state and same version" is exactly
 	// "word still equals v".
-	t.AwaitWord(l.wlock, ^uint64(0), v, false, 8)
+	t.AwaitWord(l.wlock, ^uint64(0), v, false, htm.Poll(8))
 }
 
 // Write executes cs as a write-side critical section, attempting the HTM,
@@ -344,7 +334,7 @@ func (l *RWLE) recordAdapt(htmTried, htmWon bool) {
 // quiesce readers, resume, commit (paper lines 41-46 and 68-72).
 func (l *RWLE) writeHTM(t *htm.Thread, cs func()) htm.Status {
 	// Let non-HTM writers finish before starting speculation (line 42).
-	t.AwaitWordBackoff(l.wlock, stateMask, lockFree, true, htm.Backoff(8))
+	t.AwaitWord(l.wlock, stateMask, lockFree, true, htm.Backoff(8))
 	return t.Try(false, func() {
 		if !l.lazySubscription {
 			if state(t.Load(l.wlock)) != lockFree { // subscribe (line 44)
@@ -437,45 +427,7 @@ func (l *RWLE) writeNS(t *htm.Thread, cs func()) {
 // it to skip readers that entered later; others carry it harmlessly). The
 // loop runs as an engine-stepped wait.
 func (l *RWLE) acquire(t *htm.Thread, word machine.Addr, to uint64) uint64 {
-	w := &l.acqWaits[t.C.ID]
-	*w = acqWait{t: t, word: word, to: to, spin: htm.Backoff(8)}
-	t.Await(word, w)
-	return w.ver
-}
-
-// acqWait is the version-bumping lock acquisition as a waiter: the load and
-// the CAS of one attempt are separate steps, with htm's randomized backoff
-// after a busy load or a lost CAS.
-type acqWait struct {
-	t      *htm.Thread
-	word   machine.Addr
-	to     uint64
-	v      uint64 // value observed free, the CAS's expected operand
-	ver    uint64 // result: the version installed
-	casing bool
-	spin   htm.Spin
-}
-
-// Step implements machine.Waiter.
-func (w *acqWait) Step(c *machine.CPU) bool {
-	t := w.t
-	if w.casing {
-		w.casing = false
-		next := version(w.v) + 1
-		if t.CAS(w.word, w.v, next<<verShift|w.to) {
-			w.ver = next
-			return true
-		}
-	} else {
-		v := t.Load(w.word)
-		if state(v) == lockFree {
-			w.v = v
-			w.casing = true
-			return false
-		}
-	}
-	w.spin.Wait(c)
-	return false
+	return version(t.AwaitLock(word, stateMask, 1<<verShift, to, htm.Backoff(8)))
 }
 
 // noVerFilter disables version filtering in synchronize: every in-flight
@@ -510,16 +462,12 @@ func (l *RWLE) synchronize(t *htm.Thread, singlePass bool, myVer uint64) {
 			}
 			return
 		}
-		snap := t.ScanBuffer(l.nthreads)
-		for i := 0; i < l.nthreads; i++ {
-			snap[i] = t.LoadStream(l.clockAddr(i))
-		}
-		for i := 0; i < l.nthreads; i++ {
-			if snap[i]&1 == 0 {
+		for i, v := range l.clocks.Snapshot(t) {
+			if v&1 == 0 {
 				continue
 			}
 			w := &l.syncWaits[t.C.ID]
-			*w = syncWait{l: l, t: t, i: i, snap: snap[i], myVer: myVer, spin: htm.Poll(16), checkDoom: l.opts.EarlyAbort}
+			*w = syncWait{l: l, t: t, i: i, snap: v, myVer: myVer, spin: htm.Poll(16), checkDoom: l.opts.EarlyAbort}
 			t.C.Await(w)
 			if w.doomed {
 				return
@@ -531,7 +479,7 @@ func (l *RWLE) synchronize(t *htm.Thread, singlePass bool, myVer uint64) {
 // waitReader waits for thread i to leave its current read critical section
 // (single-traversal form: re-reads the clock directly).
 func (l *RWLE) waitReader(t *htm.Thread, i int, myVer uint64) {
-	c := t.LoadStream(l.clockAddr(i))
+	c := t.LoadStream(l.clocks.Addr(i))
 	if c&1 == 0 {
 		return
 	}
@@ -579,7 +527,7 @@ func (w *syncWait) Step(c *machine.CPU) bool {
 	t, l := w.t, w.l
 	switch w.phase {
 	case syncPhaseClock:
-		if t.Load(l.clockAddr(w.i)) != w.snap {
+		if t.Load(l.clocks.Addr(w.i)) != w.snap {
 			return true
 		}
 		if w.myVer != noVerFilter {

@@ -133,9 +133,9 @@ func TestROTPathDoesNotAllocate(t *testing.T) {
 	})
 }
 
-// TestQuiescenceDoesNotAllocate pins the reader-clock scans of RW-LE_basic's
-// writer and of RCU's grace period at zero host allocations: both take the
-// thread's reusable snapshot buffer (ScanBuffer), as RW-LE's scan does.
+// TestQuiescenceDoesNotAllocate pins the reader-clock drains of
+// RW-LE_basic's writer and of RCU's grace period at zero host allocations:
+// Clocks.Snapshot reuses the thread's scan buffer, for RW-LE's scan too.
 func TestQuiescenceDoesNotAllocate(t *testing.T) {
 	m := machine.New(machine.Config{CPUs: 2, MemWords: 1 << 16})
 	sys := htm.NewSystem(m, htm.Config{})

@@ -184,12 +184,12 @@ type Thread struct {
 	// to it avoids boxing an interface value on every abort.
 	sig abortSignal
 
-	// ww and tas are the reusable engine-stepped waiters of wait.go; a
-	// thread runs at most one wait at a time, so one of each suffices and
-	// installing them in the machine never allocates.
+	// ww and tas are the reusable engine-stepped waiters of wait.go and
+	// Clocks.Drain; a thread runs at most one wait at a time, so one of
+	// each suffices and installing them in the machine never allocates.
 	ww  wordWait
 	tas tatasWait
-	// scan is the reusable quiescence-scan buffer of ScanBuffer.
+	// scan is the reusable reader-clock buffer of Clocks.Snapshot.
 	scan []uint64
 }
 

@@ -45,13 +45,3 @@ func (t *Thread) Quiesce(scan func()) {
 	}()
 	scan()
 }
-
-// ScanBuffer returns the thread's reusable n-word snapshot buffer for a
-// quiescence scan of the reader clocks. A thread runs one scan at a time,
-// so the buffer is allocated once and every later scan reuses it.
-func (t *Thread) ScanBuffer(n int) []uint64 {
-	if len(t.scan) < n {
-		t.scan = make([]uint64, n)
-	}
-	return t.scan[:n]
-}

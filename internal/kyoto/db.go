@@ -182,7 +182,7 @@ func (db *DB) lockSlot(t *htm.Thread, s int64, pol InnerPolicy) {
 		}
 		return
 	}
-	t.AwaitAcquirePoll(mu, 64)
+	t.AwaitAcquire(mu, htm.Poll(64))
 }
 
 // unlockSlot releases the inner mutex (no-op when elided).

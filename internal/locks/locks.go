@@ -41,7 +41,7 @@ func (l *SGL) Write(t *htm.Thread, cs func()) { l.enter(t, true, cs) }
 
 func (l *SGL) enter(t *htm.Thread, write bool, cs func()) {
 	t.BeginCS(write)
-	t.AwaitAcquire(l.lock, 8)
+	t.AwaitAcquire(l.lock, htm.Backoff(8))
 	cs()
 	spinRelease(t, l.lock)
 	t.EndCS(write, stats.CommitSGL, 0)
@@ -74,7 +74,7 @@ func (l *RWL) Read(t *htm.Thread, cs func()) {
 	t.BeginCS(false)
 	b := htm.Backoff(8)
 	for {
-		t.AwaitAcquire(l.mutex, 8)
+		t.AwaitAcquire(l.mutex, htm.Backoff(8))
 		if t.Load(l.writerActive) == 0 && t.Load(l.writersWaiting) == 0 {
 			t.Store(l.readers, t.Load(l.readers)+1)
 			spinRelease(t, l.mutex)
@@ -84,7 +84,7 @@ func (l *RWL) Read(t *htm.Thread, cs func()) {
 		b.Wait(t.C)
 	}
 	cs()
-	t.AwaitAcquire(l.mutex, 8)
+	t.AwaitAcquire(l.mutex, htm.Backoff(8))
 	t.Store(l.readers, t.Load(l.readers)-1)
 	spinRelease(t, l.mutex)
 	t.EndCS(false, stats.CommitUninstrumented, 0)
@@ -93,19 +93,19 @@ func (l *RWL) Read(t *htm.Thread, cs func()) {
 // Write implements rwlock.Lock.
 func (l *RWL) Write(t *htm.Thread, cs func()) {
 	t.BeginCS(true)
-	t.AwaitAcquire(l.mutex, 8)
+	t.AwaitAcquire(l.mutex, htm.Backoff(8))
 	t.Store(l.writersWaiting, t.Load(l.writersWaiting)+1)
 	b := htm.Backoff(8)
 	for t.Load(l.readers) != 0 || t.Load(l.writerActive) != 0 {
 		spinRelease(t, l.mutex)
 		b.Wait(t.C)
-		t.AwaitAcquire(l.mutex, 8)
+		t.AwaitAcquire(l.mutex, htm.Backoff(8))
 	}
 	t.Store(l.writersWaiting, t.Load(l.writersWaiting)-1)
 	t.Store(l.writerActive, 1)
 	spinRelease(t, l.mutex)
 	cs()
-	t.AwaitAcquire(l.mutex, 8)
+	t.AwaitAcquire(l.mutex, htm.Backoff(8))
 	t.Store(l.writerActive, 0)
 	spinRelease(t, l.mutex)
 	t.EndCS(true, stats.CommitSGL, 0)
@@ -141,7 +141,7 @@ func (l *BRLock) mutexAddr(i int) machine.Addr { return l.mutexes + machine.Addr
 func (l *BRLock) Read(t *htm.Thread, cs func()) {
 	t.BeginCS(false)
 	mine := l.mutexAddr(t.C.ID)
-	t.AwaitAcquire(mine, 8)
+	t.AwaitAcquire(mine, htm.Backoff(8))
 	cs()
 	spinRelease(t, mine)
 	t.EndCS(false, stats.CommitUninstrumented, 0)
@@ -151,7 +151,7 @@ func (l *BRLock) Read(t *htm.Thread, cs func()) {
 func (l *BRLock) Write(t *htm.Thread, cs func()) {
 	t.BeginCS(true)
 	for i := 0; i < l.n; i++ {
-		t.AwaitAcquire(l.mutexAddr(i), 8)
+		t.AwaitAcquire(l.mutexAddr(i), htm.Backoff(8))
 	}
 	cs()
 	for i := l.n - 1; i >= 0; i-- {
@@ -193,7 +193,7 @@ func (l *HLE) elide(t *htm.Thread, write bool, cs func()) {
 		// Wait for the lock to be free before speculating; starting while
 		// it is held guarantees an immediate self-abort. The backoff
 		// persists across retry attempts.
-		b = t.AwaitWordBackoff(l.lock, ^uint64(0), free, true, b)
+		b = t.AwaitWord(l.lock, ^uint64(0), free, true, b)
 		st := t.Try(false, func() {
 			if t.Load(l.lock) != free { // subscribe the elided lock
 				t.Abort(stats.AbortLockBusy)
@@ -211,7 +211,7 @@ func (l *HLE) elide(t *htm.Thread, write bool, cs func()) {
 	}
 	// Non-speculative fallback: acquire the original lock, killing all
 	// subscribed transactions.
-	t.AwaitAcquire(l.lock, 8)
+	t.AwaitAcquire(l.lock, htm.Backoff(8))
 	cs()
 	spinRelease(t, l.lock)
 	t.EndCS(write, stats.CommitSGL, failed)

@@ -102,7 +102,7 @@ func (l *PRWL) Read(t *htm.Thread, cs func()) {
 		}
 		// A writer is inside: step back and wait for it to finish.
 		t.Store(st+prwlActive, 0)
-		t.AwaitWord(l.wactive, ^uint64(0), 0, true, 32)
+		t.AwaitWord(l.wactive, ^uint64(0), 0, true, htm.Poll(32))
 	}
 	cs()
 	// Leave and report the version we are current with.
@@ -114,22 +114,25 @@ func (l *PRWL) Read(t *htm.Thread, cs func()) {
 // Write implements rwlock.Lock: version-based consensus with every reader.
 func (l *PRWL) Write(t *htm.Thread, cs func()) {
 	t.BeginCS(true)
-	t.AwaitAcquire(l.wmutex, 8)
+	t.AwaitAcquire(l.wmutex, htm.Backoff(8))
 	ver := t.Load(l.version) + 1
 	t.Store(l.version, ver)
 	t.Store(l.wactive, 1)
 	t.C.Fence()
 	// Wait for each reader to be quiescent: outside its section, or
 	// having reported the new version (it entered after our publication
-	// and will wait on wactive next time).
-	for i := 0; i < l.n; i++ {
-		if i == t.C.ID {
-			continue
+	// and will wait on wactive next time). The consensus is one quiescence
+	// window.
+	t.Quiesce(func() {
+		for i := 0; i < l.n; i++ {
+			if i == t.C.ID {
+				continue
+			}
+			w := &l.waits[t.C.ID]
+			*w = prwlWait{t: t, active: l.status(i) + prwlActive, seen: l.status(i) + prwlSeen, ver: ver, spin: htm.Poll(16)}
+			t.C.Await(w)
 		}
-		w := &l.waits[t.C.ID]
-		*w = prwlWait{t: t, active: l.status(i) + prwlActive, seen: l.status(i) + prwlSeen, ver: ver, spin: htm.Poll(16)}
-		t.C.Await(w)
-	}
+	})
 	cs()
 	t.Store(l.wactive, 0)
 	spinRelease(t, l.wmutex)

@@ -45,7 +45,7 @@ func (l *SCMHLE) elide(t *htm.Thread, write bool, cs func()) {
 	// attempt waits for the elided lock to be free, then runs cs as one
 	// hardware transaction; the backoff persists across attempts.
 	attempt := func() htm.Status {
-		b = t.AwaitWordBackoff(l.lock, ^uint64(0), free, true, b)
+		b = t.AwaitWord(l.lock, ^uint64(0), free, true, b)
 		return t.Try(false, func() {
 			if t.Load(l.lock) != free {
 				t.Abort(stats.AbortLockBusy)
@@ -77,7 +77,7 @@ func (l *SCMHLE) elide(t *htm.Thread, write bool, cs func()) {
 	// auxiliary lock, but stay in hardware (the aux lock is NOT the
 	// elided lock; unrelated transactions keep committing concurrently).
 	if conflicted {
-		t.AwaitAcquire(l.aux, 8)
+		t.AwaitAcquire(l.aux, htm.Backoff(8))
 		for i := 0; i < l.maxRetries; i++ {
 			st := attempt()
 			if st.OK {
@@ -94,7 +94,7 @@ func (l *SCMHLE) elide(t *htm.Thread, write bool, cs func()) {
 	}
 
 fallback:
-	t.AwaitAcquire(l.lock, 8)
+	t.AwaitAcquire(l.lock, htm.Backoff(8))
 	cs()
 	spinRelease(t, l.lock)
 	t.EndCS(write, stats.CommitSGL, failed)

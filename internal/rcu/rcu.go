@@ -22,38 +22,22 @@ import (
 	"hrwle/internal/stats"
 )
 
-// Domain is one RCU domain: a set of reader clocks plus the updater mutex.
+// Domain is one RCU domain: a reader-clock epoch plus the updater mutex.
 type Domain struct {
-	nthreads int
-	clocks   machine.Addr
+	clocks   htm.Clocks
 	updMutex machine.Addr
-	lineW    machine.Addr
 }
 
 // NewDomain creates an RCU domain covering every CPU of the machine.
 func NewDomain(m *machine.Machine) *Domain {
-	return &Domain{
-		nthreads: m.Cfg.CPUs,
-		clocks:   m.AllocRawAligned(int64(m.Cfg.CPUs) * m.Cfg.LineWords),
-		updMutex: m.AllocRawAligned(1),
-		lineW:    machine.Addr(m.Cfg.LineWords),
-	}
+	return &Domain{clocks: htm.NewClocks(m), updMutex: m.AllocRawAligned(1)}
 }
-
-func (d *Domain) clockAddr(id int) machine.Addr { return d.clocks + machine.Addr(id)*d.lineW }
 
 // ReadLock enters a read-side critical section (rcu_read_lock).
-func (d *Domain) ReadLock(t *htm.Thread) {
-	ca := d.clockAddr(t.C.ID)
-	t.Store(ca, t.Load(ca)+1)
-	t.C.Fence()
-}
+func (d *Domain) ReadLock(t *htm.Thread) { d.clocks.Enter(t) }
 
 // ReadUnlock leaves the read-side critical section (rcu_read_unlock).
-func (d *Domain) ReadUnlock(t *htm.Thread) {
-	ca := d.clockAddr(t.C.ID)
-	t.Store(ca, t.Load(ca)+1)
-}
+func (d *Domain) ReadUnlock(t *htm.Thread) { d.clocks.Exit(t) }
 
 // Read runs cs as an RCU read-side critical section and accounts it as an
 // uninstrumented commit (the fair comparison to RW-LE's readers).
@@ -67,23 +51,13 @@ func (d *Domain) Read(t *htm.Thread, cs func()) {
 
 // UpdateLock serializes updaters (RCU's external update-side lock).
 func (d *Domain) UpdateLock(t *htm.Thread) {
-	t.AwaitAcquirePoll(d.updMutex, 64)
+	t.AwaitAcquire(d.updMutex, htm.Poll(64))
 }
 
 // UpdateUnlock releases the update-side lock.
 func (d *Domain) UpdateUnlock(t *htm.Thread) { t.Store(d.updMutex, 0) }
 
 // Synchronize waits for a grace period: every reader inside a critical
-// section at the time of the call has left it (synchronize_rcu).
-func (d *Domain) Synchronize(t *htm.Thread) {
-	snap := t.ScanBuffer(d.nthreads)
-	for i := 0; i < d.nthreads; i++ {
-		snap[i] = t.LoadStream(d.clockAddr(i))
-	}
-	for i := 0; i < d.nthreads; i++ {
-		if snap[i]&1 == 0 {
-			continue
-		}
-		t.AwaitWord(d.clockAddr(i), ^uint64(0), snap[i], false, 32)
-	}
-}
+// section at the time of the call has left it (synchronize_rcu). The grace
+// period is one quiescence window.
+func (d *Domain) Synchronize(t *htm.Thread) { d.clocks.Drain(t) }

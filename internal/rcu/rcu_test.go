@@ -169,7 +169,8 @@ func TestMapConcurrentRemoveInsertChurn(t *testing.T) {
 // TestMapSectionsAreSpans: every Lookup, Insert and Remove is one critical
 // section span. For each (side, path) the Collector's spans equal the
 // commits the operations added to the stats counters, ReadCS and WriteCS
-// count them, and cs-begin equals cs-end.
+// count them, and cs-begin equals cs-end. Every grace period is one
+// closed quiescence window, and the windows sum to QuiesceWait.
 func TestMapSectionsAreSpans(t *testing.T) {
 	const threads = 4
 	sys, d := newSys(threads, 6)
@@ -219,5 +220,12 @@ func TestMapSectionsAreSpans(t *testing.T) {
 	}
 	if begin, end := col.Counts[machine.EvCSBegin], col.Counts[machine.EvCSEnd]; begin != n || end != n {
 		t.Errorf("cs-begin %d, cs-end %d, want %d each", begin, end, n)
+	}
+	start, end := col.Counts[machine.EvQuiesceStart], col.Counts[machine.EvQuiesceEnd]
+	if start != end || start == 0 {
+		t.Errorf("quiesce-start %d, quiesce-end %d, want equal and nonzero", start, end)
+	}
+	if h := col.QuiesceHist(); h.SumCycles != b.QuiesceWait {
+		t.Errorf("quiesce windows sum to %d cycles, QuiesceWait is %d", h.SumCycles, b.QuiesceWait)
 	}
 }

@@ -1,6 +1,7 @@
 package rwlock_test
 
 import (
+	"strings"
 	"testing"
 
 	"hrwle/internal/harness"
@@ -16,7 +17,10 @@ import (
 // scheme, Read/Write sections that run their bodies with mutual
 // exclusion effects visible afterwards, and one span per counted section:
 // for each (side, path) the Collector's spans equal the commits those
-// sections added to the stats counters, and cs-begin equals cs-end.
+// sections added to the stats counters, and cs-begin equals cs-end. The
+// same run checks the quiescence account: quiesce-start equals
+// quiesce-end, the window histogram's cycles equal the merged QuiesceWait,
+// and every scheme whose writer waits for readers opens windows.
 func TestFactoryContract(t *testing.T) {
 	for _, name := range harness.TableSchemes() {
 		t.Run(name, func(t *testing.T) {
@@ -67,6 +71,7 @@ func TestFactoryContract(t *testing.T) {
 				}
 			})
 			want.Check(t, col, sys.Stats(threads))
+			checkQuiescence(t, col, sys.Stats(threads), waitsForReaders(name))
 
 			if got := m.Peek(ctr); got != threads*opsPer {
 				t.Errorf("counter = %d after %d write sections (lost updates)", got, threads*opsPer)
@@ -131,6 +136,30 @@ func (s *sectionTally) Check(t *testing.T, col *obs.Collector, sts []*stats.Thre
 	begin, end := col.Counts[machine.EvCSBegin], col.Counts[machine.EvCSEnd]
 	if begin != end || begin != sides[0]+sides[1] {
 		t.Errorf("cs-begin %d, cs-end %d, want %d each", begin, end, sides[0]+sides[1])
+	}
+}
+
+// waitsForReaders reports whether the scheme's writer drains readers (the
+// RW-LE family and PRWL's consensus), so it must open quiescence windows.
+func waitsForReaders(name string) bool {
+	return strings.HasPrefix(name, "RW-LE") || name == "PRWL"
+}
+
+// checkQuiescence requires every quiescence window to be closed, the
+// window histogram to sum to the merged QuiesceWait, and, with wantWindow,
+// at least one window.
+func checkQuiescence(t *testing.T, col *obs.Collector, sts []*stats.Thread, wantWindow bool) {
+	t.Helper()
+	start, end := col.Counts[machine.EvQuiesceStart], col.Counts[machine.EvQuiesceEnd]
+	if start != end {
+		t.Errorf("quiesce-start %d, quiesce-end %d", start, end)
+	}
+	h, b := col.QuiesceHist(), stats.Merge(sts, 0)
+	if h.SumCycles != b.QuiesceWait {
+		t.Errorf("quiesce windows sum to %d cycles, QuiesceWait is %d", h.SumCycles, b.QuiesceWait)
+	}
+	if wantWindow && h.Count == 0 {
+		t.Errorf("no quiescence window, though the writer waits for readers")
 	}
 }
 

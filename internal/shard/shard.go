@@ -44,6 +44,14 @@ type Scheme struct {
 	Mk   rwlock.Factory
 }
 
+// itemsPerBucket is the initial chain depth of every shard's buckets (the
+// HTM capacity knob), and pollCycles the shard-gate poll interval of a
+// blocked CPU.
+const (
+	itemsPerBucket int64 = 8
+	pollCycles     int64 = 40
+)
+
 // Config describes one sharded measurement point. The embedded
 // service.Config supplies the open-system shape (servers, arrivals,
 // classes, queue bound, keyed demand via Keys); the shard fields add the
@@ -51,10 +59,8 @@ type Scheme struct {
 type Config struct {
 	service.Config
 
-	Shards         int   // hash partitions (4–64 in the sweep)
-	ItemsPerBucket int64 // initial chain depth per bucket (HTM capacity knob)
-	Window         int64 // timeline window width, cycles (controller tick)
-	PollCycles     int64 // shard-gate poll interval while blocked
+	Shards int   // hash partitions (4–64 in the sweep)
+	Window int64 // timeline window width, cycles (controller tick)
 
 	Ctrl ControllerConfig // thresholds for adaptive runs (palette > 1)
 }
@@ -66,12 +72,10 @@ type Config struct {
 // default load span ~10.5M cycles).
 func DefaultConfig() Config {
 	c := Config{
-		Config:         service.DefaultConfig("shardkv"),
-		Shards:         16,
-		ItemsPerBucket: 8,
-		Window:         50_000,
-		PollCycles:     40,
-		Ctrl:           DefaultControllerConfig(),
+		Config: service.DefaultConfig("shardkv"),
+		Shards: 16,
+		Window: 50_000,
+		Ctrl:   DefaultControllerConfig(),
 	}
 	c.Servers = 64
 	c.Requests = 6000
@@ -113,14 +117,8 @@ func (c *Config) normalize() error {
 	if c.Shards <= 0 {
 		c.Shards = 16
 	}
-	if c.ItemsPerBucket <= 0 {
-		c.ItemsPerBucket = 8
-	}
 	if c.Window <= 0 {
 		c.Window = 50_000
-	}
-	if c.PollCycles <= 0 {
-		c.PollCycles = 40
 	}
 	if c.Keys.Universe <= 0 {
 		return fmt.Errorf("shard: keyed demand required (Keys.Universe = %d)", c.Keys.Universe)
@@ -230,7 +228,7 @@ func (d *deployment) route(rank int) (shard int, inKey uint64) {
 func (d *deployment) MemWords(int64) int64 {
 	c := d.cfg
 	keys := int64(c.Keys.Universe)
-	buckets := keys/c.ItemsPerBucket + int64(c.Shards)*32
+	buckets := keys/itemsPerBucket + int64(c.Shards)*32
 	lockW := int64(c.Shards) * int64(len(d.palette)) * int64(c.Servers+16) * 16
 	return keys*16 + buckets + lockW + int64(c.Servers)*32 + 1<<16
 }
@@ -287,19 +285,19 @@ func (d *deployment) Build(m *machine.Machine, sys *htm.System) (machine.Tracer,
 	d.shards = make([]shardState, cfg.Shards)
 	d.srvs = make([]srv, cfg.Servers)
 	d.nshards = uint64(cfg.Shards)
-	buckets := int64(cfg.Keys.Universe/cfg.Shards) / cfg.ItemsPerBucket
+	buckets := int64(cfg.Keys.Universe/cfg.Shards) / itemsPerBucket
 	if buckets < 1 {
 		buckets = 1
 	}
 	// perU is the *populated* per-shard universe. Routing reduces keys
 	// modulo it, so every mapped key exists in its shard's store and a
 	// write is always an in-place update (never a node-consuming insert).
-	d.perU = uint64(buckets * cfg.ItemsPerBucket)
+	d.perU = uint64(buckets * itemsPerBucket)
 	for i := range d.shards {
 		sh := &d.shards[i]
 		sh.h = hashmap.New(m, buckets)
-		sh.h.Populate(cfg.ItemsPerBucket)
-		sh.universe = uint64(buckets * cfg.ItemsPerBucket)
+		sh.h.Populate(itemsPerBucket)
+		sh.universe = uint64(buckets * itemsPerBucket)
 		sh.locks = make([]rwlock.Lock, len(d.palette))
 		for j, s := range d.palette {
 			sh.locks[j] = s.Mk(sys)
@@ -478,7 +476,7 @@ const (
 // gateWait is a CPU's wait at one shard gate, stepped by the engine so a
 // blocked CPU polls with no coroutine switch. Each step is one poll: look
 // at the gate at the CPU's turn, then, if still blocked, charge one
-// PollCycles interval. The value lives in the CPU's srv and is reused.
+// pollCycles interval. The value lives in the CPU's srv and is reused.
 type gateWait struct {
 	d     *deployment
 	s     int
@@ -510,7 +508,7 @@ func (w *gateWait) Step(c *machine.CPU) bool {
 		w.phase = gateDrain
 		return false
 	}
-	c.Tick(w.d.cfg.PollCycles)
+	c.Tick(pollCycles)
 	return false
 }
 

@@ -50,6 +50,11 @@ gate point hrwle-bench -fig fig5 -scale 0.02 -schemes RW-LE_PES -threads 4 \
 gate point-prwl hrwle-bench -fig ext-prwl -scale 0.02 -schemes PRWL -threads 4 \
 	-writes 50 -q -hist -metrics-dir @OUT@/metrics \
 	-chrome @OUT@/chrome.json -timeline @OUT@/timeline.json
+# An RCU point: its grace periods are quiescence windows of the shared
+# reader-clock drain.
+gate point-rcu hrwle-bench -fig ext-rcu -scale 0.02 -schemes RCU -threads 4 \
+	-writes 50 -q -hist -metrics-dir @OUT@/metrics \
+	-chrome @OUT@/chrome.json -timeline @OUT@/timeline.json
 # The race sanitizer on a clean figure point.
 gate point-sanitize hrwle-bench -fig fig5 -scale 0.02 -schemes RW-LE_OPT \
 	-threads 4 -writes 10 -sanitize -q -o @OUT@/san.txt
