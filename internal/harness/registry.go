@@ -3,7 +3,6 @@ package harness
 import (
 	"strconv"
 	"strings"
-	"sync"
 
 	"hrwle/internal/core"
 	"hrwle/internal/htm"
@@ -200,27 +199,19 @@ func (h hashmapFig) run(ctx PointCtx, scheme string, threads, writePct, totalOps
 // throughput differs by over an order of magnitude across the write
 // mixes. The baseline is computed lazily once per (write ratio, scaled op
 // count), everything it depends on, and shared by every point of the
-// figure. Under a parallel sweep several points may ask for it at once, so
-// the map is mutex-guarded; the value is deterministic (own machine, fixed
-// seed), whichever worker computes it.
-//
-//simlint:allow determinism baselineMu only guards the lazily computed SGL@1 baseline cache under a parallel sweep; the cached value is deterministic (own machine, fixed seed) regardless of which worker computes it
+// figure through a machine.Memo; the value is deterministic (own machine,
+// fixed seed), whichever worker computes it.
 func tpccSpeedup(ops, base int) PointFunc {
-	var baselineMu sync.Mutex
-	baseline := map[[2]int]float64{} // (writePct, scaled ops) → SGL@1 ops/s
+	baseline := machine.Memo[[2]int, float64]() // (writePct, scaled ops) → SGL@1 ops/s
 	measure := point(ops, base, runTPCC)
 	return func(ctx PointCtx, scheme string, threads, writePct int, scale float64) Result {
 		k := [2]int{writePct, int(float64(ops) * scale)}
-		baselineMu.Lock()
-		b, ok := baseline[k]
-		if !ok {
+		b := baseline(k, func() float64 {
 			// The baseline machine reports to this point's observer too;
 			// the measured run below replaces it, matching the serial
 			// exporter's last-machine-wins behavior.
-			b = runTPCC(ctx, "SGL", 1, writePct, k[1], uint64(base+writePct)).Throughput()
-			baseline[k] = b
-		}
-		baselineMu.Unlock()
+			return runTPCC(ctx, "SGL", 1, writePct, k[1], uint64(base+writePct)).Throughput()
+		})
 		r := measure(ctx, scheme, threads, writePct, scale)
 		if b > 0 {
 			r.Speedup = r.Throughput() / b

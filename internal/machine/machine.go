@@ -112,6 +112,7 @@ type Machine struct {
 	Cfg       Config
 	words     []uint64
 	lines     []uint64 // per-line records, recWords each (see line.go)
+	mapped    bool     // words and lines come from mapMemory, not make
 	recWords  int64
 	bitWords  int64 // width of each record bitmap: ceil(CPUs/64)
 	cpus      []*CPU
@@ -140,6 +141,14 @@ type Machine struct {
 }
 
 // New creates a machine with the given configuration.
+//
+// Simulated memory and the line records start zero. When they span at
+// least one huge page they share one anonymous mapping (mapMemory), which
+// the kernel zero-fills page by page on first touch, so a machine pays
+// only for the memory its run touches; otherwise they come from make.
+// The mapping is unmapped once the Machine is unreachable, so no slice of
+// words or lines — a CPUSet included — may outlive its Machine: hold the
+// Machine (or a CPU, which points to it) for as long as the slice.
 func New(cfg Config) *Machine {
 	cfg.applyDefaults()
 	m := &Machine{Cfg: cfg}
@@ -147,10 +156,14 @@ func New(cfg Config) *Machine {
 		m.lineShift++
 	}
 	nLines := (cfg.MemWords + cfg.LineWords - 1) >> m.lineShift
-	m.words = make([]uint64, cfg.MemWords)
 	m.bitWords = int64(cfg.CPUs+63) / 64
 	m.recWords = recBits + 2*m.bitWords
-	m.lines = make([]uint64, nLines*m.recWords)
+	words, recs := cfg.MemWords, nLines*m.recWords
+	if mem := mapMemory(m, words+recs); mem != nil {
+		m.words, m.lines, m.mapped = mem[:words:words], mem[words:], true
+	} else {
+		m.words, m.lines = make([]uint64, words), make([]uint64, recs)
+	}
 	m.pager.init(cfg)
 	m.alloc.init(cfg.MemWords, cfg.LineWords)
 	m.cpus = make([]*CPU, cfg.CPUs)

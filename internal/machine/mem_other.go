@@ -1,0 +1,11 @@
+//go:build !linux || !go1.24
+
+package machine
+
+// hugePageBytes is 0: off Linux, and before go1.24's runtime.AddCleanup,
+// New takes simulated memory from make.
+const hugePageBytes = 0
+
+// mapMemory returns nil, so New takes simulated memory from make (see
+// mem_linux.go).
+func mapMemory(m *Machine, n int64) []uint64 { return nil }

@@ -79,7 +79,7 @@ func assignKeys(c *Config, reqs []Request) {
 	if c.Keys.Universe <= 0 {
 		return
 	}
-	z := NewZipf(c.Keys.Universe, c.Keys.Skew)
+	z := sharedZipf(c.Keys.Universe, c.Keys.Skew)
 	ks := machine.NewStream(keySeed(c.Seed))
 	for i := range reqs {
 		r := &reqs[i]

@@ -13,7 +13,10 @@ import (
 // uniform): the normalized CDF is precomputed once and each draw is one
 // Float64 plus a binary search. The O(n) table costs 8 bytes per rank,
 // which at the multi-million-key universes the shard workload uses is a
-// few MB per measurement point — paid once per machine, not per draw.
+// few MB per table. assignKeys takes its table from sharedZipf, so the
+// table is paid once per (n, s) per process, not per point or per draw,
+// and the process retains 8 B × n per distinct table: about 50 MB for
+// the default shard sweep's 3 tables.
 //
 // Rejection-style samplers (as in math/rand's Zipf) need s > 1 and would
 // exclude the s = 0.9 sweep point; the table is exact at any exponent and
@@ -44,6 +47,22 @@ func NewZipf(n int, s float64) *Zipf {
 	}
 	cdf[n-1] = 1 // normalization rounding must not leave a reachable gap
 	return &Zipf{n: n, cdf: cdf}
+}
+
+// zipfKey is everything a Zipf table depends on.
+type zipfKey struct {
+	n int
+	s float64
+}
+
+// zipfTables holds one table per (n, s) for the life of the process.
+var zipfTables = machine.Memo[zipfKey, *Zipf]()
+
+// sharedZipf returns the process's one sampler over [0, n) with exponent
+// s, building it on first use. Its table is NewZipf's, so every sample is
+// the same as a fresh sampler's; callers must not modify it.
+func sharedZipf(n int, s float64) *Zipf {
+	return zipfTables(zipfKey{n, s}, func() *Zipf { return NewZipf(n, s) })
 }
 
 // N returns the universe size.

@@ -157,3 +157,30 @@ func TestKeyedScheduleInvariance(t *testing.T) {
 		t.Fatal("CrossPct=10 produced no multi-key request in 500 arrivals")
 	}
 }
+
+// TestZipfMemoSharesOneTablePerKey pins the shared Zipf tables: each
+// (n, s) has one table, bit-identical to a fresh NewZipf's, that every
+// later caller of that key gets, and a different n or a different s gets
+// a table of its own.
+func TestZipfMemoSharesOneTablePerKey(t *testing.T) {
+	keys := []zipfKey{{1000, 0}, {1000, 0.9}, {1000, 1.2}, {4096, 0.9}, {4096, 1.2}}
+	tables := map[*Zipf]zipfKey{}
+	for _, k := range keys {
+		z, fresh := sharedZipf(k.n, k.s), NewZipf(k.n, k.s)
+		if z.N() != k.n || len(z.cdf) != len(fresh.cdf) {
+			t.Fatalf("%+v: shared table has n=%d and %d ranks, want %d", k, z.N(), len(z.cdf), k.n)
+		}
+		for i := range z.cdf {
+			if math.Float64bits(z.cdf[i]) != math.Float64bits(fresh.cdf[i]) {
+				t.Fatalf("%+v: shared cdf[%d] = %v, NewZipf's = %v", k, i, z.cdf[i], fresh.cdf[i])
+			}
+		}
+		if again := sharedZipf(k.n, k.s); again != z {
+			t.Fatalf("%+v: second call returned another table", k)
+		}
+		if prev, ok := tables[z]; ok {
+			t.Fatalf("%+v and %+v share one table", prev, k)
+		}
+		tables[z] = k
+	}
+}

@@ -230,6 +230,12 @@ catalogue() {
 	row alloc-clear '--- FAIL' \
 		internal/machine/alloc.go $'\tif recycled {\n\t\tclear(m.words[addr : addr+Addr(size)])\n\t}\n' $'\t_, _ = size, recycled\n' \
 		-- go test ./internal/machine -run Allocator
+	# The shared Zipf tables keyed by universe alone: a second skew over
+	# one universe gets the first skew's table, and its keys follow the
+	# wrong distribution.
+	row zipf-memo-key-n '--- FAIL' \
+		internal/service/zipf.go 'zipfTables(zipfKey{n, s},' 'zipfTables(zipfKey{n: n},' \
+		-- go test ./internal/service -run ZipfMemo
 	# RW-LE_SPLIT without its split locks: it still builds and keeps its
 	# name, so only the engine capture's split figure and RW-LE_SPLIT
 	# explorations can tell.
