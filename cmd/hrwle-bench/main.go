@@ -46,6 +46,7 @@ import (
 
 	"hrwle/internal/cli"
 	"hrwle/internal/harness"
+	"hrwle/internal/machine"
 	"hrwle/internal/obs"
 )
 
@@ -69,6 +70,9 @@ func main() {
 	flag.Parse()
 	if *events < 0 {
 		cli.Usage(errors.New("-events takes a count >= 0"))
+	}
+	if slices.ContainsFunc(threadList, func(n int) bool { return n > machine.MaxCPUs }) {
+		cli.Usage(fmt.Errorf("-threads takes counts up to %d (machine.MaxCPUs)", machine.MaxCPUs))
 	}
 
 	figs := harness.Registry()

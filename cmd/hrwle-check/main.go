@@ -37,6 +37,7 @@ import (
 
 	"hrwle/internal/check"
 	"hrwle/internal/cli"
+	"hrwle/internal/machine"
 )
 
 func main() {
@@ -59,6 +60,9 @@ func main() {
 		os.Exit(runReplay(*replay))
 	}
 
+	if *threads > machine.MaxCPUs {
+		cli.Usage(fmt.Errorf("-threads takes a count up to %d (machine.MaxCPUs)", machine.MaxCPUs))
+	}
 	// Validate names up front: the scheme table panics on unknown names.
 	if !*all && !slices.Contains(check.Schemes(), *scheme) {
 		cli.Usage(fmt.Errorf("unknown scheme %q (want one of %s)", *scheme, strings.Join(check.Schemes(), ", ")))

@@ -79,12 +79,15 @@ func readerRound(t *testing.T, n int, readers []int) {
 	}
 }
 
-// TestLineRecordFootprint guards the host memory of a machine's per-line
-// state. Beyond what the same configuration allocates for one line of
-// memory (CPUs, threads, write sets), machine.New plus NewSystem on 1<<20
-// words may allocate 8 B per word plus one record per line: 32 B at 8
-// CPUs, 80 B at 256. A field added to the record fails here rather than
-// showing up later as peak-RSS drift.
+// TestLineRecordFootprint bounds the Go heap that machine.New plus
+// NewSystem allocate. Beyond what the same configuration allocates for one
+// line of memory (CPUs, threads, write sets), they may allocate on 1<<20
+// words 8 B per word plus one record per line: 32 B at 8 CPUs, 80 B at
+// 256. Where New takes the words and records from a mapping (on Linux
+// with transparent huge pages, for a block of at least one huge page, as
+// this test's 8 MiB of words is), they are not on the heap, and the bound
+// covers only the rest, NewSystem's threads included. The record width
+// itself is checked on either path by machine's TestLineRecordWidth.
 func TestLineRecordFootprint(t *testing.T) {
 	const words, lineWords = 1 << 20, 16
 	const slack = 64 << 10 // runtime and test-framework allocations

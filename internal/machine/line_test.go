@@ -75,3 +75,20 @@ func sharerRound(t *testing.T, n, writer int, ids []int) {
 		t.Errorf("%d CPUs: writer %d rewrote a line shared with %v in %d cycles, want a write miss (%d)", n, writer, ids, rewrite, costs.WriteMiss)
 	}
 }
+
+// TestLineRecordWidth holds each line's record to 2 + 2w words (line.go):
+// 4 words (32 B) at 8 CPUs and 10 (80 B) at 256. It reads the length of
+// the records themselves, so it holds whether New took them from a
+// mapping or from make; htm's TestLineRecordFootprint bounds the Go heap
+// that New and NewSystem allocate. A field added to the record fails here
+// rather than showing up later as peak-RSS drift.
+func TestLineRecordWidth(t *testing.T) {
+	const words, lineWords = 1 << 20, 16
+	for _, tc := range []struct{ cpus, perLine int }{{8, 4}, {256, 10}} {
+		m := New(Config{CPUs: tc.cpus, MemWords: words, LineWords: lineWords})
+		if got, want := len(m.lines), tc.perLine*words/lineWords; got != want {
+			t.Errorf("%d CPUs: %d words of line records for %d lines, want %d (%d per line)",
+				tc.cpus, got, words/lineWords, want, tc.perLine)
+		}
+	}
+}

@@ -21,7 +21,7 @@ func hleFactory() rwlock.Factory {
 // pointJSON runs a point and returns its metrics serialized to JSON.
 func pointJSON(t *testing.T, cfg Config, scheme string, mk rwlock.Factory) []byte {
 	t.Helper()
-	m, _, err := RunPoint(cfg, scheme, mk, nil)
+	m, _, err := RunPoint(cfg, scheme, mk, bounded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestRunPointConservation(t *testing.T) {
 	cfg := testConfig("hashmap")
 	cfg.Arrivals.RatePerSec = 8e6 // oversaturated: force drops
 	cfg.QueueCap = 32
-	m, reqs, err := RunPoint(cfg, "SGL", sglFactory(), nil)
+	m, reqs, err := RunPoint(cfg, "SGL", sglFactory(), bounded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestPriorityOrdering(t *testing.T) {
 	cfg := testConfig("hashmap")
 	cfg.Requests = 1500
 	cfg.Arrivals.RatePerSec = 6e6 // past the SGL knee
-	m, _, err := RunPoint(cfg, "SGL", sglFactory(), nil)
+	m, _, err := RunPoint(cfg, "SGL", sglFactory(), bounded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestSaturationKnee(t *testing.T) {
 		cfg := testConfig("hashmap")
 		cfg.Requests = 1500
 		cfg.Arrivals.RatePerSec = rate
-		m, _, err := RunPoint(cfg, "SGL", sglFactory(), nil)
+		m, _, err := RunPoint(cfg, "SGL", sglFactory(), bounded)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func TestSaturationKnee(t *testing.T) {
 func TestWarmupExcluded(t *testing.T) {
 	cfg := testConfig("hashmap")
 	cfg.WarmupFrac = 0.5
-	m, _, err := RunPoint(cfg, "SGL", sglFactory(), nil)
+	m, _, err := RunPoint(cfg, "SGL", sglFactory(), bounded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestWarmupExcluded(t *testing.T) {
 // to a commit path and the per-path split accounts for the measured set.
 func TestCommitPathAttribution(t *testing.T) {
 	cfg := testConfig("hashmap")
-	m, _, err := RunPoint(cfg, "HLE", hleFactory(), nil)
+	m, _, err := RunPoint(cfg, "HLE", hleFactory(), bounded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestMMPPRun(t *testing.T) {
 	cfg := testConfig("hashmap")
 	cfg.Arrivals.Process = MMPP
 	cfg.Arrivals.RatePerSec = 1e6
-	m, _, err := RunPoint(cfg, "SGL", sglFactory(), nil)
+	m, _, err := RunPoint(cfg, "SGL", sglFactory(), bounded)
 	if err != nil {
 		t.Fatal(err)
 	}

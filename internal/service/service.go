@@ -22,7 +22,11 @@
 // analyzer enforces this for the whole package.
 package service
 
-import "fmt"
+import (
+	"fmt"
+
+	"hrwle/internal/machine"
+)
 
 // Process selects the arrival process.
 type Process int
@@ -171,6 +175,9 @@ func (c *Config) applyDefaults() error {
 	}
 	if c.Servers <= 0 {
 		c.Servers = 8
+	}
+	if c.Servers > machine.MaxCPUs {
+		return fmt.Errorf("service: %d servers exceed machine.MaxCPUs=%d", c.Servers, machine.MaxCPUs)
 	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 512

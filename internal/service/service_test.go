@@ -15,6 +15,16 @@ func testConfig(workload string) Config {
 	return cfg
 }
 
+// testDeadline is the deadline of every machine these tests build: a few
+// times their largest makespan (TestSaturationKnee's 4e5 req/s point,
+// 13.4M cycles), so a livelock fails its test in seconds instead of
+// running to the machine's default of 1e14 cycles.
+const testDeadline = 50_000_000
+
+// bounded is the observe hook of every point these tests run: it gives
+// the point's machine testDeadline.
+func bounded(m *machine.Machine) { m.Cfg.Deadline = testDeadline }
+
 // TestScheduleDeterministic: the same config yields a byte-identical
 // schedule every time — the foundation of every other guarantee here.
 func TestScheduleDeterministic(t *testing.T) {
@@ -204,6 +214,7 @@ func TestBadConfigs(t *testing.T) {
 		func(c *Config) { c.WarmupFrac = 1.5 },
 		func(c *Config) { c.Classes[1].Work = Pareto(100, 0.5) }, // alpha <= 1
 		func(c *Config) { c.Arrivals.BurstFrac = 2 },
+		func(c *Config) { c.Servers = machine.MaxCPUs + 1 },
 	}
 	for i, mutate := range bad {
 		cfg := testConfig("hashmap")

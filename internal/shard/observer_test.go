@@ -28,25 +28,25 @@ func TestShardObserversChangeNothing(t *testing.T) {
 		return b
 	}
 
-	plain, _, _, err := RunObserved(cfg, palette(), nil, obs.Attach{})
+	plain, _, _, err := RunObserved(cfg, palette(), bounded, obs.Attach{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(plain.Switches) == 0 {
 		t.Fatal("switching point made no scheme switch")
 	}
-	profiled, _, o, err := RunObserved(cfg, palette(), nil, obs.Attach{Prof: true, Window: cfg.Window})
+	profiled, _, o, err := RunObserved(cfg, palette(), bounded, obs.Attach{Prof: true, Window: cfg.Window})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(o.Profile.Timeline.Report().Windows) == 0 {
 		t.Fatal("profile recorded no timeline window")
 	}
-	sanitized, _, o, err := RunObserved(cfg, palette(), nil, obs.Attach{Sanitize: true})
+	sanitized, _, o, err := RunObserved(cfg, palette(), bounded, obs.Attach{Sanitize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, o2, err := RunObserved(cfg, palette(), nil, obs.Attach{Sanitize: true})
+	_, _, o2, err := RunObserved(cfg, palette(), bounded, obs.Attach{Sanitize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestShardObserversChangeNothing(t *testing.T) {
 func TestShardSanitizerCleanFixed(t *testing.T) {
 	for _, s := range palette() {
 		t.Run(s.Name, func(t *testing.T) {
-			_, _, o, err := RunObserved(testConfig(), []Scheme{s}, nil, obs.Attach{Sanitize: true})
+			_, _, o, err := RunObserved(testConfig(), []Scheme{s}, bounded, obs.Attach{Sanitize: true})
 			if err != nil {
 				t.Fatal(err)
 			}

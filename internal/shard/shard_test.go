@@ -41,9 +41,19 @@ func testConfig() Config {
 	return c
 }
 
+// testDeadline is the deadline of every machine these tests build: a few
+// times their largest makespan (the switching point's 1.8M cycles), so a
+// livelock fails its test in seconds instead of running to the machine's
+// default of 1e14 cycles.
+const testDeadline = 10_000_000
+
+// bounded is the observe hook of every point these tests run: it gives
+// the point's machine testDeadline.
+func bounded(m *machine.Machine) { m.Cfg.Deadline = testDeadline }
+
 func runJSON(t *testing.T, cfg Config, pal []Scheme) (*Result, []byte) {
 	t.Helper()
-	res, err := Run(cfg, pal, nil)
+	res, err := Run(cfg, pal, bounded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,12 +255,12 @@ func (minTimeID) Pick(_ *machine.CPU, runnable []*machine.CPU) *machine.CPU {
 func TestControlledSchedulerMatchesEngine(t *testing.T) {
 	run := func(name string, point func(observe func(*machine.Machine)) any) {
 		var m *machine.Machine
-		a, err := json.Marshal(point(func(mm *machine.Machine) { m = mm }))
+		a, err := json.Marshal(point(func(mm *machine.Machine) { bounded(mm); m = mm }))
 		if err != nil {
 			t.Fatal(err)
 		}
 		def := m.EngineCounters()
-		b, err := json.Marshal(point(func(mm *machine.Machine) { mm.SetScheduler(minTimeID{}); m = mm }))
+		b, err := json.Marshal(point(func(mm *machine.Machine) { bounded(mm); mm.SetScheduler(minTimeID{}); m = mm }))
 		if err != nil {
 			t.Fatal(err)
 		}
