@@ -1,6 +1,6 @@
 // Command hrwle-vet runs the simlint static-analysis suite — the
-// determinism, abortflow, txdiscipline and syncpoint analyzers — over the
-// module and exits non-zero if any invariant is violated.
+// determinism, abortflow and txdiscipline analyzers — over the module and
+// exits non-zero if any invariant is violated.
 //
 // Usage:
 //

@@ -15,15 +15,14 @@
 //     through the htm.Thread API — never machine.Peek/Poke or the raw
 //     allocator — and must not perform non-restartable mutations of
 //     captured host state.
-//   - syncpoint: host-side shared state in internal/service and
-//     internal/shard is mutated only by a server loop that holds the
-//     virtual-time floor (after CPU.Sync or CPU.Await, or inside a
-//     waiter's Step).
 //
-// Two contracts have no analyzer because running tests catch their
+// Three contracts have no analyzer because running tests catch their
 // violations: the pairing of critical-section and quiescence trace events
-// (the engine capture's event fingerprints, TestEngineEquivalence) and the
-// zero-allocation htm fast paths (the htm alloc tests).
+// (the engine capture's event fingerprints, TestEngineEquivalence), the
+// zero-allocation htm fast paths (the htm alloc tests), and host-side
+// state in internal/service and internal/shard changing only while the
+// server holds the virtual-time floor (the engine capture, and the
+// service and shard tests' deadlines).
 //
 // The suite is a self-contained reimplementation of the golang.org/x/tools
 // go/analysis surface (Analyzer, Pass, object Facts, an analysistest-style

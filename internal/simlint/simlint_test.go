@@ -108,13 +108,6 @@ func TestTxDisciplineFixture(t *testing.T) {
 	}
 }
 
-func TestSyncpointFixture(t *testing.T) {
-	suite := runFixture(t, "hrwle/internal/shard")
-	if suite.Suppressed == 0 {
-		t.Errorf("expected the //simlint:allow case to be counted as suppressed")
-	}
-}
-
 // TestDirectiveValidation checks that malformed or unknown //simlint:allow
 // directives are themselves diagnosed.
 func TestDirectiveValidation(t *testing.T) {

@@ -12,14 +12,13 @@ import (
 )
 
 // NewAnalyzers returns fresh instances of the full simlint suite:
-// determinism, abortflow, txdiscipline and syncpoint. Instances carry
+// determinism, abortflow and txdiscipline. Instances carry
 // per-run state and must not be shared between Suite runs.
 func NewAnalyzers() []*Analyzer {
 	return []*Analyzer{
 		NewDeterminism(),
 		NewAbortFlow(),
 		NewTxDiscipline(),
-		NewSyncpoint(),
 	}
 }
 
@@ -208,7 +207,6 @@ var knownAnalyzers = map[string]bool{
 	"determinism":  true,
 	"abortflow":    true,
 	"txdiscipline": true,
-	"syncpoint":    true,
 }
 
 // report records a diagnostic unless an allow directive suppresses it or

@@ -6,25 +6,9 @@ package machine
 
 type Addr uint64
 
-type CPU struct{ ID int }
-
-func (c *CPU) Intn(n int) int { return 0 }
-
-func (c *CPU) Sync() {}
-
-type Waiter interface {
-	Step(c *CPU) bool
-}
-
-func (c *CPU) Await(w Waiter) {}
-
-func (c *CPU) Tick(cycles int64) {}
-
-func (c *CPU) Now() int64 { return 0 }
+type CPU struct{}
 
 type Machine struct{ mem []uint64 }
-
-func (m *Machine) Run(n int, fn func(*CPU)) int64 { return 0 }
 
 func (m *Machine) Peek(a Addr) uint64 { return m.mem[a] }
 
