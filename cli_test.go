@@ -100,8 +100,10 @@ func TestCLIRejectsUnknownScheme(t *testing.T) {
 // below one cycle a usage error), "-json -" and "-chrome -" as stdout
 // (parseable JSON there, no file named "-"), the sharded store's flags
 // only on -workload shard, with one offered load and with keys every point
-// can run on, every single-point flag of hrwle-bench only on one figure
-// point, and the removed hrwle-vet -cache flag as a usage error.
+// can run on, hrwle-serve's counts and seed only as values a point can
+// run on (a given zero is an error, not the default), every single-point
+// flag of hrwle-bench only on one figure point, and the removed hrwle-vet
+// -cache flag as a usage error.
 func TestSharedFlags(t *testing.T) {
 	goBin, err := exec.LookPath("go")
 	if err != nil {
@@ -145,7 +147,10 @@ func TestSharedFlags(t *testing.T) {
 		{"hrwle-serve", append([]string{"-servers", "-3"}, serve...), 2, false},
 		{"hrwle-serve", []string{"-workload", "hashmap", "-requests", "-1"}, 2, false},
 		{"hrwle-serve", append([]string{"-queue-cap", "-1"}, serve...), 2, false},
-		{"hrwle-serve", append([]string{"-servers", "0", "-queue-cap", "0", "-rates", "1e5"}, serve...), 0, false},
+		{"hrwle-serve", append([]string{"-servers", "0", "-rates", "1e5"}, serve...), 2, false},
+		{"hrwle-serve", append([]string{"-queue-cap", "0", "-rates", "1e5"}, serve...), 2, false},
+		{"hrwle-serve", append([]string{"-seed", "0", "-rates", "1e5"}, serve...), 2, false},
+		{"hrwle-serve", append(slices.Clone(shard), "-rates", "3e6", "-requests", "0"), 2, false},
 		{"hrwle-bench", append([]string{"-chrome", "-"}, point...), 0, true},
 		{"hrwle-bench", append([]string{"-events", "-1"}, point...), 2, false},
 		{"hrwle-vet", []string{"-cache=false", "./..."}, 2, false},

@@ -57,10 +57,10 @@ func main() {
 		list               = flag.Bool("list", false, "list workloads, their default sweeps, -prof knee loads and schemes")
 		profile            = flag.Bool("prof", false, "run the virtual-time profiler on every scheme at one offered load")
 		schemes            = flag.String("schemes", "", "comma-separated scheme list, or 'all' (default: see -list)")
-		servers            = flag.Int("servers", 0, "serving CPUs (0: the workload's default)")
-		requests           = flag.Int("requests", 0, "arrivals per point (0: the workload's default)")
-		queueCap           = flag.Int("queue-cap", 0, "dispatch queue bound (0: the workload's default)")
-		seed               = flag.Uint64("seed", 0, "schedule and machine seed (default 1)")
+		servers            = flag.Int("servers", 0, "serving CPUs (default: the workload's)")
+		requests           = flag.Int("requests", 0, "arrivals per point (default: the workload's)")
+		queueCap           = flag.Int("queue-cap", 0, "dispatch queue bound (default: the workload's)")
+		seed               = flag.Uint64("seed", 0, "schedule and machine seed, nonzero (default 1)")
 		universe           = flag.Int("universe", 0, "-workload shard: distinct keys (default 2097152)")
 		cross              = flag.Int("cross", 0, "-workload shard: percent of writes touching a second key (default 4)")
 		shared             = cli.Register("j", "q", "o", "json", "chrome", "timeline", "window", "sanitize")
@@ -74,9 +74,6 @@ func main() {
 	flag.Func("arrivals", "arrival process, poisson or mmpp (default poisson)",
 		func(s string) (err error) { process, err = service.ParseProcess(s); return err })
 	flag.Parse()
-	if *servers < 0 || *requests < 0 || *queueCap < 0 {
-		cli.Usage(errors.New("-servers, -requests and -queue-cap take a count >= 0 (0: the workload's default)"))
-	}
 
 	if *list || *workload == "" {
 		printList()
@@ -118,16 +115,16 @@ func main() {
 			knee, _ := harness.DefaultProfSpec(wl)
 			spec.Rates = []float64{knee.RatePerSec}
 		}
-		if *servers > 0 {
+		if given["servers"] {
 			spec.Base.Servers = *servers
 		}
-		if *requests > 0 {
+		if given["requests"] {
 			spec.Base.Requests = *requests
 		}
-		if *queueCap > 0 {
+		if given["queue-cap"] {
 			spec.Base.QueueCap = *queueCap
 		}
-		if *seed != 0 {
+		if given["seed"] {
 			spec.Base.Seed = *seed
 		}
 		spec.Base.Arrivals.Process = process

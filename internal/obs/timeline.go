@@ -3,8 +3,8 @@ package obs
 import "hrwle/internal/stats"
 
 // TimelineWindow is one fixed-width virtual-time window of run telemetry:
-// the live signal the adaptive-controller work (ROADMAP item 2) will
-// consume, plus the open-system queue/latency series filled in after the
+// the live signal the per-shard adaptive controller (internal/shard)
+// consumes, plus the open-system queue/latency series filled in after the
 // run from the request log. All per-category slices use the legend orders
 // published in TimelineReport (stats commit-path and abort-cause order).
 type TimelineWindow struct {

@@ -41,15 +41,14 @@ func RunPointObserved(cfg Config, scheme string, mk rwlock.Factory, observe func
 }
 
 // RunHost is the one open-system runner: it measures one point of h under
-// cfg and labels the metrics with scheme. cfg is normalized in place
-// before h is asked for anything, so a host holding cfg sees the defaulted
-// values. The tracer chain is observe's tracer, h's late tracer, then the
+// cfg and labels the metrics with scheme. cfg is checked before h is
+// asked for anything. The tracer chain is observe's tracer, h's late tracer, then the
 // observers att selects, which it returns finished; the profiler's
 // timeline is fed the request log, so it carries the queue-depth and
 // sojourn series. No observer changes the run: metrics and sim_cycles
 // stay the same.
 func RunHost(cfg *Config, scheme string, h Host, observe func(*machine.Machine), att obs.Attach) (*obs.ServiceMetrics, []Request, *obs.Observers, error) {
-	if err := cfg.applyDefaults(); err != nil {
+	if err := cfg.Check(); err != nil {
 		return nil, nil, nil, err
 	}
 	reqs, err := GenerateSchedule(*cfg)
@@ -77,7 +76,7 @@ func RunHost(cfg *Config, scheme string, h Host, observe func(*machine.Machine),
 	q := newQueue(reqs, cfg.QueueCap, len(cfg.Classes), cfg.Servers)
 	o := att.Install(m, sys, cfg.Servers, len(cfg.Classes), late)
 	cycles := m.Run(cfg.Servers, func(c *machine.CPU) {
-		serve(c, sys.Thread(c.ID), q, cfg.DispatchCycles, h)
+		serve(c, sys.Thread(c.ID), q, h)
 	})
 	h.Finish(m.Now(), reqs)
 	if o.Profile != nil {
@@ -103,7 +102,7 @@ func RunHost(cfg *Config, scheme string, h Host, observe func(*machine.Machine),
 // server is blocked until a wake (see queue). Await returns holding the
 // virtual-time floor, so the request bookkeeping below it is covered
 // exactly as after a Sync.
-func serve(c *machine.CPU, th *htm.Thread, q *queue, dispatchCycles int64, h Host) {
+func serve(c *machine.CPU, th *htm.Thread, q *queue, h Host) {
 	w := &dispatchWait{q: q}
 	for {
 		c.Await(w)
@@ -181,7 +180,7 @@ func dominantPath(before, after [stats.NumCommitPaths]int64) int8 {
 // cover measured requests: served, past the warmup prefix of the arrival
 // order.
 func assemble(cfg *Config, scheme string, reqs []Request, cycles int64, b *stats.Breakdown) *obs.ServiceMetrics {
-	warmup := int(cfg.WarmupFrac * float64(len(reqs)))
+	warmup := int(warmupFrac * float64(len(reqs)))
 	out := &obs.ServiceMetrics{
 		Workload:       cfg.Workload,
 		Scheme:         scheme,

@@ -35,7 +35,7 @@ const (
 	// Poisson arrivals: exponential inter-arrival times at RatePerSec.
 	Poisson Process = iota
 	// MMPP arrivals: a 2-state Markov-modulated Poisson process — a base
-	// state and a burst state whose rate is BurstFactor× higher, with
+	// state and a burst state whose rate is burstFactor× higher, with
 	// exponential state sojourns. Long-run rate equals RatePerSec, so
 	// Poisson and MMPP points at the same offered load are comparable;
 	// bursts stress the queue's transient behavior.
@@ -68,13 +68,28 @@ func ParseProcess(s string) (Process, error) {
 type ArrivalConfig struct {
 	Process    Process
 	RatePerSec float64 // offered load λ, requests per virtual second
-
-	// MMPP shape (ignored by Poisson). Defaults: factor 8, frac 0.1,
-	// mean burst sojourn 100k cycles (~28.6 µs at 3.5 GHz).
-	BurstFactor     float64 // burst-state rate multiplier over the base state
-	BurstFrac       float64 // long-run fraction of time spent bursting
-	BurstMeanCycles float64 // mean burst-state sojourn, cycles
 }
+
+// The MMPP shape (ignored by Poisson): the mean burst sojourn is 100k
+// cycles, ~28.6 µs at 3.5 GHz.
+const (
+	burstFactor     = 8       // burst-state rate multiplier over the base state
+	burstFrac       = 0.1     // long-run fraction of time spent bursting
+	burstMeanCycles = 100_000 // mean burst-state sojourn, cycles
+)
+
+// The fixed shape of every point. warmupFrac of the earliest arrivals are
+// excluded from the latency quantiles (queue ramp-up from empty biases the
+// steady-state tail optimistically); they still count as served/dropped.
+// dispatchCycles is charged by a server per dequeue (the queue-op cost a
+// real dispatcher would pay). The hashmap workload serves hashBuckets
+// buckets of hashItems items each (kyoto and tpcc size themselves).
+const (
+	warmupFrac           = 0.1
+	dispatchCycles int64 = 60
+	hashBuckets    int64 = 256
+	hashItems      int64 = 12
+)
 
 // Class is one priority class of the request mix. Classes are served in
 // strict priority order of their index (0 = highest); within a class the
@@ -96,20 +111,9 @@ type Config struct {
 	Servers  int    // simulated CPUs serving the queue
 	QueueCap int    // bound on queued requests; arrivals beyond it are dropped
 	Requests int    // arrivals to generate (the open-loop schedule length)
-	// WarmupFrac of the earliest arrivals are excluded from the latency
-	// quantiles (queue ramp-up from empty biases the steady-state tail
-	// optimistically); they still count as served/dropped.
-	WarmupFrac float64
-	Arrivals   ArrivalConfig
-	Classes    []Class
-	Seed       uint64
-	// DispatchCycles is charged by a server per dequeue (the queue-op
-	// cost a real dispatcher would pay).
-	DispatchCycles int64
-
-	// Hashmap sizing (ignored by kyoto/tpcc, which size themselves).
-	HashBuckets int64
-	HashItems   int64
+	Arrivals ArrivalConfig
+	Classes  []Class
+	Seed     uint64 // schedule and machine seed, nonzero
 
 	// Keys, when Universe > 0, gives every request a Zipfian primary key
 	// (and possibly a secondary key) drawn from a dedicated stream — the
@@ -146,69 +150,42 @@ func DefaultClasses() []Class {
 }
 
 // DefaultConfig returns the baseline point configuration for a workload,
-// with the arrival rate left to the caller (see harness.ServeSweep for
-// the calibrated sweep grids).
+// with the arrival rate left to the caller (see harness.DefaultServeSpec
+// for the calibrated sweep grids). It is the one source of defaults:
+// callers change the fields they set, and Check rejects what no run can
+// use.
 func DefaultConfig(workload string) Config {
 	return Config{
-		Workload:       workload,
-		Servers:        8,
-		QueueCap:       512,
-		Requests:       4000,
-		WarmupFrac:     0.1,
-		Arrivals:       ArrivalConfig{Process: Poisson},
-		Classes:        DefaultClasses(),
-		Seed:           1,
-		DispatchCycles: 60,
-		HashBuckets:    256,
-		HashItems:      12,
+		Workload: workload,
+		Servers:  8,
+		QueueCap: 512,
+		Requests: 4000,
+		Arrivals: ArrivalConfig{Process: Poisson},
+		Classes:  DefaultClasses(),
+		Seed:     1,
 	}
 }
 
 // Check reports whether RunHost accepts c: the checks it applies before
-// it builds anything. c itself is left as it is.
-func (c Config) Check() error { return c.applyDefaults() }
-
-// applyDefaults normalizes a config in place and validates it.
-func (c *Config) applyDefaults() error {
-	if c.Workload == "" {
-		c.Workload = "hashmap"
-	}
-	if c.Servers <= 0 {
-		c.Servers = 8
-	}
-	if c.Servers > machine.MaxCPUs {
-		return fmt.Errorf("service: %d servers exceed machine.MaxCPUs=%d", c.Servers, machine.MaxCPUs)
+// it builds anything.
+func (c Config) Check() error {
+	if c.Servers <= 0 || c.Servers > machine.MaxCPUs {
+		return fmt.Errorf("service: %d servers, want 1 to machine.MaxCPUs=%d", c.Servers, machine.MaxCPUs)
 	}
 	if c.QueueCap <= 0 {
-		c.QueueCap = 512
+		return fmt.Errorf("service: queue bound %d, want at least 1", c.QueueCap)
 	}
 	if c.Requests <= 0 {
-		c.Requests = 4000
+		return fmt.Errorf("service: %d requests, want at least 1", c.Requests)
 	}
-	if c.WarmupFrac < 0 || c.WarmupFrac >= 1 {
-		return fmt.Errorf("service: WarmupFrac %v outside [0,1)", c.WarmupFrac)
+	if c.Seed == 0 {
+		return fmt.Errorf("service: seed 0, want a nonzero seed")
 	}
 	if c.Arrivals.RatePerSec <= 0 {
 		return fmt.Errorf("service: arrival rate must be positive, got %v", c.Arrivals.RatePerSec)
 	}
-	if c.Arrivals.BurstFactor == 0 {
-		c.Arrivals.BurstFactor = 8
-	}
-	if c.Arrivals.BurstFrac == 0 {
-		c.Arrivals.BurstFrac = 0.1
-	}
-	if c.Arrivals.BurstMeanCycles == 0 {
-		c.Arrivals.BurstMeanCycles = 100_000
-	}
-	if c.Arrivals.BurstFactor < 1 || c.Arrivals.BurstFrac <= 0 || c.Arrivals.BurstFrac >= 1 {
-		return fmt.Errorf("service: MMPP shape invalid (factor %v, frac %v)",
-			c.Arrivals.BurstFactor, c.Arrivals.BurstFrac)
-	}
-	if len(c.Classes) == 0 {
-		c.Classes = DefaultClasses()
-	}
-	if len(c.Classes) > 8 {
-		return fmt.Errorf("service: %d priority classes (max 8)", len(c.Classes))
+	if len(c.Classes) == 0 || len(c.Classes) > 8 {
+		return fmt.Errorf("service: %d priority classes, want 1 to 8", len(c.Classes))
 	}
 	share := 0
 	for i := range c.Classes {
@@ -219,18 +196,6 @@ func (c *Config) applyDefaults() error {
 	}
 	if share != 100 {
 		return fmt.Errorf("service: class shares sum to %d, want 100", share)
-	}
-	if c.DispatchCycles <= 0 {
-		c.DispatchCycles = 60
-	}
-	if c.HashBuckets <= 0 {
-		c.HashBuckets = 256
-	}
-	if c.HashItems <= 0 {
-		c.HashItems = 12
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	if c.Keys.Universe > 0 {
 		if c.Keys.Skew < 0 {

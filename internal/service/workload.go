@@ -34,10 +34,10 @@ func (s *structure) MemWords(totalOps int64) int64 {
 	case "tpcc":
 		return tpcc.DefaultConfig().MemWords(totalOps)
 	default:
-		universe := c.HashBuckets * c.HashItems
+		universe := hashBuckets * hashItems
 		// Line-aligned nodes with churn headroom, per-server spare nodes
 		// and lock metadata (the RunHashmap sizing plus spare slack).
-		return universe*16*3/2 + c.HashBuckets + int64(c.Servers)*64 + 1<<15
+		return universe*16*3/2 + hashBuckets + int64(c.Servers)*64 + 1<<15
 	}
 }
 
@@ -105,9 +105,9 @@ type hashExec struct {
 }
 
 func newHashExec(cfg *Config, m *machine.Machine, sys *htm.System, lock rwlock.Lock) *hashExec {
-	h := hashmap.New(m, cfg.HashBuckets)
-	h.Populate(cfg.HashItems)
-	e := &hashExec{universe: int(cfg.HashBuckets * cfg.HashItems), ws: make([]*hashmap.Worker, cfg.Servers)}
+	h := hashmap.New(m, hashBuckets)
+	h.Populate(hashItems)
+	e := &hashExec{universe: int(hashBuckets * hashItems), ws: make([]*hashmap.Worker, cfg.Servers)}
 	for i := range e.ws {
 		e.ws[i] = h.NewWorker(lock, sys.Thread(i))
 	}

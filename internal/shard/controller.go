@@ -9,11 +9,10 @@ import (
 // fallback commits the controller reads as "speculation gave up".
 const sglPath = int(stats.CommitSGL)
 
-// ControllerConfig tunes the per-shard adaptive policy. The controller is
-// a promotion of the single-lock adaptive ideas in internal/core/adaptive.go
-// to deployment scope: instead of sampling win rates inside one lock's
-// write path, it watches each shard's telemetry windows and moves the
-// whole shard along the scheme palette.
+// The controller is a promotion of the single-lock adaptive ideas in
+// internal/core/adaptive.go to deployment scope: instead of sampling win
+// rates inside one lock's write path, it watches each shard's telemetry
+// windows and moves the whole shard along the scheme palette.
 //
 // Three window signals drive the votes:
 //
@@ -38,117 +37,61 @@ const sglPath = int(stats.CommitSGL)
 // exponential backoff — a contended SGL shard cannot tell "SGL is right"
 // from "SGL is the bottleneck" without trying, and a transient storm that
 // demoted it must not pin it to the lock forever.
-type ControllerConfig struct {
-	// MinOps is the fewest completed sections in a window for the window
+//
+// The thresholds below are calibrated on the sharded hashmap store (see
+// EXPERIMENTS.md "Sharded scale-out"): roughly, keep RW-LE below ~45%
+// writes, keep any speculative rung while under ~35% lock fallbacks, and
+// re-probe a contended SGL shard every 8 windows with exponential backoff
+// to 64.
+const (
+	// minOps is the fewest completed sections in a window for the window
 	// to cast a vote; sparser windows abstain (no signal, no movement).
-	MinOps int64
-	// StepUpBelow: pressure below this votes to move one rung *up*
-	// (more speculative).
-	StepUpBelow float64
-	// WriteShareDown: on rung 0 (the read-optimized scheme, RW-LE in the
+	minOps = 12
+	// stepUpBelow: pressure below this votes to move one rung *up* (more
+	// speculative).
+	stepUpBelow = 0.15
+	// writeShareDown: on rung 0 (the read-optimized scheme, RW-LE in the
 	// standard palette), a write share of completed sections above this
 	// votes to step down — RW-LE's uninstrumented read side buys nothing
 	// on a write-heavy shard, and its write side (ROT plus reader
 	// quiescence) is the palette's most expensive.
-	WriteShareDown float64
-	// WriteShareUp: on rung 1, stepping up to rung 0 additionally
-	// requires the write share below this (a band under WriteShareDown,
+	writeShareDown = 0.45
+	// writeShareUp: on rung 1, stepping up to rung 0 additionally
+	// requires the write share below this (a band under writeShareDown,
 	// so the two votes cannot oscillate on a stationary mix).
-	WriteShareUp float64
-	// FallbackShareDown: SGL-path commit share above this, on a
+	writeShareUp = 0.20
+	// fallbackShareDown: SGL-path commit share above this, on a
 	// speculative rung, votes to step down — the retry budget is being
 	// exhausted and the shard is already running on the lock, plus the
 	// wasted speculation on the way there.
-	FallbackShareDown float64
-	// WaitPerOpBelow: on the SGL rung, lock-wait cycles per section below
+	fallbackShareDown = 0.35
+	// waitPerOpBelow: on the SGL rung, lock-wait cycles per section below
 	// this votes to step back up.
-	WaitPerOpBelow float64
-	// ProbeWindows: on a *contended* SGL rung, windows to hold before
+	waitPerOpBelow = 150
+	// probeWindows: on a *contended* SGL rung, windows to hold before
 	// re-probing speculation. A probe restarts the ladder at rung 0 —
 	// the descent that parked the shard on SGL may have been a transient
 	// storm, and only a full re-evaluation can find the right rung (the
 	// rung directly above SGL can be the palette's worst under exactly
 	// the conditions that demoted the shard). The interval doubles after
-	// every probe that descends again (up to ProbeBackoffMax) and resets
-	// once a probe survives ProbeWindows clean windows.
-	ProbeWindows int
-	// ProbeBackoffMax caps the probe interval growth.
-	ProbeBackoffMax int
-	// Smoothing is the EWMA weight of the newest window in the vote
+	// every probe that descends again (up to probeBackoffMax) and resets
+	// once a probe survives probeWindows clean windows.
+	probeWindows = 8
+	// probeBackoffMax caps the probe interval growth.
+	probeBackoffMax = 64
+	// smoothing is the EWMA weight of the newest window in the vote
 	// signals (pressure, write share, fallback share), in (0, 1]. 1 means
 	// no smoothing. Smoothing keeps single-window spikes — one batch of
 	// writes, one abort flurry — from bouncing a shard off a scheme that
 	// is right on average.
-	Smoothing float64
-	// Hysteresis is the number of *consecutive identical* votes required
+	smoothing = 0.35
+	// hysteresis is the number of *consecutive identical* votes required
 	// before a switch is requested.
-	Hysteresis int
-	// CooldownWindows suppresses voting for this many windows after a
+	hysteresis = 2
+	// cooldownWindows suppresses voting for this many windows after a
 	// switch request, letting the new scheme's signal stabilize.
-	CooldownWindows int
-}
-
-// DefaultControllerConfig returns thresholds calibrated on the sharded
-// hashmap store (see EXPERIMENTS.md "Sharded scale-out"): roughly, keep
-// RW-LE below ~45% writes, keep any speculative rung while under ~35%
-// lock fallbacks, and re-probe a contended SGL shard every 8 windows
-// with exponential backoff to 64.
-func DefaultControllerConfig() ControllerConfig {
-	return ControllerConfig{
-		MinOps:            12,
-		StepUpBelow:       0.15,
-		WriteShareDown:    0.45,
-		WriteShareUp:      0.20,
-		FallbackShareDown: 0.35,
-		WaitPerOpBelow:    150,
-		ProbeWindows:      8,
-		ProbeBackoffMax:   64,
-		Smoothing:         0.35,
-		Hysteresis:        2,
-		CooldownWindows:   2,
-	}
-}
-
-// normalize fills zero fields with defaults.
-func (c *ControllerConfig) normalize() {
-	d := DefaultControllerConfig()
-	if c.MinOps <= 0 {
-		c.MinOps = d.MinOps
-	}
-	if c.StepUpBelow <= 0 {
-		c.StepUpBelow = d.StepUpBelow
-	}
-	if c.WriteShareDown <= 0 {
-		c.WriteShareDown = d.WriteShareDown
-	}
-	if c.WriteShareUp <= 0 {
-		c.WriteShareUp = d.WriteShareUp
-	}
-	if c.FallbackShareDown <= 0 {
-		c.FallbackShareDown = d.FallbackShareDown
-	}
-	if c.WaitPerOpBelow <= 0 {
-		c.WaitPerOpBelow = d.WaitPerOpBelow
-	}
-	if c.ProbeWindows <= 0 {
-		c.ProbeWindows = d.ProbeWindows
-	}
-	if c.ProbeBackoffMax < c.ProbeWindows {
-		c.ProbeBackoffMax = d.ProbeBackoffMax
-		if c.ProbeBackoffMax < c.ProbeWindows {
-			c.ProbeBackoffMax = c.ProbeWindows
-		}
-	}
-	if c.Smoothing <= 0 || c.Smoothing > 1 {
-		c.Smoothing = d.Smoothing
-	}
-	if c.Hysteresis <= 0 {
-		c.Hysteresis = d.Hysteresis
-	}
-	if c.CooldownWindows < 0 {
-		c.CooldownWindows = d.CooldownWindows
-	}
-}
+	cooldownWindows = 2
+)
 
 // ctlShard is one shard's voting state.
 type ctlShard struct {
@@ -169,7 +112,7 @@ type ctlShard struct {
 
 // Controller is the per-shard adaptive policy: it subscribes to each
 // shard's timeline, folds every delivered window into a vote, and — after
-// Hysteresis consecutive identical votes — requests a scheme switch via
+// hysteresis consecutive identical votes — requests a scheme switch via
 // the setPending callback. It runs entirely inside window-delivery
 // callbacks, which ShardTimelines invokes in deterministic virtual-time
 // order from under the tracer, so its decisions (and therefore the whole
@@ -179,7 +122,6 @@ type ctlShard struct {
 // first): rung 0 is the read-optimized scheme, middle rungs speculate on
 // both sides, the last rung is the plain lock.
 type Controller struct {
-	cfg        ControllerConfig
 	rungs      int
 	setPending func(shard, rung int)
 	shards     []ctlShard
@@ -189,9 +131,8 @@ type Controller struct {
 // `shards` shards, all starting on rung 0. setPending is invoked (from
 // inside a window callback, i.e. under the tracer with the emitting CPU
 // holding the floor) when a switch is requested.
-func NewController(cfg ControllerConfig, rungs, shards int, setPending func(shard, rung int)) *Controller {
-	cfg.normalize()
-	return &Controller{cfg: cfg, rungs: rungs, setPending: setPending,
+func NewController(rungs, shards int, setPending func(shard, rung int)) *Controller {
+	return &Controller{rungs: rungs, setPending: setPending,
 		shards: make([]ctlShard, shards)}
 }
 
@@ -202,14 +143,14 @@ func (c *Controller) sglRung() int { return c.rungs - 1 }
 func (c *Controller) Observe(s int, w obs.TimelineWindow) {
 	st := &c.shards[s]
 	if st.probeAt == 0 {
-		st.probeAt = c.cfg.ProbeWindows
+		st.probeAt = probeWindows
 	}
 	if st.cooldown > 0 {
 		st.cooldown--
 		return
 	}
 	ops := w.CSEnds
-	if ops < c.cfg.MinOps {
+	if ops < minOps {
 		return // too sparse to read; hold position, keep accumulated votes
 	}
 
@@ -217,7 +158,7 @@ func (c *Controller) Observe(s int, w obs.TimelineWindow) {
 	if st.commanded == c.sglRung() {
 		// Terminal rung: aborts are structurally zero, read lock-wait.
 		wait := float64(w.LockWait) / float64(ops)
-		if wait < c.cfg.WaitPerOpBelow {
+		if wait < waitPerOpBelow {
 			st.sglWins = 0
 			dir = -1
 		} else {
@@ -231,10 +172,10 @@ func (c *Controller) Observe(s int, w obs.TimelineWindow) {
 			st.sglWins++
 			if st.sglWins >= st.probeAt {
 				st.sglWins = 0
-				if st.probeAt < c.cfg.ProbeBackoffMax {
+				if st.probeAt < probeBackoffMax {
 					st.probeAt *= 2
-					if st.probeAt > c.cfg.ProbeBackoffMax {
-						st.probeAt = c.cfg.ProbeBackoffMax
+					if st.probeAt > probeBackoffMax {
+						st.probeAt = probeBackoffMax
 					}
 				}
 				st.seeded = false
@@ -251,7 +192,7 @@ func (c *Controller) Observe(s int, w obs.TimelineWindow) {
 		if len(w.Commits) > sglPath {
 			fallbacks = w.Commits[sglPath]
 		}
-		a := c.cfg.Smoothing
+		a := smoothing
 		if !st.seeded {
 			st.seeded = true
 			st.pEWMA = float64(aborts) / float64(ops)
@@ -263,16 +204,16 @@ func (c *Controller) Observe(s int, w obs.TimelineWindow) {
 			st.wEWMA += a * (float64(w.CSWrites)/float64(ops) - st.wEWMA)
 		}
 		pressure, fallbackShare, writeShare := st.pEWMA, st.fbkEWMA, st.wEWMA
-		if fallbackShare <= c.cfg.FallbackShareDown {
+		if fallbackShare <= fallbackShareDown {
 			st.cleanStreak++
-			if st.cleanStreak >= c.cfg.ProbeWindows {
-				st.probeAt = c.cfg.ProbeWindows // probe survived; reset backoff
+			if st.cleanStreak >= probeWindows {
+				st.probeAt = probeWindows // probe survived; reset backoff
 			}
 		} else {
 			st.cleanStreak = 0
 		}
 		switch {
-		case st.commanded == 1 && writeShare < c.cfg.WriteShareUp:
+		case st.commanded == 1 && writeShare < writeShareUp:
 			// Rung 1 → rung 0 is mix-driven and outranks every other vote,
 			// including a fallback storm: on a read-dominated shard, rung-1
 			// conflicts (and the retry exhaustion they cause) live in the
@@ -281,15 +222,15 @@ func (c *Controller) Observe(s int, w obs.TimelineWindow) {
 			// pressure is deliberately not consulted either — rung-1 noise
 			// says nothing about how rung 0 would fare.
 			dir = -1
-		case fallbackShare > c.cfg.FallbackShareDown:
+		case fallbackShare > fallbackShareDown:
 			// Retry budgets are being exhausted: the shard already runs on
 			// the lock most of the time, plus the wasted speculation.
 			dir = +1
-		case st.commanded == 0 && writeShare > c.cfg.WriteShareDown:
+		case st.commanded == 0 && writeShare > writeShareDown:
 			// The read-optimized rung on a write-heavy shard: its expensive
 			// write side dominates even when nothing aborts.
 			dir = +1
-		case pressure < c.cfg.StepUpBelow && st.commanded > 1:
+		case pressure < stepUpBelow && st.commanded > 1:
 			dir = -1
 		default:
 			st.votes, st.dir = 0, 0
@@ -301,7 +242,7 @@ func (c *Controller) Observe(s int, w obs.TimelineWindow) {
 		st.dir, st.votes = dir, 0
 	}
 	st.votes++
-	if st.votes < c.cfg.Hysteresis {
+	if st.votes < hysteresis {
 		return
 	}
 	st.votes, st.dir = 0, 0
@@ -320,7 +261,7 @@ func (c *Controller) switchTo(st *ctlShard, s, target int) {
 		return
 	}
 	st.commanded = target
-	st.cooldown = c.cfg.CooldownWindows
+	st.cooldown = cooldownWindows
 	st.cleanStreak = 0
 	st.seeded = false // the new scheme's signals start fresh
 	c.setPending(s, target)

@@ -61,8 +61,6 @@ type Config struct {
 
 	Shards int   // hash partitions (4–64 in the sweep)
 	Window int64 // timeline window width, cycles (controller tick)
-
-	Ctrl ControllerConfig // thresholds for adaptive runs (palette > 1)
 }
 
 // DefaultConfig returns the baseline sharded point: 64 serving CPUs over
@@ -75,7 +73,6 @@ func DefaultConfig() Config {
 		Config: service.DefaultConfig("shardkv"),
 		Shards: 16,
 		Window: 50_000,
-		Ctrl:   DefaultControllerConfig(),
 	}
 	c.Servers = 64
 	c.Requests = 6000
@@ -102,23 +99,14 @@ func DefaultClasses() []service.Class {
 	}
 }
 
-// Check reports whether Run accepts c: normalize's checks, then the
-// service's. c itself is left as it is.
+// Check reports whether Run accepts c: the shard fields' checks, then the
+// service's.
 func (c Config) Check() error {
-	if err := c.normalize(); err != nil {
-		return err
-	}
-	return c.Config.Check()
-}
-
-// normalize validates and defaults the shard-specific fields (the
-// service runner normalizes the embedded service config).
-func (c *Config) normalize() error {
 	if c.Shards <= 0 {
-		c.Shards = 16
+		return fmt.Errorf("shard: %d shards, want at least 1", c.Shards)
 	}
 	if c.Window <= 0 {
-		c.Window = 50_000
+		return fmt.Errorf("shard: window of %d cycles, want at least 1", c.Window)
 	}
 	if c.Keys.Universe <= 0 {
 		return fmt.Errorf("shard: keyed demand required (Keys.Universe = %d)", c.Keys.Universe)
@@ -126,8 +114,7 @@ func (c *Config) normalize() error {
 	if c.Keys.Universe < c.Shards {
 		return fmt.Errorf("shard: universe %d smaller than %d shards", c.Keys.Universe, c.Shards)
 	}
-	c.Ctrl.normalize()
-	return nil
+	return c.Config.Check()
 }
 
 // SwitchEvent is one applied scheme switch, in virtual-time order.
@@ -251,7 +238,7 @@ func RunObserved(cfg Config, palette []Scheme, observe func(*machine.Machine), a
 	if len(palette) == 0 {
 		return nil, nil, nil, fmt.Errorf("shard: empty scheme palette")
 	}
-	if err := cfg.normalize(); err != nil {
+	if err := cfg.Check(); err != nil {
 		return nil, nil, nil, err
 	}
 	d := &deployment{cfg: &cfg, palette: palette}
@@ -314,7 +301,7 @@ func (d *deployment) Build(m *machine.Machine, sys *htm.System) (machine.Tracer,
 
 	d.tl = obs.NewShardTimelines(cfg.Window, cfg.Shards, len(cfg.Classes))
 	if len(d.palette) > 1 {
-		ctrl := NewController(cfg.Ctrl, len(d.palette), cfg.Shards, func(s, scheme int) {
+		ctrl := NewController(len(d.palette), cfg.Shards, func(s, scheme int) {
 			d.shards[s].pending = scheme
 		})
 		for s := range d.shards {

@@ -64,6 +64,31 @@ func runJSON(t *testing.T, cfg Config, pal []Scheme) (*Result, []byte) {
 	return res, b
 }
 
+// TestConfigCheck: the shard fields a point cannot run with are rejected,
+// not defaulted, by Check and by Run.
+func TestConfigCheck(t *testing.T) {
+	if err := testConfig().Check(); err != nil {
+		t.Fatalf("test config rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"zero shards", func(c *Config) { c.Shards = 0 }},
+		{"zero window", func(c *Config) { c.Window = 0 }},
+		{"universe below shards", func(c *Config) { c.Keys.Universe = c.Shards - 1 }},
+	} {
+		cfg := testConfig()
+		tc.mutate(&cfg)
+		if err := cfg.Check(); err == nil {
+			t.Errorf("%s: Check accepted %+v", tc.name, cfg)
+		}
+		if _, err := Run(cfg, sglOnly(), bounded); err == nil {
+			t.Errorf("%s: Run accepted it", tc.name)
+		}
+	}
+}
+
 // TestShardDeterministic pins that a full adaptive sharded run — schedule,
 // routing, per-shard switching, metrics — is a pure function of the
 // config: two runs are byte-identical through JSON.

@@ -293,6 +293,12 @@ catalogue() {
 	row shard-reserve-order 'shard256/adaptive diverged' \
 		internal/shard/shard.go $'\td.acquireExcl(c, lo)\n\td.acquireExcl(c, hi)\n' $'\td.acquireExcl(c, s1)\n\td.acquireExcl(c, s2)\n' \
 		-- go test ./internal/enginediff -run TestEngineEquivalence
+	# The adaptive controller without hysteresis or cooldown: one vote
+	# switches a shard, and the next window may switch it back (flapping).
+	row ctl-no-hysteresis '--- FAIL' \
+		internal/shard/controller.go $'\thysteresis = 2\n' $'\thysteresis = 1\n' \
+		internal/shard/controller.go $'\tcooldownWindows = 2\n' $'\tcooldownWindows = 0\n' \
+		-- go test ./internal/shard -run Controller
 	# The critical-section bracket closes no span for a section that
 	# commits in hardware: the trace carries a cs-begin with no cs-end.
 	row cs-end-drop 'diverged' \
