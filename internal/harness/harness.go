@@ -68,7 +68,8 @@ type PointCtx struct {
 type opFunc func(c *machine.CPU, th *htm.Thread)
 
 // runClosed runs one machine of a closed-system point, the mirror of
-// service.RunHost: it builds the machine from mc, shows it to
+// service.RunHost: it builds the machine from mc (released when the point
+// returns or panics, so its memory goes to the next point), shows it to
 // ctx.Observe, builds the HTM system and the lock from mk (no lock when
 // mk is nil), lets build populate the structure and return the per-op
 // body, installs ctx's observers, runs totalOps operations split evenly
@@ -78,6 +79,7 @@ type opFunc func(c *machine.CPU, th *htm.Thread)
 func runClosed(ctx PointCtx, mc machine.Config, totalOps int, mk rwlock.Factory,
 	build func(m *machine.Machine, sys *htm.System, lock rwlock.Lock) opFunc) Result {
 	m := machine.New(mc)
+	defer m.Release()
 	if ctx.Observe != nil {
 		ctx.Observe(m)
 	}

@@ -15,8 +15,9 @@ package machine
 //	words 2+w..   speculative-reader bitmap
 //
 // The zero record is an idle line, so New needs no initialisation pass.
-// Like words, lines may come from an anonymous mapping that lives only as
-// long as its Machine, so no slice of it may outlive the Machine (New).
+// Like words, lines may come from an anonymous mapping that the next
+// machine takes at Release, so no slice of it may outlive Release or the
+// Machine (New).
 // The machine stores the HTM slot (the writer and the reader bitmap) and
 // never reads it; internal/htm reaches it by line index (see LineOf)
 // through SpecWriter, SetSpecWriter and SpecReaders.
@@ -30,8 +31,9 @@ const (
 
 // CPUSet is a bitmap of CPU IDs, one bit per CPU, as wide as the
 // machine's record bitmaps. It aliases the record it came from, so a
-// CPUSet from SpecReaders must not outlive its Machine: the records may
-// live in a mapping that is unmapped with the Machine (see New).
+// CPUSet from SpecReaders must not outlive Release or its Machine: the
+// records may live in a mapping that goes to the next machine at Release
+// or is unmapped with the Machine (see New).
 type CPUSet []uint64
 
 // Has reports whether CPU id is in the set.

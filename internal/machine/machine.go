@@ -112,7 +112,7 @@ type Machine struct {
 	Cfg       Config
 	words     []uint64
 	lines     []uint64 // per-line records, recWords each (see line.go)
-	mapped    bool     // words and lines come from mapMemory, not make
+	mem       *mapping // the mapping words and lines come from; nil when from make
 	recWords  int64
 	bitWords  int64 // width of each record bitmap: ceil(CPUs/64)
 	cpus      []*CPU
@@ -146,9 +146,12 @@ type Machine struct {
 // least one huge page they share one anonymous mapping (mapMemory), which
 // the kernel zero-fills page by page on first touch, so a machine pays
 // only for the memory its run touches; otherwise they come from make.
-// The mapping is unmapped once the Machine is unreachable, so no slice of
-// words or lines — a CPUSet included — may outlive its Machine: hold the
-// Machine (or a CPU, which points to it) for as long as the slice.
+//
+// Lifetime: the mapping goes to the next machine at Release, and is
+// unmapped once a Machine that was never released is unreachable. So no
+// slice of words or lines — a CPUSet included — may outlive Release or
+// its Machine: hold the Machine (or a CPU, which points to it) for as
+// long as the slice, and release it only after the last use.
 func New(cfg Config) *Machine {
 	cfg.applyDefaults()
 	m := &Machine{Cfg: cfg}
@@ -160,7 +163,7 @@ func New(cfg Config) *Machine {
 	m.recWords = recBits + 2*m.bitWords
 	words, recs := cfg.MemWords, nLines*m.recWords
 	if mem := mapMemory(m, words+recs); mem != nil {
-		m.words, m.lines, m.mapped = mem[:words:words], mem[words:], true
+		m.words, m.lines = mem[:words:words], mem[words:]
 	} else {
 		m.words, m.lines = make([]uint64, words), make([]uint64, recs)
 	}
@@ -171,6 +174,36 @@ func New(cfg Config) *Machine {
 		m.cpus[i] = newCPU(m, i)
 	}
 	return m
+}
+
+// Release ends the machine's simulated memory early. It first checks the
+// allocator contract (see arena): a nonzero word past the bump pointer is
+// a write outside every allocated block, and panics, leaving the machine
+// as it was. A mapped block is then cleared where it is resident and
+// handed to the next New (see mapMemory); a block from make is left to the
+// collector. After Release, words and lines are nil, so a late Peek, Poke
+// or simulated access panics instead of reading another machine's memory.
+// Host-side state stays readable: Cfg, the CPUs and their counters, and
+// EngineCounters. Releasing twice is harmless. A machine that is never
+// released keeps its memory until it is unreachable.
+func (m *Machine) Release() {
+	heap := m.HeapUsed()
+	if m.mem != nil {
+		m.mem.release(int64(len(m.words)+len(m.lines)), int64(len(m.words)), heap)
+	} else {
+		checkUnallocated(m.words, heap, int64(len(m.words)))
+	}
+	m.words, m.lines, m.mem = nil, nil, nil
+}
+
+// checkUnallocated panics unless words[from:to], all past the bump
+// pointer, read zero.
+func checkUnallocated(words []uint64, from, to int64) {
+	for a := from; a < to; a++ {
+		if words[a] != 0 {
+			panic(fmt.Sprintf("machine: word %d past the bump pointer reads %#x: a write outside every allocated block", a, words[a]))
+		}
+	}
 }
 
 // LineOf returns the cache-line index of address a.

@@ -6,6 +6,12 @@ package machine
 // New takes simulated memory from make.
 const hugePageBytes = 0
 
+// mapping is never made here (see mem_linux.go).
+type mapping struct{}
+
 // mapMemory returns nil, so New takes simulated memory from make (see
 // mem_linux.go).
 func mapMemory(m *Machine, n int64) []uint64 { return nil }
+
+// release is never reached: no machine has a mapping here.
+func (p *mapping) release(n, memWords, heap int64) {}

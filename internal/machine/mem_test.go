@@ -19,8 +19,8 @@ func bigConfig() Config { return Config{CPUs: 4, MemWords: 8 << 20, Seed: 1} }
 // Peek work at both ends of memory.
 func TestMappedMemoryZeroAtBothEnds(t *testing.T) {
 	m := New(bigConfig())
-	if want := hugePageBytes > 0; m.mapped != want {
-		t.Fatalf("mapped = %v on a %d-word machine, want %v (huge page %d B)", m.mapped, m.Cfg.MemWords, want, hugePageBytes)
+	if want := hugePageBytes > 0; (m.mem != nil) != want {
+		t.Fatalf("mapped = %v on a %d-word machine, want %v (huge page %d B)", m.mem != nil, m.Cfg.MemWords, want, hugePageBytes)
 	}
 	first, last := Addr(0), Addr(m.Cfg.MemWords-1)
 	for _, a := range []Addr{first, last} {
@@ -58,7 +58,7 @@ func TestMappedMemoryZeroAtBothEnds(t *testing.T) {
 // memory and records fit in one huge page comes from make.
 func TestSmallMachineTakesMake(t *testing.T) {
 	m := New(testConfig(2)) // 512 KiB of words, 128 KiB of records
-	if m.mapped {
+	if m.mem != nil {
 		t.Fatalf("a %d-word machine was mapped; the floor is one huge page (%d B)", m.Cfg.MemWords, hugePageBytes)
 	}
 	if m.Peek(Addr(m.Cfg.MemWords-1)) != 0 {
@@ -117,4 +117,79 @@ func vmRSS(t *testing.T) int64 {
 	}
 	t.Fatal("no VmRSS line in /proc/self/status")
 	return 0
+}
+
+// panics reports whether fn panics.
+func panics(fn func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	fn()
+	return false
+}
+
+// TestReleaseChecksContract checks that Release enforces the allocator
+// contract, from make and from a mapping alike (where it reads only the
+// resident pages): a word written past the bump pointer makes it panic
+// and leaves the machine's memory as it was.
+func TestReleaseChecksContract(t *testing.T) {
+	for _, cfg := range []Config{testConfig(2), bigConfig()} {
+		m := New(cfg)
+		m.AllocRaw(100)
+		a := Addr(cfg.MemWords - 1)
+		m.Poke(a, 0xbad)
+		if !panics(m.Release) {
+			t.Fatalf("Release did not panic on a nonzero word %d past the bump pointer %d", a, m.HeapUsed())
+		}
+		if v := m.Peek(a); v != 0xbad {
+			t.Fatalf("word %d reads %#x after a failed Release, want 0xbad", a, v)
+		}
+	}
+}
+
+// TestPeekAfterReleasePanics checks that a released machine's memory is
+// gone, from make and from a mapping alike: Peek and Poke panic instead
+// of reaching memory that may be another machine's by now.
+func TestPeekAfterReleasePanics(t *testing.T) {
+	for _, cfg := range []Config{testConfig(2), bigConfig()} {
+		m := New(cfg)
+		m.Release()
+		if !panics(func() { m.Peek(Addr(cfg.LineWords)) }) {
+			t.Fatalf("Peek after Release of a %d-word machine did not panic", cfg.MemWords)
+		}
+		if !panics(func() { m.Poke(Addr(cfg.LineWords), 1) }) {
+			t.Fatalf("Poke after Release of a %d-word machine did not panic", cfg.MemWords)
+		}
+	}
+}
+
+// TestReleaseFromMakeHarmless releases a small machine from make twice
+// after a run: its host-side state stays readable, and the spare a mapped
+// machine left is still there for the next mapped machine.
+func TestReleaseFromMakeHarmless(t *testing.T) {
+	big := New(bigConfig())
+	bigMem := big.mem
+	var was *uint64
+	if bigMem != nil {
+		was = &big.words[0]
+	}
+	big.Release()
+
+	m := New(testConfig(2))
+	if m.mem != nil {
+		t.Fatalf("a %d-word machine was mapped", m.Cfg.MemWords)
+	}
+	m.AllocRaw(128)
+	m.Run(2, func(c *CPU) { c.Write(Addr(64+16*c.ID), 1) })
+	eng := m.EngineCounters()
+	m.Release()
+	m.Release()
+	if m.Cfg.CPUs != 2 || m.CPU(1).Counters.Writes != 1 || m.EngineCounters() != eng {
+		t.Fatalf("host-side state changed by Release: %d CPUs, CPU 1 wrote %d times, engine %+v (was %+v)",
+			m.Cfg.CPUs, m.CPU(1).Counters.Writes, m.EngineCounters(), eng)
+	}
+
+	next := New(bigConfig())
+	defer next.Release()
+	if bigMem != nil && &next.words[0] != was {
+		t.Fatal("releasing a machine from make lost the spare mapping")
+	}
 }

@@ -41,7 +41,9 @@ func RunPointObserved(cfg Config, scheme string, mk rwlock.Factory, observe func
 }
 
 // RunHost is the one open-system runner: it measures one point of h under
-// cfg and labels the metrics with scheme. cfg is checked before h is
+// cfg and labels the metrics with scheme. The machine is released when
+// RunHost returns or panics, so its memory goes to the next point; observe
+// and h may keep it only for its host-side state. cfg is checked before h is
 // asked for anything. The tracer chain is observe's tracer, h's late tracer, then the
 // observers att selects, which it returns finished; the profiler's
 // timeline is fed the request log, so it carries the queue-depth and
@@ -64,6 +66,7 @@ func RunHost(cfg *Config, scheme string, h Host, observe func(*machine.Machine),
 		MemWords: h.MemWords(totalOps),
 		Seed:     cfg.Seed,
 	})
+	defer m.Release()
 	if observe != nil {
 		observe(m)
 	}

@@ -61,6 +61,10 @@ gate point-sanitize hrwle-bench -fig fig5 -scale 0.02 -schemes RW-LE_OPT \
 # Figure sweep tables and the per-scheme RunMetrics JSON directory.
 gate sweep hrwle-bench -fig fig5 -scale 0.02 -threads 2,4 -q -j @J@ \
 	-o @OUT@/fig5.txt -metrics-dir @OUT@/metrics
+# A sweep of mapped machines: each fig4 point's memory is a mapping that
+# the next point recycles, on one worker at -j 1 and across workers at -j 8.
+gate sweep-fig4 hrwle-bench -fig fig4 -scale 0.02 -threads 2,4 -q -j @J@ \
+	-o @OUT@/fig4.txt -metrics-dir @OUT@/metrics
 # Open-system serve sweep; arrivals come from a seeded pre-run stream.
 gate serve hrwle-serve -workload hashmap -requests 600 \
 	-schemes RW-LE_OPT,SGL -rates 5e5,5e6 -q -j @J@ \

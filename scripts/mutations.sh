@@ -242,6 +242,11 @@ catalogue() {
 	row alloc-clear '--- FAIL' \
 		internal/machine/alloc.go $'\tif recycled {\n\t\tclear(m.words[addr : addr+Addr(size)])\n\t}\n' $'\t_, _ = size, recycled\n' \
 		-- go test ./internal/machine -run Allocator
+	# Release hands a machine's mapping to the next New without clearing
+	# it: the next machine starts on the last one's words and records.
+	row release-no-clear '--- FAIL' \
+		internal/machine/mem_linux.go $'\t\tif r[0] < heap {\n\t\t\tclear(words[r[0]:min(r[1], heap)])\n\t\t}\n\t\tif r[1] > memWords {\n\t\t\tclear(words[max(r[0], memWords):r[1]])\n\t\t}\n' $'\t\t_ = r\n' \
+		-- go test ./internal/machine -run Release
 	# The shared Zipf tables keyed by universe alone: a second skew over
 	# one universe gets the first skew's table, and its keys follow the
 	# wrong distribution.
