@@ -168,9 +168,10 @@ func ParseRates(s string) ([]float64, error) {
 	return parseList(s, parseFloat, func(v float64) bool { return v > 0 }, "rate", "positive req/s")
 }
 
-// ParseSkews parses a comma-separated list of non-negative Zipf exponents.
+// ParseSkews parses a comma-separated list of finite, non-negative Zipf
+// exponents.
 func ParseSkews(s string) ([]float64, error) {
-	return parseList(s, parseFloat, func(v float64) bool { return v >= 0 }, "skew", "non-negative exponent")
+	return parseList(s, parseFloat, func(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }, "skew", "finite non-negative exponent")
 }
 
 func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }

@@ -47,4 +47,9 @@ func TestParseListsAreStrict(t *testing.T) {
 	if got, err := ParseSkews("0,1.2"); err != nil || !slices.Equal(got, []float64{0, 1.2}) {
 		t.Errorf("ParseSkews(\"0,1.2\") = %v, %v", got, err)
 	}
+	for _, bad := range []string{"-1", "nan", "inf", "+Inf", "0,infinity"} {
+		if got, err := ParseSkews(bad); err == nil {
+			t.Errorf("ParseSkews(%q) = %v, want an error", bad, got)
+		}
+	}
 }

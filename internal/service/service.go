@@ -24,6 +24,7 @@ package service
 
 import (
 	"fmt"
+	"math"
 
 	"hrwle/internal/machine"
 )
@@ -198,8 +199,8 @@ func (c Config) Check() error {
 		return fmt.Errorf("service: class shares sum to %d, want 100", share)
 	}
 	if c.Keys.Universe > 0 {
-		if c.Keys.Skew < 0 {
-			return fmt.Errorf("service: key skew %v negative", c.Keys.Skew)
+		if !(c.Keys.Skew >= 0) || math.IsInf(c.Keys.Skew, 1) {
+			return fmt.Errorf("service: key skew %v, want a finite exponent ≥ 0", c.Keys.Skew)
 		}
 		if c.Keys.CrossPct < 0 || c.Keys.CrossPct > 100 {
 			return fmt.Errorf("service: CrossPct %d outside [0,100]", c.Keys.CrossPct)

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -247,6 +248,9 @@ func TestBadConfigs(t *testing.T) {
 		func(c *Config) { c.QueueCap = 0 },
 		func(c *Config) { c.Seed = 0 },
 		func(c *Config) { c.Classes = nil },
+		func(c *Config) { c.Keys = KeyConfig{Universe: 1 << 12, Skew: -0.5} },
+		func(c *Config) { c.Keys = KeyConfig{Universe: 1 << 12, Skew: math.NaN()} },
+		func(c *Config) { c.Keys = KeyConfig{Universe: 1 << 12, Skew: math.Inf(1)} },
 	}
 	for i, mutate := range bad {
 		cfg := testConfig("hashmap")

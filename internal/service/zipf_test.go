@@ -184,3 +184,60 @@ func TestZipfMemoSharesOneTablePerKey(t *testing.T) {
 		tables[z] = k
 	}
 }
+
+// TestRankWeightMatchesPow pins rankWeights to math.Pow bit for bit: at
+// every rank of the shard store's 2^21-key universe for the exponents the
+// sweeps use, and at strided ranks up to 2^53 for an exponent on each of
+// its branches (Pow's own special cases 0 and 0.5, yi = 0, yi = 1 with and
+// without a fraction, yf moved below zero, and yi ≥ 2).
+func TestRankWeightMatchesPow(t *testing.T) {
+	check := func(weight func(float64) float64, x, s float64) {
+		t.Helper()
+		if got, want := weight(x), math.Pow(x, -s); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("rank %v, s=%v: weight %v (%#x), Pow %v (%#x)",
+				x, s, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	for _, s := range []float64{0, 0.9, 1.2} {
+		weight := rankWeights(s)
+		for x := 1; x <= 1<<21; x++ {
+			check(weight, float64(x), s)
+		}
+	}
+	for _, s := range []float64{0.1, 0.5, 0.6, 0.99, 1, 1.01, 1.3, 1.49, 1.5, 2, 3} {
+		weight := rankWeights(s)
+		for x := 1; x <= 1<<21; x += 61 {
+			check(weight, float64(x), s)
+		}
+		for x := float64(1 << 21); x < 1<<53; x = math.Floor(x * 1.7) {
+			check(weight, x, s)
+		}
+		check(weight, 1<<53, s)
+	}
+}
+
+// TestZipfTableMatchesPowReference compares the shard store's tables, bit
+// for bit, with a table built here from math.Pow in the same order: the
+// same sums, the same normalization and the same last entry.
+func TestZipfTableMatchesPowReference(t *testing.T) {
+	const n = 1 << 21
+	for _, s := range []float64{0.9, 1.2} {
+		ref := make([]float64, n)
+		sum := 0.0
+		for k := range ref {
+			sum += math.Pow(float64(k+1), -s)
+			ref[k] = sum
+		}
+		inv := 1 / sum
+		for k := range ref {
+			ref[k] *= inv
+		}
+		ref[n-1] = 1
+		z := NewZipf(n, s)
+		for k := range ref {
+			if math.Float64bits(z.cdf[k]) != math.Float64bits(ref[k]) {
+				t.Fatalf("s=%v: cdf[%d] = %v, reference %v", s, k, z.cdf[k], ref[k])
+			}
+		}
+	}
+}

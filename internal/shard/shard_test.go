@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"testing"
 
 	"hrwle/internal/core"
@@ -77,6 +78,8 @@ func TestConfigCheck(t *testing.T) {
 		{"zero shards", func(c *Config) { c.Shards = 0 }},
 		{"zero window", func(c *Config) { c.Window = 0 }},
 		{"universe below shards", func(c *Config) { c.Keys.Universe = c.Shards - 1 }},
+		{"NaN skew", func(c *Config) { c.Keys.Skew = math.NaN() }},
+		{"infinite skew", func(c *Config) { c.Keys.Skew = math.Inf(1) }},
 	} {
 		cfg := testConfig()
 		tc.mutate(&cfg)

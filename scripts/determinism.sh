@@ -6,29 +6,71 @@
 # the two runs write, stdout included, must be byte-identical, and every
 # JSON file must parse.
 #
-# Run from anywhere: bash scripts/determinism.sh
+# With -base REV, each row instead runs once with REV's binaries and once
+# with this tree's, both at @J@ = 8, and the script lists every file that
+# differs: for a JSON file the paths of the fields that differ, for any
+# other file its first changed lines. REV is exported with git archive and
+# built in the script's temporary directory. A row that REV's binaries
+# cannot run is skipped with a note. The exit status is 1 if any file
+# differs.
+#
+# Run from anywhere: bash scripts/determinism.sh [-base REV]
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+base=
+if [[ ${1-} == -base ]]; then
+	base=${2:?determinism: -base needs a revision}
+	git rev-parse --quiet --verify "$base^{commit}" >/dev/null ||
+		{ echo "determinism: -base $base: no such commit" >&2; exit 2; }
+fi
 
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 go build -o "$work/bin/" ./cmd/...
+if [[ -n $base ]]; then
+	mkdir -p "$work/base/tree"
+	git archive "$base" | tar -xf - -C "$work/base/tree"
+	(cd "$work/base/tree" && go build -o "$work/base/bin/" ./cmd/...)
+fi
+rows_differ=0 rows_skipped=0
+
+# run NAME SIDE BIN J CMD... runs a row's command with the binaries in BIN
+# and @J@ = J; its files and stdout go to $work/out/NAME/SIDE, its stderr
+# to $work/stderr.
+run() {
+	local name=$1 side=$2 bin=$3 j=$4 dir args
+	shift 4
+	dir=$work/out/$name/$side
+	mkdir -p "$dir"
+	args=("${@//@OUT@/$dir}")
+	args=("${args[@]//@J@/$j}")
+	"$bin/${args[0]}" "${args[@]:1}" >"$dir/stdout" 2>"$work/stderr"
+}
+
+# files NAME SIDE lists the files of one side of a row.
+files() {
+	(cd "$work/out/$1/$2" && find . -type f | sort)
+}
+
+# failed NAME CMD... reports a command of this tree's build that failed.
+failed() {
+	cat "$work/stderr" >&2
+	echo "determinism: $1: ${*:2} failed" >&2
+	exit 1
+}
 
 gate() {
-	local name=$1
+	local name=$1 f
 	shift
-	local run j dir args
-	for run in 1 2; do
-		j=$((run == 1 ? 1 : 8))
-		dir=$work/out/$name/$run
-		mkdir -p "$dir"
-		args=("${@//@OUT@/$dir}")
-		args=("${args[@]//@J@/$j}")
-		"$work/bin/${args[0]}" "${args[@]:1}" >"$dir/stdout" 2>"$work/stderr" ||
-			{ cat "$work/stderr" >&2; echo "determinism: $name: ${args[*]} failed" >&2; exit 1; }
-	done
-	(cd "$work/out/$name/1" && find . -type f | sort) >"$work/files1"
-	(cd "$work/out/$name/2" && find . -type f | sort) >"$work/files2"
+	if [[ -n $base ]]; then
+		against "$name" "$@"
+		return
+	fi
+	run "$name" 1 "$work/bin" 1 "$@" || failed "$name" "$@"
+	run "$name" 2 "$work/bin" 8 "$@" || failed "$name" "$@"
+	files "$name" 1 >"$work/files1"
+	files "$name" 2 >"$work/files2"
 	cmp "$work/files1" "$work/files2"
 	while read -r f; do
 		cmp "$work/out/$name/1/$f" "$work/out/$name/2/$f"
@@ -37,6 +79,77 @@ gate() {
 		fi
 	done <"$work/files1"
 	echo "determinism: $name ok ($(wc -l <"$work/files1") files)"
+}
+
+# against NAME CMD... runs one row with REV's build and with this tree's
+# and lists what differs.
+against() {
+	local name=$1 f a b differ=0
+	shift
+	if ! run "$name" base "$work/base/bin" 8 "$@"; then
+		echo "determinism: $name skipped: $base's build cannot run it: $(head -1 "$work/stderr")"
+		rows_skipped=$((rows_skipped + 1))
+		return
+	fi
+	run "$name" tree "$work/bin" 8 "$@" || failed "$name" "$@"
+	files "$name" base >"$work/files1"
+	files "$name" tree >"$work/files2"
+	while read -r f; do
+		echo "determinism: $name: $f written by one build only"
+		differ=$((differ + 1))
+	done < <(comm -3 "$work/files1" "$work/files2" | tr -d '\t')
+	while read -r f; do
+		a=$work/out/$name/base/$f b=$work/out/$name/tree/$f
+		cmp -s "$a" "$b" && continue
+		differ=$((differ + 1))
+		echo "determinism: $name: $f differs from $base"
+		if [[ $f == *.json ]]; then
+			jsondiff "$a" "$b"
+		else
+			{ diff "$a" "$b" || true; } | head -20 | sed 's/^/  /'
+		fi
+	done < <(comm -12 "$work/files1" "$work/files2")
+	if ((differ)); then
+		rows_differ=$((rows_differ + 1))
+	else
+		echo "determinism: $name same as $base ($(wc -l <"$work/files2") files)"
+	fi
+}
+
+# jsondiff A B prints the path of every field whose value differs between
+# two JSON files, array indices folded into [], with the count of values
+# that differ at each path.
+jsondiff() {
+	python3 - "$1" "$2" <<'PY'
+import collections, json, sys
+
+def walk(a, b, path, out):
+    if isinstance(a, dict) and isinstance(b, dict):
+        for k in sorted(set(a) | set(b), key=str):
+            p = f"{path}.{k}"
+            if k in a and k in b:
+                walk(a[k], b[k], p, out)
+            else:
+                out[p + " (in one file only)"] += 1
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            out[f"{path} (length {len(a)} vs {len(b)})"] += 1
+        for x, y in zip(a, b):
+            walk(x, y, path + "[]", out)
+    elif a != b:
+        out[path or "."] += 1
+
+with open(sys.argv[1]) as fa, open(sys.argv[2]) as fb:
+    try:
+        a, b = json.load(fa), json.load(fb)
+    except ValueError as e:
+        print(f"  not valid JSON: {e}")
+        sys.exit()
+out = collections.Counter()
+walk(a, b, "", out)
+for path, n in out.items():
+    print(f"  {path}: {n} value{'s' if n > 1 else ''}")
+PY
 }
 
 # One figure point in hrwle-bench's single-point mode: the event dump and
@@ -112,3 +225,8 @@ gate shard-sanitize hrwle-serve -workload shard -servers 8 -requests 1500 \
 	-queue-cap 4096 -shards 4 -skews 1.2 -cross 6 -window 20000 \
 	-schemes HLE -rates 3e6 -universe 16384 -sanitize -q \
 	-o @OUT@/san.txt -json @OUT@/san.json
+
+if [[ -n $base ]]; then
+	echo "determinism: $rows_differ rows differ from $base, $rows_skipped skipped"
+	((rows_differ == 0)) || exit 1
+fi
