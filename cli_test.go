@@ -200,6 +200,17 @@ func TestBenchCLIRejectsBadThreads(t *testing.T) {
 	}
 }
 
+// TestBenchCLIRejectsBadScale: -scale is a finite multiplier above zero;
+// anything else is a usage error, not a table of zeros.
+func TestBenchCLIRejectsBadScale(t *testing.T) {
+	for _, scale := range []string{"NaN", "+Inf", "0", "-1"} {
+		out := runGoUsageError(t, "./cmd/hrwle-bench", "-fig", "fig3", "-scale", scale, "-threads", "2", "-q")
+		if !strings.Contains(out, "-scale takes a finite multiplier") {
+			t.Errorf("-scale %s: unexpected message:\n%s", scale, out)
+		}
+	}
+}
+
 // TestBenchCLISmoke regenerates one tiny figure through the real CLI and
 // checks the report carries the expected sections and schemes.
 func TestBenchCLISmoke(t *testing.T) {

@@ -39,6 +39,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -70,6 +71,9 @@ func main() {
 	flag.Parse()
 	if *events < 0 {
 		cli.Usage(errors.New("-events takes a count >= 0"))
+	}
+	if !(*scale > 0) || math.IsInf(*scale, 1) {
+		cli.Usage(fmt.Errorf("-scale takes a finite multiplier > 0, got %v", *scale))
 	}
 	if slices.ContainsFunc(threadList, func(n int) bool { return n > machine.MaxCPUs }) {
 		cli.Usage(fmt.Errorf("-threads takes counts up to %d (machine.MaxCPUs)", machine.MaxCPUs))

@@ -19,6 +19,7 @@ import (
 	"strings"
 
 	"hrwle/internal/harness"
+	"hrwle/internal/service"
 )
 
 // Flags holds the values of the shared flags. A flag the command did not
@@ -163,9 +164,10 @@ func ParsePcts(s string) ([]int, error) {
 	return parseList(s, strconv.Atoi, func(v int) bool { return v >= 0 && v <= 100 }, "percentage", "integer 0-100")
 }
 
-// ParseRates parses a comma-separated list of positive offered loads.
+// ParseRates parses a comma-separated list of offered loads that
+// service.CheckRate accepts.
 func ParseRates(s string) ([]float64, error) {
-	return parseList(s, parseFloat, func(v float64) bool { return v > 0 }, "rate", "positive req/s")
+	return parseList(s, parseFloat, func(v float64) bool { return service.CheckRate(v) == nil }, "rate", "finite positive req/s whose mean gap fits in int64 cycles")
 }
 
 // ParseSkews parses a comma-separated list of finite, non-negative Zipf

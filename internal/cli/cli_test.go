@@ -41,8 +41,13 @@ func TestParseListsAreStrict(t *testing.T) {
 			t.Errorf("ParseInts(%q) = %v, want an error", bad, got)
 		}
 	}
-	if _, err := ParseRates("0"); err == nil {
-		t.Error("ParseRates accepted a zero rate")
+	if got, err := ParseRates("3e6, 1e-9"); err != nil || !slices.Equal(got, []float64{3e6, 1e-9}) {
+		t.Errorf("ParseRates(\"3e6, 1e-9\") = %v, %v", got, err)
+	}
+	for _, bad := range []string{"0", "-1", "nan", "inf", "+Inf", "3e6,infinity", "1e-300"} {
+		if got, err := ParseRates(bad); err == nil {
+			t.Errorf("ParseRates(%q) = %v, want an error", bad, got)
+		}
 	}
 	if got, err := ParseSkews("0,1.2"); err != nil || !slices.Equal(got, []float64{0, 1.2}) {
 		t.Errorf("ParseSkews(\"0,1.2\") = %v, %v", got, err)

@@ -1,5 +1,3 @@
-//simlint:allow-file determinism this file is the harness's only host concurrency: ForEach spreads independent sweep points across host cores (each point runs its own machine from a fixed seed and fills only its own index's slot, so results are identical at any worker count), and syncWriter serializes the points' progress lines
-
 package harness
 
 import (

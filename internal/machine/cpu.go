@@ -212,10 +212,39 @@ func (c *CPU) Work(n int64) { c.now += n * c.m.Cfg.Costs.Work }
 // clamped to the deadline (see refreshWake), so the livelock check also
 // rides on the same comparison.
 func (c *CPU) Sync() {
+	// holdsFloor's test, written out: the call would cost three more
+	// inlining units and push (*htm.Thread).Doomed past the budget.
 	if c.now<<clockIDBits|c.idKey < c.wake {
 		return
 	}
 	c.syncSlow()
+}
+
+// holdsFloor is Sync's fast-path test: this CPU is still (time, ID)-ahead
+// of the cached best of the others, so it holds the floor. Sync spells it
+// out; the two must stay the same.
+func (c *CPU) holdsFloor() bool { return c.now<<clockIDBits|c.idKey < c.wake }
+
+// MustHoldFloor panics unless this CPU holds the virtual-time floor, the
+// state Sync returns in: host-side state that other CPUs read may change
+// only then. what names the change in the panic. Under a controlled
+// scheduler the fast-path test does not say who holds the floor, so the
+// check is skipped there.
+func (c *CPU) MustHoldFloor(what string) {
+	if !c.holdsFloor() {
+		c.offFloor(what)
+	}
+}
+
+// offFloor is MustHoldFloor off its fast path, kept out of line so the
+// check inlines into its callers.
+//
+//go:noinline
+func (c *CPU) offFloor(what string) {
+	if c.m.sched != nil {
+		return
+	}
+	panic(fmt.Sprintf("machine: CPU %d changed %s at t=%d off the virtual-time floor", c.ID, what, c.now))
 }
 
 // syncSlow is Sync off the fast path: this CPU is no longer the minimum
@@ -357,7 +386,6 @@ func (c *CPU) Await(w Waiter) {
 	// step wakes lowers it (see Wake).
 	c.stepWake = c.wake
 	c.wake = maxWake
-	//simlint:allow abortflow a step may abort its own transaction (a quiescence-scan load dooming the enclosing ROT); the recover restores the wake threshold the panic would otherwise skip past, then re-panics verbatim for htm.Thread.Try
 	defer func() {
 		if r := recover(); r != nil {
 			c.wake = c.stepWake

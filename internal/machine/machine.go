@@ -136,7 +136,7 @@ type Machine struct {
 	eng EngineCounters
 
 	runErr any
-	//simlint:allow determinism runOnce serializes whole Run invocations from the host side; it never orders simulated events
+	// runOnce rejects concurrent host callers of Run on one machine.
 	runOnce sync.Mutex
 }
 
@@ -244,8 +244,6 @@ func (m *Machine) Now() int64 {
 // root (see spawn), recorded in runErr, and re-raised here once the
 // remaining CPUs have run to completion, exactly as the previous
 // goroutine-per-CPU engine behaved.
-//
-//simlint:allow determinism the runOnce mutex only rejects concurrent host callers of Run on one machine; all simulated events run on this single goroutine, ordered by the virtual-time heap, so host scheduling never orders them
 func (m *Machine) Run(threads int, body func(*CPU)) int64 {
 	if threads <= 0 || threads > len(m.cpus) {
 		panic(fmt.Sprintf("machine: Run with %d threads (have %d CPUs)", threads, len(m.cpus)))

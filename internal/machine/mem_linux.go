@@ -1,7 +1,5 @@
 //go:build linux && go1.24
 
-//simlint:allow-file determinism host-side memory management for New and Release: the spare mapping is shared by the sweep workers that build and release machines, and only decides which block of zeroed host memory a machine gets; a never-released mapping's cleanup runs on the runtime's cleanup goroutine; neither touches simulated state or orders a simulated event
-
 package machine
 
 import (

@@ -14,8 +14,6 @@ import "sync"
 // The value must depend on nothing but k — build's captured variables
 // must all be fixed by k — and must not be mutated once built, since
 // every caller of the key shares it.
-//
-//simlint:allow determinism the memo is host-side caching of pure per-sweep inputs (a Zipf table per (n, s), fig10's SGL@1 baseline per key); the mutex and sync.OnceValue only decide which sweep worker builds a value that is a function of its key alone, so they never order a simulated event
 func Memo[K comparable, V any]() (get func(k K, build func() V) V) {
 	var mu sync.Mutex
 	vals := map[K]func() V{}

@@ -182,8 +182,8 @@ func (c Config) Check() error {
 	if c.Seed == 0 {
 		return fmt.Errorf("service: seed 0, want a nonzero seed")
 	}
-	if c.Arrivals.RatePerSec <= 0 {
-		return fmt.Errorf("service: arrival rate must be positive, got %v", c.Arrivals.RatePerSec)
+	if err := CheckRate(c.Arrivals.RatePerSec); err != nil {
+		return err
 	}
 	if len(c.Classes) == 0 || len(c.Classes) > 8 {
 		return fmt.Errorf("service: %d priority classes, want 1 to 8", len(c.Classes))
@@ -205,6 +205,16 @@ func (c Config) Check() error {
 		if c.Keys.CrossPct < 0 || c.Keys.CrossPct > 100 {
 			return fmt.Errorf("service: CrossPct %d outside [0,100]", c.Keys.CrossPct)
 		}
+	}
+	return nil
+}
+
+// CheckRate reports whether ratePerSec is an offered load the arrival
+// processes can schedule: finite and positive, with a mean inter-arrival
+// gap of CyclesPerSecond/ratePerSec cycles that fits in an int64.
+func CheckRate(ratePerSec float64) error {
+	if !(ratePerSec > 0) || math.IsInf(ratePerSec, 1) || machine.CyclesPerSecond/ratePerSec >= math.MaxInt64 {
+		return fmt.Errorf("service: arrival rate %v, want a finite rate > 0 whose mean gap fits in int64 cycles", ratePerSec)
 	}
 	return nil
 }

@@ -240,6 +240,9 @@ func TestQueueDropsAndConservation(t *testing.T) {
 func TestBadConfigs(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.Arrivals.RatePerSec = 0 },
+		func(c *Config) { c.Arrivals.RatePerSec = math.NaN() },
+		func(c *Config) { c.Arrivals.RatePerSec = math.Inf(1) },
+		func(c *Config) { c.Arrivals.RatePerSec = 1e-300 },       // mean gap past int64 cycles
 		func(c *Config) { c.Classes[0].Share = 50 },              // shares no longer sum to 100
 		func(c *Config) { c.Classes[1].Work = Pareto(100, 0.5) }, // alpha <= 1
 		func(c *Config) { c.Servers = machine.MaxCPUs + 1 },

@@ -440,6 +440,7 @@ func (d *deployment) enter(c *machine.CPU, s int) {
 // exit retires one critical section from shard s.
 func (d *deployment) exit(c *machine.CPU, s int) {
 	c.Sync()
+	c.MustHoldFloor("inflight")
 	d.shards[s].inflight--
 }
 
@@ -502,6 +503,7 @@ func (w *gateWait) Step(c *machine.CPU) bool {
 // releaseExcl releases the exclusive hold on shard s.
 func (d *deployment) releaseExcl(c *machine.CPU, s int) {
 	c.Sync()
+	c.MustHoldFloor("excl")
 	d.shards[s].excl = -1
 }
 

@@ -114,6 +114,23 @@ func TestShardSeedSensitivity(t *testing.T) {
 	}
 }
 
+// TestShard256SGL runs the benchmark's 256-CPU fixed-SGL point (16
+// shards, Zipf 1.2, 1e7 req/s) under the tests' deadline. Its crowd of
+// servers polling one hot shard's gate is where a gate change made before
+// the CPU holds the virtual-time floor shows: exit and releaseExcl check
+// the floor (machine.CPU.MustHoldFloor), and the run panics.
+func TestShard256SGL(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Servers = 256
+	cfg.Shards = 16
+	cfg.Keys.Skew = 1.2
+	cfg.Arrivals.RatePerSec = 1e7
+	res, _ := runJSON(t, cfg, sglOnly())
+	if got := res.Service.Served + res.Service.Dropped; got != int64(cfg.Requests) {
+		t.Fatalf("served %d + dropped %d = %d, want the %d requests", res.Service.Served, res.Service.Dropped, got, cfg.Requests)
+	}
+}
+
 // TestShardOpConservation checks that every served request's footprint
 // lands on some shard: total shard ops equal the schedule's served
 // footprint plus one extra op per multi-key write, and every generated

@@ -1,35 +1,42 @@
-// Package simlint is a static-analysis suite that enforces the simulator's
-// core protocol invariants at vet time — before a single schedule runs:
+// Package simlint is a static-analysis suite for the protocol rules that
+// no running test can see break. Each rule below has a row in the
+// seeded-mutation catalogue (scripts/mutations.sh) that only it catches:
 //
-//   - determinism: the discrete-event simulator packages must be free of
-//     nondeterminism sources (wall clocks, global math/rand, goroutines,
-//     sync primitives, unordered map iteration that can reach output); the
-//     per-CPU SplitMix64 stream (internal/machine/rng.go) is the sole
-//     blessed randomness source.
+//   - determinism: the simulator packages read no wall clock or host
+//     timer; every run is a pure function of the machine seed, in virtual
+//     cycles (row wallclock).
 //   - abortflow: HTM aborts travel as panics (htm.Thread.abort panics with
 //     a pooled *abortSignal that htm.Thread.Try recovers). Every other
-//     recover() on a path that may see that panic must classify and
-//     re-raise it, and must not retain the pooled payload past the handler.
-//   - txdiscipline: critical-section bodies execute speculatively and may
-//     re-run after an abort, so they must touch simulated memory only
-//     through the htm.Thread API — never machine.Peek/Poke or the raw
-//     allocator — and must not perform non-restartable mutations of
-//     captured host state.
+//     deferred recover() must classify the value and re-raise what it
+//     does not own (row recover), and must not retain the pooled payload
+//     past the handler (row recover-retain).
+//   - txdiscipline: critical-section bodies may re-run after an abort, so
+//     they must not increment or compound-assign a captured variable (row
+//     cs-captured-incr) or store into or delete from a captured map (row
+//     cs-captured-map).
 //
-// Three contracts have no analyzer because running tests catch their
-// violations: the pairing of critical-section and quiescence trace events
-// (the engine capture's event fingerprints, TestEngineEquivalence), the
-// zero-allocation htm fast paths (the htm alloc tests), and host-side
-// state in internal/service and internal/shard changing only while the
-// server holds the virtual-time floor (the engine capture, and the
-// service and shard tests' deadlines).
+// A rule whose row a test in go test ./... also catches was deleted:
+// global math/rand, host concurrency, sync primitives, runtime host
+// queries and unsorted map iteration in simulator packages; raw
+// machine.Peek/Poke and allocator calls in a critical section or any
+// helper it reaches; captured self-appends; and the cross-package
+// reachability that decided which recovers abortflow checks. The
+// catalogue keeps their rows, each with the test that catches it.
 //
-// The suite is a self-contained reimplementation of the golang.org/x/tools
-// go/analysis surface (Analyzer, Pass, object Facts, an analysistest-style
-// fixture runner) on top of the standard library's go/ast and go/types,
-// because this repository is intentionally dependency-free. Analyzers are
-// written against the familiar shape, so swapping in the real framework
-// later is mechanical.
+// Three more contracts are checked while the code runs: the pairing of
+// critical-section and quiescence trace events (the engine capture's
+// event fingerprints, TestEngineEquivalence), the zero-allocation htm
+// fast paths (the htm alloc tests), and the shard gate's host state
+// changing only while its CPU holds the virtual-time floor
+// (machine.CPU.MustHoldFloor, which the shard tests trip).
+//
+// The suite is a self-contained reimplementation of the part of the
+// golang.org/x/tools go/analysis surface it needs (Analyzer, Pass, an
+// analysistest-style fixture runner) on top of the standard library's
+// go/ast and go/types, because this repository is intentionally
+// dependency-free. Only the packages matched by the load patterns are
+// analyzed; their module-internal dependencies are loaded to type-check
+// them.
 //
 // Legitimate violations are suppressed with an escape hatch that demands a
 // reason:
@@ -47,11 +54,9 @@ import (
 	"go/types"
 )
 
-// Import paths of the simulator packages whose API the analyzers match.
-const (
-	htmPath        = "hrwle/internal/htm"
-	machinePkgPath = "hrwle/internal/machine"
-)
+// htmPath is the import path of the simulator's HTM package, whose API
+// the analyzers match.
+const htmPath = "hrwle/internal/htm"
 
 // Analyzer describes one static check, mirroring
 // golang.org/x/tools/go/analysis.Analyzer.
@@ -61,17 +66,10 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-paragraph description of the invariant enforced.
 	Doc string
-	// Run applies the analyzer to one package. Packages are visited in
-	// dependency order, so facts exported by an imported package's pass
-	// are visible here.
+	// Run applies the analyzer to one package matched by the load
+	// patterns.
 	Run func(*Pass) error
 }
-
-// Fact is a datum attached to a types.Object by one package's pass and
-// visible to passes over packages that import it. Unlike x/tools facts,
-// these live only in memory for the duration of one suite run (the whole
-// program is analyzed in a single process), so no serialization is needed.
-type Fact interface{ AFact() }
 
 // Diagnostic is one reported violation.
 type Diagnostic struct {
@@ -84,13 +82,11 @@ type Diagnostic struct {
 // golang.org/x/tools/go/analysis.Pass.
 type Pass struct {
 	Analyzer  *Analyzer
-	Fset      *token.FileSet
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
 	suite *Suite
-	pkg   *Package
 }
 
 // Report records a diagnostic. Diagnostics suppressed by a matching
@@ -102,21 +98,6 @@ func (p *Pass) Report(pos token.Pos, format string, args ...any) {
 		Message:  fmt.Sprintf(format, args...),
 	})
 }
-
-// ExportObjectFact attaches fact to obj for passes over importing packages.
-func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
-	p.suite.exportFact(obj, fact)
-}
-
-// ImportObjectFact copies the fact of ptr's concrete type attached to obj
-// into ptr and reports whether one was found. ptr must be a non-nil
-// pointer to a concrete Fact type.
-func (p *Pass) ImportObjectFact(obj types.Object, ptr Fact) bool {
-	return p.suite.importFact(obj, ptr)
-}
-
-// Position resolves a token.Pos against the suite's file set.
-func (p *Pass) Position(pos token.Pos) token.Position { return p.Fset.Position(pos) }
 
 // FuncOf resolves the static callee of a call expression: a *types.Func
 // for direct calls and method calls (including interface methods), nil for
@@ -131,11 +112,4 @@ func (p *Pass) FuncOf(call *ast.CallExpr) *types.Func {
 		return fn
 	}
 	return nil
-}
-
-// IsNamed reports whether fn is the function or method name declared in
-// the package with import path pkgPath. Methods match on the bare method
-// name regardless of receiver.
-func IsNamed(fn *types.Func, pkgPath, name string) bool {
-	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == pkgPath && fn.Name() == name
 }

@@ -21,17 +21,14 @@ import (
 // analysis.
 type Package struct {
 	PkgPath string
-	Dir     string
-	GoFiles []string
-	Imports []string // module-internal imports only
 
 	Syntax    []*ast.File
 	Types     *types.Package
 	TypesInfo *types.Info
 
-	// Root marks packages matched by the load patterns (as opposed to
-	// module-internal dependencies pulled in for type information and
-	// facts). Only root packages surface diagnostics.
+	// Root marks packages matched by the load patterns, as opposed to
+	// module-internal dependencies loaded only to type-check them. Only
+	// root packages are analyzed.
 	Root bool
 }
 
@@ -39,7 +36,6 @@ type Package struct {
 type listedPackage struct {
 	ImportPath string
 	Dir        string
-	Name       string
 	Standard   bool
 	GoFiles    []string
 	Imports    []string
@@ -167,7 +163,6 @@ func topoSort(pkgs []*listedPackage, byPath map[string]*listedPackage) ([]*liste
 // else falls through to the standard-library source importer.
 func typecheck(fset *token.FileSet, lp *listedPackage, done map[string]*Package, std types.Importer) (*Package, error) {
 	var files []*ast.File
-	var names []string
 	for _, f := range lp.GoFiles {
 		path := filepath.Join(lp.Dir, f)
 		af, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
@@ -175,16 +170,11 @@ func typecheck(fset *token.FileSet, lp *listedPackage, done map[string]*Package,
 			return nil, err
 		}
 		files = append(files, af)
-		names = append(names, path)
 	}
 	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
-		Instances:  make(map[*ast.Ident]types.Instance),
+		Types: make(map[ast.Expr]types.TypeAndValue),
+		Defs:  make(map[*ast.Ident]types.Object),
+		Uses:  make(map[*ast.Ident]types.Object),
 	}
 	conf := types.Config{
 		Importer: chainImporter{done: done, std: std},
@@ -194,17 +184,8 @@ func typecheck(fset *token.FileSet, lp *listedPackage, done map[string]*Package,
 	if err != nil {
 		return nil, fmt.Errorf("type-checking %s: %v", lp.ImportPath, err)
 	}
-	var modImports []string
-	for _, imp := range lp.Imports {
-		if _, ok := done[imp]; ok {
-			modImports = append(modImports, imp)
-		}
-	}
 	return &Package{
 		PkgPath:   lp.ImportPath,
-		Dir:       lp.Dir,
-		GoFiles:   names,
-		Imports:   modImports,
 		Syntax:    files,
 		Types:     tpkg,
 		TypesInfo: info,

@@ -4,16 +4,13 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
-	"reflect"
 	"sort"
 	"strings"
 	"time"
 )
 
-// NewAnalyzers returns fresh instances of the full simlint suite:
-// determinism, abortflow and txdiscipline. Instances carry
-// per-run state and must not be shared between Suite runs.
+// NewAnalyzers returns the simlint suite: determinism, abortflow and
+// txdiscipline.
 func NewAnalyzers() []*Analyzer {
 	return []*Analyzer{
 		NewDeterminism(),
@@ -22,14 +19,12 @@ func NewAnalyzers() []*Analyzer {
 	}
 }
 
-// Suite runs a set of analyzers over a loaded module in dependency order,
-// applying //simlint:allow suppression.
+// Suite runs the analyzers of NewAnalyzers over the root packages of a
+// loaded module, applying //simlint:allow suppression.
 type Suite struct {
 	Analyzers []*Analyzer
 
-	fset      *token.FileSet
-	facts     map[types.Object][]Fact
-	rootFiles map[string]bool
+	fset *token.FileSet
 
 	allows []allowDirective
 	diags  []Diagnostic
@@ -71,48 +66,29 @@ type allowDirective struct {
 	toLine    int // inclusive
 }
 
-// NewSuite creates a suite. With no analyzers given, the full set from
-// NewAnalyzers is used.
-func NewSuite(analyzers ...*Analyzer) *Suite {
-	if len(analyzers) == 0 {
-		analyzers = NewAnalyzers()
-	}
-	return &Suite{
-		Analyzers: analyzers,
-		facts:     make(map[types.Object][]Fact),
-		seen:      make(map[string]bool),
-	}
+// NewSuite creates a suite of the analyzers NewAnalyzers returns.
+func NewSuite() *Suite {
+	return &Suite{Analyzers: NewAnalyzers(), seen: make(map[string]bool)}
 }
 
-// Run applies every analyzer to every package (packages must be in
-// dependency order, as produced by Load) and returns the surviving
-// diagnostics sorted by position. Diagnostics are only surfaced for root
-// packages; dependency packages are still analyzed so their facts are
-// available.
+// Run applies every analyzer to every root package of pkgs (as produced
+// by Load; the others were loaded only to type-check the roots) and
+// returns the surviving diagnostics sorted by position.
 func (s *Suite) Run(fset *token.FileSet, pkgs []*Package) ([]Diagnostic, error) {
 	s.fset = fset
-	s.rootFiles = make(map[string]bool)
-	for _, pkg := range pkgs {
-		if pkg.Root {
-			for _, f := range pkg.GoFiles {
-				s.rootFiles[f] = true
-			}
-		}
-	}
-	for _, pkg := range pkgs {
-		s.collectAllows(pkg)
-	}
 	s.spent = make([]time.Duration, len(s.Analyzers))
 	for _, pkg := range pkgs {
+		if !pkg.Root {
+			continue
+		}
+		s.collectAllows(pkg)
 		for ai, a := range s.Analyzers {
 			pass := &Pass{
 				Analyzer:  a,
-				Fset:      fset,
 				Files:     pkg.Syntax,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.TypesInfo,
 				suite:     s,
-				pkg:       pkg,
 			}
 			t0 := time.Now()
 			err := a.Run(pass)
@@ -136,8 +112,6 @@ func (s *Suite) Run(fset *token.FileSet, pkgs []*Package) ([]Diagnostic, error) 
 }
 
 // collectAllows parses the //simlint:allow directives of one package.
-// Directives in non-root packages still apply: a dependency annotates its
-// own legitimate sites once, for every caller.
 func (s *Suite) collectAllows(pkg *Package) {
 	names := make(map[string]bool, len(s.Analyzers))
 	for _, a := range s.Analyzers {
@@ -175,9 +149,7 @@ func (s *Suite) collectAllows(pkg *Package) {
 					})
 					continue
 				}
-				// Tolerate directives naming analyzers outside the running
-				// subset, but reject names of no analyzer in the suite.
-				if !names[fields[0]] && !knownAnalyzers[fields[0]] {
+				if !names[fields[0]] {
 					s.reportRaw(Diagnostic{
 						Pos:      c.Pos(),
 						Analyzer: "simlint",
@@ -201,17 +173,9 @@ func (s *Suite) collectAllows(pkg *Package) {
 	}
 }
 
-// knownAnalyzers lists the names a directive may give, so a directive
-// for an analyzer not in the current run is not flagged as a typo.
-var knownAnalyzers = map[string]bool{
-	"determinism":  true,
-	"abortflow":    true,
-	"txdiscipline": true,
-}
-
 // report records a diagnostic unless an allow directive suppresses it or
-// an identical diagnostic was already recorded (cross-package analyses can
-// reach the same violation through several call sites).
+// an identical diagnostic was already recorded (a section nested in
+// another is checked as part of both).
 func (s *Suite) report(d Diagnostic) {
 	pos := s.fset.Position(d.Pos)
 	for _, a := range s.allows {
@@ -227,43 +191,10 @@ func (s *Suite) report(d Diagnostic) {
 }
 
 func (s *Suite) reportRaw(d Diagnostic) {
-	// Only surface diagnostics located in root packages; dependencies are
-	// analyzed for their facts, and annotate their own sites when needed.
-	if len(s.rootFiles) > 0 && !s.rootFiles[s.fset.Position(d.Pos).Filename] {
-		return
-	}
 	key := fmt.Sprintf("%s|%d|%s", d.Analyzer, d.Pos, d.Message)
 	if s.seen[key] {
 		return
 	}
 	s.seen[key] = true
 	s.diags = append(s.diags, d)
-}
-
-func (s *Suite) exportFact(obj types.Object, fact Fact) {
-	if obj == nil {
-		return
-	}
-	t := reflect.TypeOf(fact)
-	for i, f := range s.facts[obj] {
-		if reflect.TypeOf(f) == t {
-			s.facts[obj][i] = fact
-			return
-		}
-	}
-	s.facts[obj] = append(s.facts[obj], fact)
-}
-
-func (s *Suite) importFact(obj types.Object, ptr Fact) bool {
-	if obj == nil {
-		return false
-	}
-	t := reflect.TypeOf(ptr)
-	for _, f := range s.facts[obj] {
-		if reflect.TypeOf(f) == t {
-			reflect.ValueOf(ptr).Elem().Set(reflect.ValueOf(f).Elem())
-			return true
-		}
-	}
-	return false
 }

@@ -1,7 +1,6 @@
 // Package abortfix is a simlint fixture for the abortflow analyzer:
-// recover handlers on transaction-reachable paths that swallow or retain
-// the pooled abort signal, next to the compliant classify-and-rethrow
-// shape.
+// recover handlers that swallow or retain the pooled abort signal, next
+// to the compliant classify-and-rethrow shape.
 package abortfix
 
 import (
@@ -11,9 +10,18 @@ import (
 
 var leaked any
 
-// swallow recovers around an aborting store without classifying what it
+// swallow recovers around a section body without classifying what it
 // caught: an HTM abort would be silently eaten here.
-func swallow(t *htm.Thread, a machine.Addr) {
+func swallow(body func()) {
+	defer func() {
+		recover() // want "may swallow the HTM abort signal"
+	}()
+	body()
+}
+
+// swallowStore is swallow around a transactional store: the rule holds
+// every deferred recover to it, whatever the deferring function calls.
+func swallowStore(t *htm.Thread, a machine.Addr) {
 	defer func() {
 		recover() // want "may swallow the HTM abort signal"
 	}()
@@ -22,18 +30,18 @@ func swallow(t *htm.Thread, a machine.Addr) {
 
 // retain re-panics (so it does not swallow) but parks the recovered value
 // in a package variable first — retaining the pooled payload.
-func retain(t *htm.Thread, a machine.Addr) {
+func retain(body func()) {
 	defer func() {
 		r := recover()
 		leaked = r // want "retained past the handler"
 		panic(r)
 	}()
-	t.Store(a, 1)
+	body()
 }
 
 // classified is the compliant shape: classify with htm.IsAbortSignal,
 // re-panic everything not owned, keep nothing.
-func classified(t *htm.Thread, a machine.Addr) (aborted bool) {
+func classified(body func()) (aborted bool) {
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -44,13 +52,13 @@ func classified(t *htm.Thread, a machine.Addr) (aborted bool) {
 		}
 		aborted = true
 	}()
-	t.Store(a, 1)
+	body()
 	return false
 }
 
 // repanics is the other compliant shape: unconditionally re-raising
 // whatever was recovered never swallows the signal.
-func repanics(t *htm.Thread, a machine.Addr) {
+func repanics(body func()) {
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -61,5 +69,5 @@ func repanics(t *htm.Thread, a machine.Addr) {
 		}
 		panic(r)
 	}()
-	t.Load(a)
+	body()
 }

@@ -1,17 +1,12 @@
 package abortfix
 
-import (
-	"hrwle/internal/htm"
-	"hrwle/internal/machine"
-)
-
 // allowedSwallow is the suppression case: a pool-join style handler the
 // author vouches for with a reasoned directive.
 //
 //simlint:allow abortflow fixture: worker-pool join re-panics the first captured value after the pool drains; the abort signal is consumed by Try inside the worker body
-func allowedSwallow(t *htm.Thread, a machine.Addr) {
+func allowedSwallow(body func()) {
 	defer func() {
 		recover()
 	}()
-	t.Store(a, 1)
+	body()
 }

@@ -1,18 +1,14 @@
 // Package htm is a minimal stub of the simulator's HTM package for the
-// simlint fixtures: an abort signal raised by panic, a classifying Try,
-// and the transactional memory/allocator surface.
+// simlint fixtures: an abort signal raised by panic and its classifier.
+// Its import path matches the real package so the analyzers' path-based
+// matching applies.
 package htm
 
 import "hrwle/internal/machine"
 
-type Status struct{ OK bool }
-
 type abortSignal struct{ cause int }
 
-type Thread struct {
-	C   *machine.CPU
-	sig abortSignal
-}
+type Thread struct{ sig abortSignal }
 
 func (t *Thread) abort() {
 	t.sig = abortSignal{cause: 1}
@@ -32,33 +28,9 @@ func (t *Thread) Store(a machine.Addr, v uint64) {
 	}
 }
 
-func (t *Thread) Alloc(words int) machine.Addr { return 1 }
-
-func (t *Thread) AllocAligned(words, align int) machine.Addr { return 1 }
-
-func (t *Thread) Free(a machine.Addr) {}
-
-func (t *Thread) FreeAligned(a machine.Addr) {}
-
 // IsAbortSignal reports whether a recovered panic value is the abort
 // signal, mirroring the real package's classifier.
 func IsAbortSignal(r any) bool {
 	_, ok := r.(*abortSignal)
 	return ok
-}
-
-// Try runs fn speculatively, converting an abort panic into a Status.
-func (t *Thread) Try(fn func()) (st Status) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		if _, ok := r.(*abortSignal); !ok {
-			panic(r)
-		}
-		st = Status{OK: false}
-	}()
-	fn()
-	return Status{OK: true}
 }

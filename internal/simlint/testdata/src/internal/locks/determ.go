@@ -1,55 +1,14 @@
 // Package locks is a simlint fixture: its import path places it inside
-// the determinism scope, and each function below exhibits one forbidden
-// nondeterminism source.
+// the determinism scope, where reading the host clock is forbidden.
 package locks
 
-import (
-	"math/rand" // want "nondeterministic randomness"
-	"sort"
-	"sync"
-	"time"
-)
+import "time"
 
-var mu sync.Mutex // want "host synchronization primitive"
+var started = time.Now() // want "wall-clock time in a simulator package"
 
 func wallClock() int64 {
 	return time.Now().UnixNano() // want "wall-clock time in a simulator package"
 }
 
-func globalRand() int {
-	return rand.Intn(8) // want "nondeterministic randomness"
-}
-
-func spawn() {
-	go func() {}() // want "goroutine spawn in a simulator package"
-}
-
-func channels() {
-	ch := make(chan int, 1) // want "channel creation in a simulator package"
-	ch <- 1                 // want "channel send in a simulator package"
-	<-ch                    // want "channel receive in a simulator package"
-}
-
-func unsortedMapIter(m map[int]int) int {
-	s := 0
-	for _, v := range m { // want "map iteration order is nondeterministic"
-		s += v
-	}
-	return s
-}
-
-// sortedMapIter is the blessed idiom: collecting into a slice and sorting
-// washes out the iteration order, so no diagnostic fires.
-func sortedMapIter(m map[int]int) []int {
-	var keys []int
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
-}
-
-func lockUse() {
-	mu.Lock()         // want "host synchronization primitive"
-	defer mu.Unlock() // want "host synchronization primitive"
-}
+// twice only does time.Duration arithmetic, which reads no clock.
+func twice(d time.Duration) time.Duration { return 2 * d }

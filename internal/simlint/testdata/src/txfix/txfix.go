@@ -1,6 +1,6 @@
 // Package txfix is a simlint fixture for the txdiscipline analyzer:
-// critical-section bodies touching raw simulated state or mutating
-// captured host state in non-restartable ways.
+// critical-section bodies mutating captured host state in
+// non-restartable ways.
 package txfix
 
 import (
@@ -16,67 +16,38 @@ func (l *RWLock) Read(t *htm.Thread, cs func()) { cs() }
 
 func (l *RWLock) Write(t *htm.Thread, cs func()) { cs() }
 
-func rawPeekInCS(l *RWLock, t *htm.Thread, m *machine.Machine, a machine.Addr) uint64 {
-	var v uint64
-	l.Read(t, func() {
-		v = m.Peek(a) // want "machine.Peek bypasses HTM conflict detection"
-	})
-	return v
-}
-
-func allocInCS(l *RWLock, t *htm.Thread) {
-	l.Write(t, func() {
-		t.Alloc(8) // want "not restartable"
-	})
-}
-
-func capturedMutations(l *RWLock, t *htm.Thread, a machine.Addr) (int, []uint64) {
+func capturedMutations(l *RWLock, t *htm.Thread, a machine.Addr) (int, uint64) {
 	count := 0
-	var hist []uint64
+	var sum uint64
 	idx := map[int]uint64{}
 	l.Write(t, func() {
-		count++                        // want "increments captured"
-		hist = append(hist, t.Load(a)) // want "self-appends to captured"
-		idx[1] = t.Load(a)             // want "stores into captured map"
-		delete(idx, 1)                 // want "deletes from captured map"
+		count++            // want "increments captured"
+		sum += t.Load(a)   // want "compound-assigns captured"
+		idx[1] = t.Load(a) // want "stores into captured map"
+		delete(idx, 1)     // want "deletes from captured map"
 	})
-	return count, hist
-}
-
-// viaHelper shows transitive checking: the raw access sits in a helper
-// the section calls, and is reported at the helper's call site.
-func viaHelper(l *RWLock, t *htm.Thread, m *machine.Machine, a machine.Addr) {
-	l.Write(t, func() {
-		helperPoke(m, a)
-	})
-}
-
-func helperPoke(m *machine.Machine, a machine.Addr) {
-	m.Poke(a, 1) // want "reachable from a critical section via helperPoke"
+	return count, sum
 }
 
 // hoisted shows the ident-bound body form (cs := func(){...}; l.Write(t, cs)).
-func hoisted(l *RWLock, t *htm.Thread, m *machine.Machine, a machine.Addr) {
+func hoisted(l *RWLock, t *htm.Thread) int {
+	n := 0
 	cs := func() {
-		m.Poke(a, 3) // want "machine.Poke"
+		n++ // want "increments captured"
 	}
 	l.Write(t, cs)
+	return n
 }
 
-// tryBody checks the (*htm.Thread).Try entry point directly.
-func tryBody(t *htm.Thread, m *machine.Machine, a machine.Addr) {
-	t.Try(func() {
-		m.Poke(a, 2) // want "machine.Poke"
-	})
-}
-
-// compliant is the blessed shape: all simulated-memory traffic goes
-// through the htm.Thread API, and captured state only sees plain
-// (restartable) reassignment.
+// compliant is the blessed shape: captured state only sees plain
+// (restartable) reassignment, and locals declared inside the body may
+// accumulate.
 func compliant(l *RWLock, t *htm.Thread, a machine.Addr) uint64 {
 	var got uint64
 	l.Read(t, func() {
-		got = t.Load(a)
+		v := t.Load(a)
+		v++
+		got = v
 	})
 	return got
 }

@@ -1,17 +1,15 @@
 package txfix
 
-import (
-	"hrwle/internal/htm"
-	"hrwle/internal/machine"
-)
+import "hrwle/internal/htm"
 
-// allowedRaw is the suppression case: a raw read inside a section the
-// author vouches for with a reasoned directive on the preceding line.
-func allowedRaw(l *RWLock, t *htm.Thread, m *machine.Machine, a machine.Addr) uint64 {
-	var v uint64
+// allowedIncr is the suppression case: a captured increment inside a
+// section the author vouches for with a reasoned directive on the
+// preceding line.
+func allowedIncr(l *RWLock, t *htm.Thread) int {
+	n := 0
 	l.Read(t, func() {
-		//simlint:allow txdiscipline fixture: diagnostic-only peek validated under a single-threaded schedule
-		v = m.Peek(a)
+		//simlint:allow txdiscipline fixture: a diagnostic counter of attempts, re-executions included
+		n++
 	})
-	return v
+	return n
 }

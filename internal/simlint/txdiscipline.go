@@ -1,126 +1,40 @@
 package simlint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 )
 
-// TxViol is one raw-state access recorded in a function summary.
-type TxViol struct {
-	Pos token.Pos
-	Msg string
-}
-
-// TxSummaryFact summarizes a function for critical-section reachability:
-// the violations its body commits directly and the functions it calls.
-// Exported for every declared function, so a critical section in one
-// package can be checked against helpers defined in another.
-type TxSummaryFact struct {
-	Viols   []TxViol
-	Callees []*types.Func
-}
-
-func (*TxSummaryFact) AFact() {}
-
 // NewTxDiscipline returns the txdiscipline analyzer. Critical-section
 // bodies run speculatively inside hardware transactions and may re-execute
-// after an abort. They must therefore touch simulated memory only through
-// the htm.Thread API (Load/Store join the read set and undo log; raw
-// machine.Peek/Poke bypass conflict detection), must not allocate or free
-// simulated memory (not restartable), and must not perform non-restartable
-// mutations of captured host state (a re-execution would apply them twice).
+// after an abort, so they must not perform non-restartable mutations of
+// captured host state: an increment or compound assignment, or a map store
+// or delete, would be applied again by the re-execution (or, for a map,
+// left behind by the aborted attempt).
 func NewTxDiscipline() *Analyzer {
 	a := &Analyzer{
 		Name: "txdiscipline",
-		Doc:  "critical-section bodies touch simulated memory only via the htm.Thread API and perform no non-restartable mutation of captured state",
+		Doc:  "critical-section bodies perform no non-restartable mutation of captured state",
 	}
-	a.Run = runTxDiscipline
+	a.Run = func(pass *Pass) error {
+		for _, file := range pass.Files {
+			for _, decl := range file.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+					checkCSSites(pass, fd)
+				}
+			}
+		}
+		return nil
+	}
 	return a
 }
 
-func runTxDiscipline(pass *Pass) error {
-	// Phase 1: summarize and export every declared function.
-	local := make(map[*types.Func]*TxSummaryFact)
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			obj, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if obj == nil {
-				continue
-			}
-			sum := summarizeTx(pass, fd.Body)
-			local[obj] = sum
-			pass.ExportObjectFact(obj, sum)
-		}
-	}
-	// Phase 2: find critical-section sites and check everything reachable.
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			checkCSSites(pass, fd, local)
-		}
-	}
-	return nil
-}
-
-// summarizeTx records the direct raw-state violations and static callees
-// of one function body.
-func summarizeTx(pass *Pass, body *ast.BlockStmt) *TxSummaryFact {
-	sum := &TxSummaryFact{}
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fn := pass.FuncOf(call)
-		if fn == nil {
-			return true
-		}
-		sum.Callees = append(sum.Callees, fn)
-		if msg := rawAccessMsg(fn); msg != "" {
-			sum.Viols = append(sum.Viols, TxViol{Pos: call.Pos(), Msg: msg})
-		}
-		return true
-	})
-	return sum
-}
-
-// rawAccessMsg classifies a callee as a raw-state access forbidden inside
-// critical sections, returning the diagnostic text ("" if benign).
-func rawAccessMsg(fn *types.Func) string {
-	if fn.Pkg() == nil {
-		return ""
-	}
-	switch fn.Pkg().Path() {
-	case machinePkgPath:
-		switch fn.Name() {
-		case "Peek", "Poke":
-			return fmt.Sprintf("machine.%s bypasses HTM conflict detection; inside a critical section simulated memory must go through htm.Thread.Load/Store", fn.Name())
-		case "AllocRaw", "AllocRawAligned":
-			return fmt.Sprintf("machine.%s allocates simulated memory outside transactional tracking; critical sections must use pre-allocated nodes (PrepareNode-style) handed in from outside", fn.Name())
-		}
-	case htmPath:
-		switch fn.Name() {
-		case "Alloc", "AllocAligned", "Free", "FreeAligned":
-			return fmt.Sprintf("htm.Thread.%s inside a critical section is not restartable: an abort re-executes the body and the allocation or free happens twice; allocate before the section and Recycle after", fn.Name())
-		}
-	}
-	return ""
-}
-
-// checkCSSites finds critical-section entry points in fd — calls to
-// Read/Write methods of shape func(*htm.Thread, func()) (the rwlock.Lock
-// surface, rcu.Domain.Read) and the body argument of (*htm.Thread).Try —
-// and checks the section body plus everything it reaches.
-func checkCSSites(pass *Pass, fd *ast.FuncDecl, local map[*types.Func]*TxSummaryFact) {
+// checkCSSites finds the critical sections fd enters — calls to Read or
+// Write methods of shape func(*htm.Thread, func()) (the rwlock.Lock
+// surface, rcu.Domain.Read) — and checks each section body that is a
+// function literal, passed directly or bound to a local variable first.
+func checkCSSites(pass *Pass, fd *ast.FuncDecl) {
 	// Bindings of local variables to function literals, so hoisted bodies
 	// (cs := func(){...}; l.Read(t, cs)) resolve.
 	bindings := make(map[types.Object]*ast.FuncLit)
@@ -140,58 +54,35 @@ func checkCSSites(pass *Pass, fd *ast.FuncDecl, local map[*types.Func]*TxSummary
 	})
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
-		if !ok {
+		if !ok || !isCSCall(pass, call) {
 			return true
 		}
-		argIdx := csBodyArg(pass, call)
-		if argIdx < 0 || argIdx >= len(call.Args) {
-			return true
-		}
-		switch a := ast.Unparen(call.Args[argIdx]).(type) {
+		switch a := ast.Unparen(call.Args[1]).(type) {
 		case *ast.FuncLit:
-			checkCSBody(pass, a, local)
+			checkCSBody(pass, a)
 		case *ast.Ident:
 			if lit := bindings[pass.TypesInfo.Uses[a]]; lit != nil {
-				checkCSBody(pass, lit, local)
-			} else if fn, ok := pass.TypesInfo.Uses[a].(*types.Func); ok {
-				reachCheck(pass, []*types.Func{fn}, local)
-			}
-		case *ast.SelectorExpr:
-			if fn, ok := pass.TypesInfo.Uses[a.Sel].(*types.Func); ok {
-				reachCheck(pass, []*types.Func{fn}, local)
+				checkCSBody(pass, lit)
 			}
 		}
 		return true
 	})
 }
 
-// csBodyArg returns the index of the critical-section body argument of
-// call, or -1 if call does not enter a critical section. Matched shapes:
-// a method named Read or Write with signature (t *htm.Thread, cs func())
-// — concrete or via the rwlock.Lock interface — and (*htm.Thread).Try.
-func csBodyArg(pass *Pass, call *ast.CallExpr) int {
+// isCSCall reports whether call enters a critical section: a method named
+// Read or Write with signature (t *htm.Thread, cs func()), concrete or
+// via the rwlock.Lock interface.
+func isCSCall(pass *Pass, call *ast.CallExpr) bool {
 	fn := pass.FuncOf(call)
-	if fn == nil {
-		return -1
-	}
-	if IsNamed(fn, htmPath, "Try") {
-		return 0
-	}
-	if fn.Name() != "Read" && fn.Name() != "Write" {
-		return -1
+	if fn == nil || (fn.Name() != "Read" && fn.Name() != "Write") {
+		return false
 	}
 	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil || sig.Params().Len() != 2 {
-		return -1
-	}
-	if !isHTMThreadPtr(sig.Params().At(0).Type()) {
-		return -1
+	if !ok || sig.Recv() == nil || sig.Params().Len() != 2 || !isHTMThreadPtr(sig.Params().At(0).Type()) {
+		return false
 	}
 	cs, ok := sig.Params().At(1).Type().Underlying().(*types.Signature)
-	if !ok || cs.Params().Len() != 0 || cs.Results().Len() != 0 {
-		return -1
-	}
-	return 1
+	return ok && cs.Params().Len() == 0 && cs.Results().Len() == 0
 }
 
 func isHTMThreadPtr(t types.Type) bool {
@@ -207,135 +98,59 @@ func isHTMThreadPtr(t types.Type) bool {
 	return obj.Name() == "Thread" && obj.Pkg() != nil && obj.Pkg().Path() == htmPath
 }
 
-// checkCSBody checks one critical-section literal: direct raw accesses,
-// non-restartable mutations of captured variables, and the transitive
-// closure of everything it calls.
-func checkCSBody(pass *Pass, lit *ast.FuncLit, local map[*types.Func]*TxSummaryFact) {
-	var roots []*types.Func
+// checkCSBody checks one critical-section literal for non-restartable
+// mutations of the variables it captures. A plain `x = expr` reassignment
+// is restartable (re-execution recomputes the same value); increments and
+// compound assignments accumulate, and map stores and deletes persist
+// across the abort.
+func checkCSBody(pass *Pass, lit *ast.FuncLit) {
+	captured := func(e ast.Expr) (*ast.Ident, bool) {
+		id, ok := ast.Unparen(e).(*ast.Ident)
+		if !ok {
+			return nil, false
+		}
+		obj, ok := pass.TypesInfo.Uses[id].(*types.Var)
+		return id, ok && !obj.IsField() && (obj.Pos() < lit.Pos() || obj.Pos() > lit.End())
+	}
+	isMap := func(e ast.Expr) bool {
+		_, ok := pass.TypesInfo.TypeOf(e).Underlying().(*types.Map)
+		return ok
+	}
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			if fn := pass.FuncOf(n); fn != nil {
-				roots = append(roots, fn)
-				if msg := rawAccessMsg(fn); msg != "" {
-					pass.Report(n.Pos(), "critical section: %s", msg)
-				}
-			} else if isDeleteBuiltin(pass, n) && len(n.Args) > 0 {
-				if mid, ok := ast.Unparen(n.Args[0]).(*ast.Ident); ok && isCaptured(pass, lit, mid) {
-					pass.Report(n.Pos(), "critical section deletes from captured map %q: the body may re-execute after an abort and the entry is already gone; stage the deletion outside the section", mid.Name)
+			if isBuiltin(pass, n, "delete") && len(n.Args) > 0 {
+				if id, ok := captured(n.Args[0]); ok {
+					pass.Report(n.Pos(), "critical section deletes from captured map %q: the body may re-execute after an abort and the entry is already gone; stage the deletion outside the section", id.Name)
 				}
 			}
-		case *ast.AssignStmt:
-			checkCapturedMutation(pass, lit, n)
 		case *ast.IncDecStmt:
-			if id, ok := ast.Unparen(n.X).(*ast.Ident); ok && isCaptured(pass, lit, id) {
+			if id, ok := captured(n.X); ok {
 				pass.Report(n.Pos(), "critical section increments captured %q: an aborted body re-executes and applies the mutation twice; compute into a local and assign once, or move it outside the section", id.Name)
+			}
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				if n.Tok != token.ASSIGN && n.Tok != token.DEFINE {
+					if id, ok := captured(lhs); ok {
+						pass.Report(n.Pos(), "critical section compound-assigns captured %q (%s): an aborted body re-executes and applies the mutation twice; compute into a local and assign once", id.Name, n.Tok)
+					}
+				} else if ix, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok && isMap(ix.X) {
+					if id, ok := captured(ix.X); ok {
+						pass.Report(n.Pos(), "critical section stores into captured map %q: map writes are not undone by an abort; stage results in a local and publish after the section commits", id.Name)
+					}
+				}
 			}
 		}
 		return true
 	})
-	reachCheck(pass, roots, local)
 }
 
-// checkCapturedMutation flags non-restartable assignment forms whose
-// target is captured from the enclosing function. A plain `x = expr`
-// reassignment is restartable (re-execution recomputes the same value);
-// compound assignment and self-append accumulate, and map stores persist
-// across the abort.
-func checkCapturedMutation(pass *Pass, lit *ast.FuncLit, as *ast.AssignStmt) {
-	if as.Tok != token.ASSIGN && as.Tok != token.DEFINE {
-		for _, lhs := range as.Lhs {
-			if id, ok := ast.Unparen(lhs).(*ast.Ident); ok && isCaptured(pass, lit, id) {
-				pass.Report(as.Pos(), "critical section compound-assigns captured %q (%s): an aborted body re-executes and applies the mutation twice; compute into a local and assign once", id.Name, as.Tok)
-			}
-		}
-		return
-	}
-	for i, lhs := range as.Lhs {
-		switch l := ast.Unparen(lhs).(type) {
-		case *ast.IndexExpr:
-			if id, ok := ast.Unparen(l.X).(*ast.Ident); ok && isCaptured(pass, lit, id) {
-				if t := pass.TypesInfo.TypeOf(l.X); t != nil {
-					if _, isMap := t.Underlying().(*types.Map); isMap {
-						pass.Report(as.Pos(), "critical section stores into captured map %q: map writes are not undone by an abort; stage results in a local and publish after the section commits", id.Name)
-					}
-				}
-			}
-		case *ast.Ident:
-			// x = append(x, ...) on a captured slice grows on every
-			// re-execution.
-			if i >= len(as.Rhs) {
-				continue
-			}
-			call, ok := ast.Unparen(as.Rhs[i]).(*ast.CallExpr)
-			if !ok || !isCaptured(pass, lit, l) {
-				continue
-			}
-			if fid, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-				if b, ok := pass.TypesInfo.Uses[fid].(*types.Builtin); ok && b.Name() == "append" && len(call.Args) > 0 {
-					if src, ok := ast.Unparen(call.Args[0]).(*ast.Ident); ok &&
-						pass.TypesInfo.Uses[src] == pass.TypesInfo.Uses[l] && len(call.Args) > 1 {
-						pass.Report(as.Pos(), "critical section self-appends to captured %q: an aborted body re-executes and appends twice; collect into a pointer-to-slice parameter the caller resets, or reset the slice at the top of the body", l.Name)
-					}
-				}
-			}
-		}
-	}
-}
-
-// isCaptured reports whether id refers to a variable declared outside lit
-// (a free variable of the critical-section closure).
-func isCaptured(pass *Pass, lit *ast.FuncLit, id *ast.Ident) bool {
-	obj, ok := pass.TypesInfo.Uses[id].(*types.Var)
-	if !ok || obj.IsField() {
-		return false
-	}
-	return obj.Pos() < lit.Pos() || obj.Pos() > lit.End()
-}
-
-func isDeleteBuiltin(pass *Pass, call *ast.CallExpr) bool {
+// isBuiltin reports whether call calls the builtin function name.
+func isBuiltin(pass *Pass, call *ast.CallExpr, name string) bool {
 	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
 	if !ok {
 		return false
 	}
 	b, ok := pass.TypesInfo.Uses[id].(*types.Builtin)
-	return ok && b.Name() == "delete"
-}
-
-// reachCheck walks the static call graph from roots (using this package's
-// summaries and imported facts) and reports every raw-state access a
-// critical section can reach.
-func reachCheck(pass *Pass, roots []*types.Func, local map[*types.Func]*TxSummaryFact) {
-	visited := make(map[*types.Func]bool)
-	work := append([]*types.Func(nil), roots...)
-	for len(work) > 0 {
-		fn := work[len(work)-1]
-		work = work[:len(work)-1]
-		if visited[fn] {
-			continue
-		}
-		visited[fn] = true
-		if fn.Pkg() != nil {
-			switch fn.Pkg().Path() {
-			case htmPath, machinePkgPath:
-				// The trusted implementation layer: htm.Thread.Load/Store
-				// legitimately reach the raw machine accessors. Direct raw
-				// calls in application code are caught by the caller's own
-				// summary before traversal gets here.
-				continue
-			}
-		}
-		sum, ok := local[fn]
-		if !ok {
-			var fact TxSummaryFact
-			if !pass.ImportObjectFact(fn, &fact) {
-				continue // out-of-module or bodiless: nothing known
-			}
-			sum = &fact
-		}
-		for _, v := range sum.Viols {
-			pass.Report(v.Pos, "%s (reachable from a critical section via %s)", v.Msg, fn.Name())
-		}
-		work = append(work, sum.Callees...)
-	}
+	return ok && b.Name() == name
 }

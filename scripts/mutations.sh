@@ -213,14 +213,14 @@ catalogue() {
 		-- go test ./internal/service
 	# The shard gate's state released before the CPU holds the floor: a
 	# section's exit and a cross-shard reservation's release each change
-	# the gate ahead of their Sync. No test sees either; both 256-CPU bench
-	# points' digests move.
-	row exit-early 'shard256/[A-Za-z_-]+: digest' \
-		internal/shard/shard.go $'\tc.Sync()\n\td.shards[s].inflight--\n' $'\td.shards[s].inflight--\n\tc.Sync()\n' \
-		-- bash bench/run.sh -workload shard-256 -seconds 1 -trace 0
-	row release-early 'shard256/[A-Za-z_-]+: digest' \
-		internal/shard/shard.go $'\tc.Sync()\n\td.shards[s].excl = -1\n' $'\td.shards[s].excl = -1\n\tc.Sync()\n' \
-		-- bash bench/run.sh -workload shard-256 -seconds 1 -trace 0
+	# the gate, with its floor check, ahead of their Sync. The check
+	# panics on the shard tests' 256-CPU SGL point.
+	row exit-early 'inflight at t=[0-9]+ off the virtual-time floor' \
+		internal/shard/shard.go $'\tc.Sync()\n\tc.MustHoldFloor("inflight")\n\td.shards[s].inflight--\n' $'\tc.MustHoldFloor("inflight")\n\td.shards[s].inflight--\n\tc.Sync()\n' \
+		-- go test ./internal/shard
+	row release-early 'excl at t=[0-9]+ off the virtual-time floor' \
+		internal/shard/shard.go $'\tc.Sync()\n\tc.MustHoldFloor("excl")\n\td.shards[s].excl = -1\n' $'\tc.MustHoldFloor("excl")\n\td.shards[s].excl = -1\n\tc.Sync()\n' \
+		-- go test ./internal/shard
 	# Wake-one dispatch. The dispatcher never blocks an idle server, as
 	# before wake-one dispatch: every result stays the same, and only the
 	# engine's work counters (and the idle-event stream) move.
@@ -332,6 +332,90 @@ catalogue() {
 		internal/htm/zz_mutation.go '' $'package htm\n\nvar hotSink []uint64\n' \
 		internal/htm/tx.go $'\tt.mustBeActive("Commit")\n' $'\tt.mustBeActive("Commit")\n\thotSink = make([]uint64, len(t.ws.order)+1)\n' \
 		-- go test ./internal/htm -run Allocate
+	# The contended-acquisition backoff draws from the global math/rand
+	# source instead of the CPU's seeded stream: every run differs. simlint
+	# had a rule for it; the engine capture sees it too.
+	row det-rand 'diverged' \
+		internal/htm/wait.go $'import "hrwle/internal/machine"\n' $'import (\n\t"math/rand"\n\n\t"hrwle/internal/machine"\n)\n' \
+		internal/htm/wait.go 'c.SpinFor(1 + c.Intn(1<<s.shift))' 'c.SpinFor(1 + rand.Intn(1<<s.shift))' \
+		-- go test ./internal/enginediff -run TestEngineEquivalence
+	# The closed-system sweep collects its points through a channel, or
+	# appends them under a host mutex, in the order the host's workers
+	# finish them. simlint had rules for both; the sweep's serial-parallel
+	# test sees them too.
+	row det-chan 'parallel result diverged' \
+		internal/harness/harness.go $'\tout := make([]Result, f.NumPoints())\n' $'\tout := make([]Result, f.NumPoints())\n\tdone := make(chan Result, len(out))\n' \
+		internal/harness/harness.go $'\t\tout[i] = r\n' $'\t\tdone <- r\n' \
+		internal/harness/harness.go $'\treturn out\n}' $'\tfor i := range out {\n\t\tout[i] = <-done\n\t}\n\treturn out\n}' \
+		-- go test ./internal/harness -run ParallelMatchesSerial
+	row det-sync 'parallel result diverged' \
+		internal/harness/harness.go $'\t"sort"\n' $'\t"sort"\n\t"sync"\n' \
+		internal/harness/harness.go $'\tout := make([]Result, f.NumPoints())\n' $'\tout := make([]Result, 0, f.NumPoints())\n\tvar mu sync.Mutex\n' \
+		internal/harness/harness.go 'ForEach(len(out), workers,' 'ForEach(f.NumPoints(), workers,' \
+		internal/harness/harness.go $'\t\tout[i] = r\n' $'\t\tmu.Lock()\n\t\tout = append(out, r)\n\t\tmu.Unlock()\n' \
+		-- go test ./internal/harness -run ParallelMatchesSerial
+	# The sweep runs no more simulated threads than the host has cores.
+	# simlint had a rule for host queries; the engine capture sees it on a
+	# host with fewer cores than its largest thread count (4), which
+	# taskset makes of any host: runtime.NumCPU counts only the CPUs the
+	# process may run on.
+	row det-runtime 'diverged' \
+		internal/harness/harness.go $'\t"io"\n' $'\t"io"\n\t"runtime"\n' \
+		internal/harness/harness.go 'f.Point(PointCtx{attach: attach}, scheme, threads,' 'f.Point(PointCtx{attach: attach}, scheme, min(threads, runtime.NumCPU()),' \
+		-- taskset -c 0 go test ./internal/enginediff -run TestEngineEquivalence
+	# The abort matrix lists its cells in map order, and the metrics export
+	# writes them as listed. simlint had a rule for unsorted map ranges;
+	# the engine capture's export sha256s see it too.
+	row det-map-order 'export metrics/fig5 diverged' \
+		internal/obs/obs.go $'\tsort.Slice(keys, func(i, j int) bool {\n\t\ta, b := keys[i], keys[j]\n\t\tif a.cause != b.cause {\n\t\t\treturn a.cause < b.cause\n\t\t}\n\t\tif a.killer != b.killer {\n\t\t\treturn a.killer < b.killer\n\t\t}\n\t\treturn a.victim < b.victim\n\t})\n' '' \
+		-- go test ./internal/enginediff -run TestEngineEquivalence
+	# A hashmap lookup swallows every panic of its loads, the HTM abort of
+	# a doomed section among them, and the section goes on outside its
+	# transaction. abortflow's rule for every deferred recover still flags
+	# it; its cross-package reachability, deleted, was never needed.
+	row recover-reach 'Commit outside transaction' \
+		internal/hashmap/hashmap.go $'func (h *Map) Lookup(t *htm.Thread, key uint64) (uint64, bool) {\n' $'func (h *Map) Lookup(t *htm.Thread, key uint64) (uint64, bool) {\n\tdefer func() { recover() }()\n' \
+		-- go test ./internal/enginediff -run TestEngineEquivalence
+	# simlint: Try keeps the pooled abort signal on the Thread past its
+	# handler, where the thread's next abort rewrites it. Nothing reads it
+	# yet, so only abortflow sees it.
+	row recover-retain '\[abortflow\]' \
+		internal/htm/htm.go $'\tsig abortSignal\n' $'\tsig abortSignal\n\tlast *abortSignal\n' \
+		internal/htm/tx.go $'\t\tstatus = Status{OK: false,' $'\t\tt.last = sig\n\t\tstatus = Status{OK: false,' \
+		-- go run ./cmd/hrwle-vet ./...
+	# The RCU read section reads its bucket head with machine.Peek,
+	# outside the htm.Thread API, and a helper every hashmap write section
+	# calls stores the new node's key with machine.Poke, which no abort
+	# undoes. simlint had rules for raw accesses in a section and in what
+	# it reaches; the engine capture sees both.
+	row cs-raw-load 'ext-rcu point \(RCU' \
+		internal/rcu/hashmap.go $'\t\tn := t.Load(h.bucketAddr(key))\n' $'\t\tn := h.m.Peek(h.bucketAddr(key))\n' \
+		-- go test ./internal/enginediff -run TestEngineEquivalence
+	row cs-helper-poke 'diverged' \
+		internal/hashmap/hashmap.go $'\tt.Store(node+offKey, key)\n' $'\th.m.Poke(node+offKey, key)\n' \
+		-- go test ./internal/enginediff -run TestEngineEquivalence
+	# simlint: quickstart's write section records each version's writer in
+	# a captured map, which an aborted attempt also writes. Only
+	# txdiscipline sees it.
+	row cs-captured-map '\[txdiscipline\]' \
+		examples/quickstart/main.go $'\ttorn := 0\n' $'\ttorn := 0\n\twroteBy := map[uint64]int{}\n' \
+		examples/quickstart/main.go $'\t\t\t\t\t\tt.Store(w, v)\n\t\t\t\t\t}\n' $'\t\t\t\t\t\tt.Store(w, v)\n\t\t\t\t\t}\n\t\t\t\t\twroteBy[v] = c.ID\n' \
+		-- go run ./cmd/hrwle-vet ./...
+	# The wicked workload's bucket-clearing section appends the nodes it
+	# unlinks to a captured list: a re-execution after an abort lists them
+	# twice, and each is recycled twice. simlint had a rule for captured
+	# self-appends; the wicked workload's own test sees the corruption.
+	row cs-captured-append 'BST ordering violated' \
+		internal/kyoto/wicked.go $'\t\t\t\tfreed = freed[:0] // restartable: reset on re-execution\n\t\t\t\tdb.ClearBucket(t, bucket, &freed)\n' $'\t\t\t\tvar got []machine.Addr\n\t\t\t\tdb.ClearBucket(t, bucket, &got)\n\t\t\t\tfreed = append(freed, got...)\n' \
+		-- go test ./internal/kyoto -run WickedRWLE
+	# The wicked workload's remove frees the unlinked record inside its
+	# section instead of after it commits: an elided section that aborts
+	# has already freed a record that is still linked, and its re-execution
+	# frees it again. simlint had a rule for allocator calls in a section;
+	# the engine capture's fig9 points see it too.
+	row cs-alloc-free 'fig9 point .* diverged' \
+		internal/kyoto/wicked.go $'\t\t\tvar gone machine.Addr\n\t\t\tlock.Read(t, func() { gone = db.Remove(t, key, w.Inner) })\n\t\t\tdb.Recycle(t, gone)\n' $'\t\t\tlock.Read(t, func() {\n\t\t\t\tif gone := db.Remove(t, key, w.Inner); gone != 0 {\n\t\t\t\t\tt.FreeAligned(gone, recWords)\n\t\t\t\t}\n\t\t\t})\n' \
+		-- go test ./internal/enginediff -run TestEngineEquivalence
 	# simlint: a read section that increments a captured counter, which a
 	# re-execution after an abort counts twice. Only txdiscipline sees it.
 	row cs-captured-incr '\[txdiscipline\]' \
